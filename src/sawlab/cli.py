@@ -91,11 +91,13 @@ def _default_n_max(g) -> int:
 # Height resolution
 # ---------------------------------------------------------------------------
 
+# Default height per oracle name; parameterised families are keyed by the
+# name with its numeric parameter stripped.
 _DEFAULT_HEIGHTS = {
     "zd": "x",
     "cylinder_zd": "x",
     "ladder_dihedral": "x",
-    "dihedral_line": "identity",
+    "dihedral": "identity",
     "grandparent": "level",
     "tree3": "ghf",
     "heisenberg": "ghf",
@@ -105,19 +107,27 @@ _DEFAULT_HEIGHTS = {
 }
 
 
-def default_height_name(model: str) -> str:
-    base = model.rstrip("0123456789").rstrip("_")
-    if base in ("zd", "cylinder", "cylinderzd", "cylinder_zd"):
-        base = "zd" if base == "zd" else "cylinder_zd"
-    for key, value in _DEFAULT_HEIGHTS.items():
-        if base == key or model == key:
-            return value
-    raise GraphError(f"no default height for model {model!r}")
+def default_height_name(g) -> str:
+    """Default height of a resolved model, whichever spelling named it."""
+    value = _DEFAULT_HEIGHTS.get(g.name) or _DEFAULT_HEIGHTS.get(
+        g.name.rstrip("0123456789")
+    )
+    if value is None:
+        raise GraphError(f"no default height for model {g.name!r}")
+    return value
 
 
-def resolve_height(g, name: Optional[str], model: str) -> HeightFunction:
+def resolve_height(
+    g, name: Optional[str], model: Optional[str] = None
+) -> HeightFunction:
+    """Height `name` (None or "auto": the model's default) on oracle `g`.
+
+    Everything is derived from `g`, so every accepted spelling of a model
+    gets its canonical model's height; `model`, the spelling itself, is
+    accepted for three-argument callers and not used.
+    """
     if name is None or name == "auto":
-        name = default_height_name(model)
+        name = default_height_name(g)
     if name == "x":
         return CoordinateHeight(0, label="x")
     if name == "y":
@@ -127,12 +137,10 @@ def resolve_height(g, name: Optional[str], model: str) -> HeightFunction:
     if name == "level":
         return LevelHeight()
     if name == "ghf":
-        base = model.rstrip("0123456789").rstrip("_")
-        preset_name = model if model in presentations.PRESENTATION_PRESETS else base
-        pres = presentations.preset_presentation(preset_name)
+        pres = presentations.preset_presentation(g.name)
         spec = presentations.choose_ghf(pres)
         if spec is None:
-            raise HeightError(f"presentation {preset_name!r} admits no such height")
+            raise HeightError(f"presentation {g.name!r} admits no such height")
         return GammaHeight.from_spec(spec)
     if name == "repaired":
         if not isinstance(g, PGOracle):
@@ -213,7 +221,7 @@ def cmd_count(cfg: RunConfig, args) -> int:
 
 def cmd_bridges(cfg: RunConfig, args) -> int:
     g, n_max = _counting_setup(cfg)
-    h = resolve_height(g, args.height, cfg.model)
+    h = resolve_height(g, args.height)
     table = saw.count_bridges(g, h, n_max, threads=cfg.threads, budget=cfg.budget)
     if cfg.format == "json":
         _emit(cfg, saw.table_to_json(table, _timestamp(cfg)))
@@ -224,7 +232,7 @@ def cmd_bridges(cfg: RunConfig, args) -> int:
 
 def cmd_bounds(cfg: RunConfig, args) -> int:
     g, n_max = _counting_setup(cfg)
-    h = resolve_height(g, args.height, cfg.model)
+    h = resolve_height(g, args.height)
     sigma = saw.count_saws(g, n_max, threads=cfg.threads, budget=cfg.budget)
     bridge = saw.count_bridges(g, h, n_max, threads=cfg.threads, budget=cfg.budget)
     report = saw.mu_bounds(sigma, bridge, precision=cfg.precision)
@@ -285,7 +293,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     if not cfg.model:
         raise GraphError("missing --model")
     g = graphs.resolve_model(cfg.model)
-    h = resolve_height(g, args.height, cfg.model)
+    h = resolve_height(g, args.height)
     axioms = heights.verify_height_axioms(g, h, cfg.radius)
     harmonic = heights.verify_harmonic(g, h, cfg.radius)
     d = heights.compute_d(g, h, max(2, min(cfg.radius, 4)))
@@ -380,7 +388,7 @@ def cmd_locality(cfg: RunConfig, args) -> int:
         _emit(cfg, locality.scan_to_json(report, _timestamp(cfg)))
     else:
         _emit(cfg, report.to_csv())
-    return EXIT_OK
+    return EXIT_BUDGET if report.partial else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

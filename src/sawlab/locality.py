@@ -234,6 +234,9 @@ class ScanReport:
     base_lower: Optional[str]
     base_upper: Optional[str]
     records: List[ScanRecord]
+    # Some table stopped at the node budget or some ball at its vertex
+    # budget. Not written to the artifacts.
+    partial: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -379,6 +382,7 @@ def locality_scan(
     base_sigma = count_saws(g, n_max, threads=threads, budget=budget)
     base_bridge = count_bridges(g, height, n_max, threads=threads, budget=budget)
     base_bounds = mu_bounds(base_sigma, base_bridge, precision=precision)
+    partial = base_sigma.partial or base_bridge.partial
 
     records: List[ScanRecord] = []
     for m in m_list:
@@ -393,6 +397,8 @@ def locality_scan(
             check_up_to=min(iso.k, n_max),
         )
         member_bounds = mu_bounds(member_sigma, member_bridge, precision=precision)
+        partial = (partial or iso.budget_hit
+                   or member_sigma.partial or member_bridge.partial)
         records.append(
             ScanRecord(
                 m=m,
@@ -415,6 +421,7 @@ def locality_scan(
         base_lower=base_bounds.best_lower,
         base_upper=base_bounds.best_upper,
         records=records,
+        partial=partial,
     )
 
 

@@ -1,18 +1,23 @@
 """Exact enumeration of self-avoiding walks and bridges.
 
 Counts are exact big integers obtained by depth-first backtracking over
-neighbor expansions. Enumeration is iterative-deepening per depth: pass
-k re-walks the tree to depth k and finalizes sigma_k (or b_k), so a
-resource budget always yields a table whose entries up to the high-water
-mark are exact and final. The node budget is enforced between passes
-with a conservative projection, which keeps partial results identical
-for any thread count.
+neighbor expansions. One walker, `_walk`, does all of it: it extends a
+given path by a fixed number of steps and returns the walks found and
+the nodes entered. Enumeration is iterative-deepening per depth: pass k
+walks the tree to depth k and finalizes sigma_k (or b_k), so a resource
+budget always yields a table whose entries up to the high-water mark are
+exact and final. The node budget is enforced between passes with a
+conservative projection, which keeps partial results identical for any
+thread count. With more than one thread, the walker lists the feasible
+prefixes of length SPLIT_DEPTH once per count, and every deeper pass
+extends them in a process pool.
 
 Bridges follow the height inequalities h(start) < h(pi_i) <= h(pi_n):
 every vertex after the start is strictly higher than the start, and the
-walk ends at a running maximum. Heights are evaluated incrementally
-(per-edge-label increments) or directly, whichever the height function
-supports.
+walk ends at a running maximum. A bridge count is a SAW count with this
+filter. The walker evaluates heights directly (`at`) when the height
+function gives a value at the start, and otherwise transports them along
+edge labels (`step`); it decides this once per call.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -84,172 +89,74 @@ class CountTable:
 
 
 # ---------------------------------------------------------------------------
-# Depth-limited DFS passes
+# The walker
 # ---------------------------------------------------------------------------
 
-
-def _saw_pass(g: GraphOracle, start, depth: int) -> Tuple[int, int]:
-    """(count at exactly `depth`, nodes expanded)."""
-    neighbors = g.neighbors
-    hits = 0
-    nodes = 0
-    visited = {start}
-
-    def walk(v, remaining):
-        nonlocal hits, nodes
-        nodes += 1
-        if remaining == 0:
-            hits += 1
-            return
-        for w, _label in neighbors(v):
-            if w not in visited:
-                visited.add(w)
-                walk(w, remaining - 1)
-                visited.remove(w)
-
-    walk(start, depth)
-    return hits, nodes
+# Depth of the prefixes whose subtrees are fanned out to the process pool.
+SPLIT_DEPTH = 3
 
 
-def _saw_prefixes(g: GraphOracle, start, depth: int) -> List[Tuple]:
-    """All SAW paths of length exactly `depth` from start, as tuples."""
-    out: List[Tuple] = []
-    visited = {start}
-    path = [start]
-
-    def walk(v, remaining):
-        if remaining == 0:
-            out.append(tuple(path))
-            return
-        for w, _label in g.neighbors(v):
-            if w not in visited:
-                visited.add(w)
-                path.append(w)
-                walk(w, remaining - 1)
-                path.pop()
-                visited.remove(w)
-
-    walk(start, depth)
-    return out
-
-
-def _saw_subtree_task(args) -> Tuple[int, int]:
-    g, prefix, depth = args
-    neighbors = g.neighbors
-    hits = 0
-    nodes = 0
-    visited = set(prefix)
-
-    def walk(v, remaining):
-        nonlocal hits, nodes
-        if remaining == 0:
-            hits += 1
-            return
-        for w, _label in neighbors(v):
-            if w not in visited:
-                nodes += 1
-                visited.add(w)
-                walk(w, remaining - 1)
-                visited.remove(w)
-
-    walk(prefix[-1], depth - (len(prefix) - 1))
-    return hits, nodes
-
-
-def _resolve_height_mode(h: HeightFunction, start) -> str:
-    return "at" if h.at(start) is not None else "step"
-
-
-def _bridge_pass(
-    g: GraphOracle, h: HeightFunction, start, depth: int
+def _walk(
+    g: GraphOracle,
+    h: Optional[HeightFunction],
+    path: Sequence,
+    remaining: int,
+    hv: int = 0,
+    hmax: int = 0,
+    out: Optional[list] = None,
 ) -> Tuple[int, int]:
-    """(bridge count at exactly `depth`, nodes expanded)."""
-    mode = _resolve_height_mode(h, start)
-    h0 = h.at(start) if mode == "at" else 0
-    hits = 0
-    nodes = 0
-    visited = {start}
+    """Extend the self-avoiding `path` by exactly `remaining` >= 1 steps.
 
-    def walk(v, hv, hmax, remaining):
+    Returns (walks found, nodes entered below `path`). With `h` None the
+    walks are SAWs. Otherwise a step must end strictly above the start,
+    and a walk counts only if it ends at its running maximum; `hv` and
+    `hmax` are the height of the end of `path` and the running maximum,
+    both relative to the start. If `out` is given, every feasible
+    extension is appended to it as (path, hv, hmax), whether or not it
+    ends at its maximum.
+    """
+    neighbors = g.neighbors
+    visited = dict.fromkeys(path)  # insertion-ordered: the keys are the path
+    bridge = h is not None
+    at = step = None
+    h0 = 0
+    if bridge:
+        h0 = h.at(path[0])
+        if h0 is None:
+            h0, step = 0, h.step
+        else:
+            at = h.at
+    hits = nodes = 0
+
+    def extend(v, hv, hmax, remaining):
         nonlocal hits, nodes
-        nodes += 1
-        if remaining == 0:
-            if hv == hmax:
-                hits += 1
-            return
-        for w, label in g.neighbors(v):
+        last = remaining == 1
+        hw = top = 0
+        for w, label in neighbors(v):
             if w in visited:
                 continue
-            hw = h.at(w) if mode == "at" else h.step(hv, label)
-            if hw <= h0:
-                continue
-            visited.add(w)
-            walk(w, hw, hw if hw > hmax else hmax, remaining - 1)
-            visited.remove(w)
-
-    if depth == 0:
-        return 1, 1
-    walk(start, h0, h0, depth)
-    return hits, nodes
-
-
-def _bridge_prefixes(
-    g: GraphOracle, h: HeightFunction, start, depth: int
-) -> List[Tuple[Tuple, int, int]]:
-    """(path, h(end), running max) for bridge-feasible prefixes."""
-    mode = _resolve_height_mode(h, start)
-    h0 = h.at(start) if mode == "at" else 0
-    out: List[Tuple[Tuple, int, int]] = []
-    visited = {start}
-    path = [start]
-
-    def walk(v, hv, hmax, remaining):
-        if remaining == 0:
-            out.append((tuple(path), hv, hmax))
-            return
-        for w, label in g.neighbors(v):
-            if w in visited:
-                continue
-            hw = h.at(w) if mode == "at" else h.step(hv, label)
-            if hw <= h0:
-                continue
-            visited.add(w)
-            path.append(w)
-            walk(w, hw, hw if hw > hmax else hmax, remaining - 1)
-            path.pop()
-            visited.remove(w)
-
-    walk(start, h0, h0, depth)
-    return out
-
-
-def _bridge_subtree_task(args) -> Tuple[int, int]:
-    g, h, prefix, h_end, hmax0, depth = args
-    mode = _resolve_height_mode(h, prefix[0])
-    h0 = h.at(prefix[0]) if mode == "at" else 0
-    hits = 0
-    nodes = 0
-    visited = set(prefix)
-
-    def walk(v, hv, hmax, remaining):
-        nonlocal hits, nodes
-        if remaining == 0:
-            if hv == hmax:
-                hits += 1
-            return
-        for w, label in g.neighbors(v):
-            if w in visited:
-                continue
-            hw = h.at(w) if mode == "at" else h.step(hv, label)
-            if hw <= h0:
-                continue
+            if bridge:
+                hw = step(hv, label) if at is None else at(w) - h0
+                if hw <= 0:
+                    continue
+                top = hw if hw > hmax else hmax
             nodes += 1
-            visited.add(w)
-            walk(w, hw, hw if hw > hmax else hmax, remaining - 1)
-            visited.remove(w)
+            if not last:
+                visited[w] = None
+                extend(w, hw, top, remaining - 1)
+                del visited[w]
+            else:
+                if hw == top:
+                    hits += 1
+                if out is not None:
+                    out.append((tuple(visited) + (w,), hw, top))
 
-    walk(prefix[-1], h_end, hmax0, depth - (len(prefix) - 1))
+    extend(path[-1], hv, hmax, remaining)
     return hits, nodes
+
+
+def _walk_task(args) -> Tuple[int, int]:
+    return _walk(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +169,7 @@ def _run_iterative(
     n_max: int,
     start,
     threads: int,
-    split_depth: int,
     budget: Optional[int],
-    kind: str,
     h: Optional[HeightFunction],
 ) -> CountTable:
     if n_max < 0:
@@ -275,7 +180,6 @@ def _run_iterative(
         budget = default_budget()
     if start is None:
         start = g.root
-    model = g.name
     counts: Dict[int, int] = {0: 1}
     nodes_used = 1
     high_water = 0
@@ -284,6 +188,7 @@ def _run_iterative(
     # A depth-(k+1) pass expands at most (1 + degree_bound) times the
     # nodes of the depth-k pass, so this projection never overshoots.
     factor = 1 + g.degree_bound()
+    prefixes: Optional[list] = None
 
     pool = None
     try:
@@ -294,26 +199,19 @@ def _run_iterative(
             if nodes_used + projected > budget:
                 partial = True
                 break
-            if pool is not None and depth > split_depth:
-                if kind == "saw":
-                    prefixes = _saw_prefixes(g, start, split_depth)
-                    prefix_nodes = _saw_pass(g, start, split_depth)[1]
-                    tasks = [(g, p, depth) for p in prefixes]
-                    results = list(pool.map(_saw_subtree_task, tasks, chunksize=8))
-                else:
-                    prefixes = _bridge_prefixes(g, h, start, split_depth)
-                    prefix_nodes = _bridge_pass(g, h, start, split_depth)[1]
-                    tasks = [
-                        (g, h, p, he, hm, depth) for p, he, hm in prefixes
-                    ]
-                    results = list(pool.map(_bridge_subtree_task, tasks, chunksize=8))
+            if pool is not None and depth > SPLIT_DEPTH:
+                if prefixes is None:
+                    prefixes = []
+                    _, prefix_nodes = _walk(g, h, (start,), SPLIT_DEPTH, out=prefixes)
+                    prefix_nodes += 1
+                rest = depth - SPLIT_DEPTH
+                tasks = [(g, h, p, rest, hv, hm) for p, hv, hm in prefixes]
+                results = list(pool.map(_walk_task, tasks, chunksize=8))
                 hits = sum(r[0] for r in results)
                 pass_nodes = prefix_nodes + sum(r[1] for r in results)
             else:
-                if kind == "saw":
-                    hits, pass_nodes = _saw_pass(g, start, depth)
-                else:
-                    hits, pass_nodes = _bridge_pass(g, h, start, depth)
+                hits, pass_nodes = _walk(g, h, (start,), depth)
+                pass_nodes += 1
             counts[depth] = hits
             nodes_used += pass_nodes
             last_pass_nodes = pass_nodes
@@ -323,8 +221,8 @@ def _run_iterative(
             pool.shutdown()
 
     return CountTable(
-        kind=kind,
-        model=model,
+        kind="saw" if h is None else "bridge",
+        model=g.name,
         n_max=n_max,
         counts=counts,
         height_name=h.name if h is not None else None,
@@ -338,12 +236,11 @@ def count_saws(
     g: GraphOracle,
     n_max: int,
     threads: int = 1,
-    split_depth: int = 3,
     budget: Optional[int] = None,
     start=None,
 ) -> CountTable:
     """Exact sigma_n for 0 <= n <= n_max from the root (or `start`)."""
-    return _run_iterative(g, n_max, start, threads, split_depth, budget, "saw", None)
+    return _run_iterative(g, n_max, start, threads, budget, None)
 
 
 def count_bridges(
@@ -351,12 +248,11 @@ def count_bridges(
     h: HeightFunction,
     n_max: int,
     threads: int = 1,
-    split_depth: int = 3,
     budget: Optional[int] = None,
     start=None,
 ) -> CountTable:
     """Exact b_n for 0 <= n <= n_max from the root (or `start`)."""
-    return _run_iterative(g, n_max, start, threads, split_depth, budget, "bridge", h)
+    return _run_iterative(g, n_max, start, threads, budget, h)
 
 
 # ---------------------------------------------------------------------------

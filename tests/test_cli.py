@@ -46,6 +46,18 @@ def test_exit_budget(capsys):
     assert code == EXIT_BUDGET
 
 
+def test_locality_exit_budget_on_truncated_tables(capsys, tmp_path):
+    argv = ["locality", "--m-list", "4,5", "--threads", "1",
+            "--format", "json", "--no-timestamp"]
+    full, cut = tmp_path / "full.json", tmp_path / "cut.json"
+    assert run(capsys, *argv, "--n-max", "5", "--output", str(full))[0] == EXIT_OK
+    code, _, _ = run(capsys, *argv, "--n-max", "10", "--budget", "2000",
+                     "--output", str(cut))
+    assert code == EXIT_BUDGET
+    # the flag changes the exit code only; the artifact has the same keys
+    assert json.loads(cut.read_text()).keys() == json.loads(full.read_text()).keys()
+
+
 def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--model", "zd2", "--frobnicate"])
@@ -79,6 +91,34 @@ def test_bounds_csv_header(capsys):
     assert code == EXIT_OK
     assert out.splitlines()[0] == "n,sigma_n,b_n,lower_root,upper_root"
     assert out.splitlines()[4].startswith("4,100,17,")
+
+
+# Every spelling resolve_model accepts, with the canonical spelling of its
+# model: the default height follows the model, not the spelling.
+MODEL_ALIASES = [
+    ("zd2", "zd_2"), ("zd2", "ZD2"), ("zd2", " zd2 "),
+    ("cylinder_zd5", "cylinder5"), ("cylinder_zd5", "cylinder_5"),
+    ("cylinder_zd5", "cylinder_zd_5"),
+    ("ladder_dihedral6", "ladder6"), ("ladder_dihedral6", "ladder_6"),
+    ("ladder_dihedral6", "ladder_dihedral_6"),
+    ("dihedral_line", "dihedral"),
+    ("tree3", "tree_3"), ("tree3", "Tree3"),
+    ("heisenberg", "HEISENBERG"),
+    ("lamplighter", "Lamplighter"),
+    ("grandparent", "Grandparent"),
+    ("hexagonal", "Hexagonal"),
+    ("square_octagon", "Square_Octagon"),
+]
+
+
+@pytest.mark.parametrize("canonical,alias", MODEL_ALIASES)
+def test_bounds_default_height_for_every_model_spelling(capsys, canonical, alias):
+    argv = ["--n-max", "4", "--threads", "1", "--format", "json", "--no-timestamp"]
+    code, want, _ = run(capsys, "bounds", "--model", canonical, *argv)
+    assert code == EXIT_OK
+    code, got, err = run(capsys, "bounds", "--model", alias, *argv)
+    assert code == EXIT_OK, err
+    assert got == want
 
 
 def test_verify_grandparent(capsys):

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from sawlab import saw
+from sawlab.cli import resolve_height
 from sawlab.graphs import resolve_model
-from sawlab.heights import CoordinateHeight, IdentityHeight
+from sawlab.heights import CoordinateHeight, IdentityHeight, LevelHeight
 from sawlab.saw import (
     BoundsReport,
     CountTable,
@@ -160,6 +162,22 @@ def test_parallel_matches_sequential_byte_for_byte():
     assert bseq.to_csv() == bpar.to_csv()
     assert bseq.nodes_used == bpar.nodes_used
 
+    # Bridge prefixes that end below their running maximum (grandparent:
+    # level steps +2/-1), a `step` height (heisenberg) and a periodic
+    # height on a voltage-graph cover (hexagonal).
+    for model, n in (("grandparent", 5), ("heisenberg", 6), ("hexagonal", 9)):
+        g = resolve_model(model)
+        h = resolve_height(g, None)
+        bseq = count_bridges(g, h, n, threads=1)
+        bpar = count_bridges(g, h, n, threads=8)
+        assert bseq.to_csv() == bpar.to_csv(), model
+        assert table_to_json(bseq) == table_to_json(bpar), model
+        assert bseq.nodes_used == bpar.nodes_used, model
+    g = resolve_model("grandparent")
+    prefixes = []
+    saw._walk(g, LevelHeight(), (g.root,), saw.SPLIT_DEPTH, out=prefixes)
+    assert any(hv < hmax for _, hv, hmax in prefixes)
+
 
 def test_threads_with_shallow_depth():
     g = resolve_model("zd2")
@@ -171,6 +189,39 @@ def test_start_vertex_translation_invariance():
     assert count_saws(g, 6, start=(3, -2)).series() == oracles.ZD2_SIGMA[:7]
     shifted = count_bridges(g, X, 6, start=(3, -2))
     assert shifted.series() == oracles.ZD2_BRIDGES_X[:7]
+
+
+# (model, n, sigma nodes_used, b nodes_used, budget-5000 (high_water,
+# nodes_used) for sigma, then for b), b under the model's default height.
+# The budget projection rests on these node counts.
+FROZEN_NODES = [
+    ("zd2", 10, 109823, 16128, (6, 1883), (8, 2341)),
+    ("zd3", 6, 26965, 3072, (4, 1145), (6, 3072)),
+    ("tree3", 12, 24547, 4227, (9, 3049), (11, 2220)),
+    ("heisenberg", 6, 27381, 3092, (4, 1153), (6, 3092)),
+    ("lamplighter", 10, 6051, 1163, (9, 3029), (10, 1163)),
+    ("grandparent", 5, 23262, 734, (4, 3485), (5, 734)),
+    ("hexagonal", 12, 19507, 4671, (9, 2755), (11, 2562)),
+    ("square_octagon", 10, 4517, 1203, (9, 2391), (10, 1203)),
+    ("dihedral_line", 10, 121, 66, (10, 121), (10, 66)),
+    ("cylinder5", 8, 13925, 2273, (6, 1869), (8, 2273)),
+]
+
+
+@pytest.mark.parametrize("model,n,s_nodes,b_nodes,s_budget,b_budget", FROZEN_NODES)
+def test_nodes_used_and_budget_high_water_frozen(
+    model, n, s_nodes, b_nodes, s_budget, b_budget
+):
+    g = resolve_model(model)
+    h = resolve_height(g, None)
+    assert count_saws(g, n).nodes_used == s_nodes
+    assert count_bridges(g, h, n).nodes_used == b_nodes
+    for t, (high_water, nodes) in (
+        (count_saws(g, n, budget=5000), s_budget),
+        (count_bridges(g, h, n, budget=5000), b_budget),
+    ):
+        assert (t.high_water, t.nodes_used) == (high_water, nodes)
+        assert t.partial == (high_water < n)
 
 
 # ---------------------------------------------------------------------------
