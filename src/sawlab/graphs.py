@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -403,6 +404,8 @@ class PeriodicGraph:
     orbit_count: int
     dim: int
     edges: Tuple[Tuple[int, int, Tuple[int, ...], Optional[str]], ...]
+    # Orbit -> (o2, t, label) of the edges leaving it, in edge-list order.
+    _out_edges: Dict[int, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.orbit_count < 1 or self.dim < 0:
@@ -424,6 +427,13 @@ class PeriodicGraph:
                 raise GraphError(f"edge {(o1, o2, t)} missing its reversal")
         if not self._connected():
             raise GraphError("cover is not connected")
+        out: Dict[int, list] = {}
+        for o1, o2, t, label in self.edges:
+            edges = out.setdefault(o1, [])
+            edges.append((o2, t, label if label is not None else f"e{len(edges)}"))
+        object.__setattr__(
+            self, "_out_edges", {o: tuple(edges) for o, edges in out.items()}
+        )
 
     def _connected(self) -> bool:
         # Orbit connectivity of the quotient...
@@ -459,8 +469,10 @@ class PeriodicGraph:
             cycle_voltages.append(vec)
         return _spans_full_lattice(cycle_voltages, self.dim)
 
-    def out_edges(self, o: int) -> Tuple[Tuple[int, Tuple[int, ...], Optional[str]], ...]:
-        return tuple((o2, t, label) for o1, o2, t, label in self.edges if o1 == o)
+    def out_edges(self, o: int) -> Tuple[Tuple[int, Tuple[int, ...], str], ...]:
+        """(o2, t, label) of the edges leaving orbit o, in edge-list order;
+        an unlabelled edge is named e<i>, i its position in this tuple."""
+        return self._out_edges.get(o, ())
 
     def degree(self, o: int) -> int:
         return len(self.out_edges(o))
@@ -603,11 +615,9 @@ class PGOracle(GraphOracle):
 
     def neighbors(self, v):
         o, x = v
-        out = []
-        for i, (o2, t, label) in enumerate(self.pg.out_edges(o)):
-            w = (o2, tuple(a + b for a, b in zip(x, t)))
-            out.append((w, label if label is not None else f"e{i}"))
-        return tuple(out)
+        return tuple(
+            ((o2, tuple(map(add, x, t))), label) for o2, t, label in self.pg.out_edges(o)
+        )
 
     def orbit_label(self, v) -> int:
         return v[0] - 1

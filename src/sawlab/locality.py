@@ -104,15 +104,28 @@ def ball_iso(
         by_color.setdefault(col_b[j], []).append(j)
     adj_sets_b = [set(js) for js in adj_b]
 
+    # Depth-first search with an explicit stack, one frame per mapped
+    # position: (vertex a, images of its mapped neighbors, iterator over
+    # the candidates b still to try). Balls have thousands of vertices, so
+    # a Python frame per position would exceed the recursion limit.
     mapping: Dict[int, int] = {}
     used = [False] * n
-
-    def extend(pos: int) -> bool:
-        if pos == n:
-            return True
-        a = order[pos]
-        mapped_image = [mapping[x] for x in adj_a[a] if x in mapping]
-        for b in by_color.get(col_a[a], ()):
+    frames: List[tuple] = []
+    advance = True  # False: the top frame's choice failed further down
+    while True:
+        if advance:
+            if len(mapping) == n:
+                break
+            a = order[len(mapping)]
+            mapped_image = [mapping[x] for x in adj_a[a] if x in mapping]
+            frames.append((a, mapped_image, iter(by_color.get(col_a[a], ()))))
+        elif not frames:
+            return False, None
+        else:
+            used[mapping.pop(frames[-1][0])] = False
+        a, mapped_image, candidates = frames[-1]
+        advance = False
+        for b in candidates:
             if used[b]:
                 continue
             neigh_b = adj_sets_b[b]
@@ -122,14 +135,11 @@ def ball_iso(
                 continue
             mapping[a] = b
             used[b] = True
-            if extend(pos + 1):
-                return True
-            del mapping[a]
-            used[b] = False
-        return False
+            advance = True
+            break
+        if not advance:
+            frames.pop()
 
-    if not extend(0):
-        return False, None
     witness = sorted(
         (
             g_a.canonical_key(ba.vertices[a]).decode(),

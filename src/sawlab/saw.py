@@ -1,23 +1,36 @@
 """Exact enumeration of self-avoiding walks and bridges.
 
-Counts are exact big integers obtained by depth-first backtracking over
-neighbor expansions. One walker, `_walk`, does all of it: it extends a
-given path by a fixed number of steps and returns the walks found and
-the nodes entered. Enumeration is iterative-deepening per depth: pass k
-walks the tree to depth k and finalizes sigma_k (or b_k), so a resource
-budget always yields a table whose entries up to the high-water mark are
-exact and final. The node budget is enforced between passes with a
-conservative projection, which keeps partial results identical for any
-thread count. With more than one thread, the walker lists the feasible
-prefixes of length SPLIT_DEPTH once per count, and every deeper pass
-extends them in a process pool.
+Counts are exact big integers obtained by depth-first backtracking.
+Enumeration is iterative-deepening per depth: pass k walks the tree to
+depth k and finalizes sigma_k (or b_k), so a resource budget always
+yields a table whose entries up to the high-water mark are exact and
+final. The node budget is enforced between passes with a conservative
+projection, which keeps partial results identical for any thread count.
+
+Two walkers share one contract: extend a given path by a fixed number of
+steps and return the walks found and the nodes entered. Every walk of
+length <= n from the start lies in the radius-n ball, so each count first
+compiles that ball once (`_compile_ball`): BFS ids, integer adjacency
+rows in the oracle's neighbor order, and one height per id.
+`_walk_ball` then runs the DFS over ints with a bytearray visited mask.
+A ball with more than MAX_BALL_VERTICES inner vertices is not compiled,
+nor one whose `step` heights conflict or raise; such a count runs
+`_walk`, the same DFS over the oracle's vertex objects, so its counts
+and errors are what they would be without a ball. With more than one
+thread, the walker lists the feasible prefixes of length SPLIT_DEPTH
+once per count, and every deeper pass extends them in a process pool.
+The pool's initializer gives each worker the walker state once (the
+compiled ball, or the oracle and height), so a task is only a prefix,
+the steps left and the prefix's heights; each worker gets one chunk of
+tasks per pass.
 
 Bridges follow the height inequalities h(start) < h(pi_i) <= h(pi_n):
 every vertex after the start is strictly higher than the start, and the
 walk ends at a running maximum. A bridge count is a SAW count with this
-filter. The walker evaluates heights directly (`at`) when the height
-function gives a value at the start, and otherwise transports them along
-edge labels (`step`); it decides this once per call.
+filter; the compiled ball of a bridge count keeps only the edges into
+vertices above the start. Heights are evaluated directly (`at`) when the
+height function gives a value at the start, and otherwise transported
+along edge labels (`step`); this is decided once per count.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ._linalg import nth_root_decimal, root_compare
 from .graphs import GraphOracle
@@ -89,7 +102,7 @@ class CountTable:
 
 
 # ---------------------------------------------------------------------------
-# The walker
+# The walkers
 # ---------------------------------------------------------------------------
 
 # Depth of the prefixes whose subtrees are fanned out to the process pool.
@@ -155,8 +168,177 @@ def _walk(
     return hits, nodes
 
 
-def _walk_task(args) -> Tuple[int, int]:
-    return _walk(*args)
+# Most inner vertices (those with an adjacency row) a compiled ball may
+# have; a count whose ball would have more walks the oracle with `_walk`.
+# The cap bounds the memory a ball adds to the process (about 0.5 MB at
+# this size) and the work a build wastes before it gives up.
+MAX_BALL_VERTICES = 3000
+
+
+class _CompiledBall(NamedTuple):
+    """What the walks of length <= n from a start can see, over ints.
+
+    The start is id 0. Inner vertices, those at distance <= n - 1, have
+    ids 0 .. len(rows) - 1 in BFS order, and `rows[i]` lists the ids a
+    walk may step to from i, in the oracle's neighbor order and with its
+    multiplicity. An edge into a vertex at distance n goes to a leaf id
+    after those, without a row. A walk of length <= n enters such a
+    vertex only at its last step, which the kernel counts without marking
+    it visited, so leaves need not be told apart: there is one leaf id
+    per leaf height. `heights[i]` is the height of id i relative to the
+    start; all 0 for SAWs. For bridges only the edges into vertices
+    strictly above the start are kept, and distance is measured along
+    them.
+    """
+
+    rows: List[List[int]]
+    heights: List[int]
+
+
+def _compile_ball(
+    g: GraphOracle, h: Optional[HeightFunction], start, n: int
+) -> Optional[_CompiledBall]:
+    """The radius-`n` ball around `start` for `_walk_ball`, or None.
+
+    None means the count walks the oracle with `_walk` instead: the ball
+    has more than MAX_BALL_VERTICES inner vertices, `h.step` transport
+    gives a vertex two heights, or the oracle or the height raised. In
+    those cases `_walk` surfaces the same error, or counts the same walks
+    with the heights it transports along each walk, as it would without
+    a ball.
+    """
+    # Any error goes to the fallback, which reproduces it where the
+    # walker itself meets it.
+    try:
+        at = step = None
+        h0 = 0
+        if h is not None:
+            h0 = h.at(start)
+            if h0 is None:
+                h0, step = 0, h.step
+            else:
+                at = h.at
+        ids = {start: 0}
+        leaves: Dict[int, int] = {}  # leaf id per height
+        heights = [0]
+        rows: List[List[int]] = []
+        frontier = [start]
+        for depth in range(1, n + 1):
+            nxt = []
+            for v in frontier:
+                hv = heights[len(rows)]
+                row = []
+                for w, label in g.neighbors(v):
+                    hw = 0
+                    if h is not None:
+                        hw = step(hv, label) if at is None else at(w) - h0
+                        if hw <= 0:
+                            continue
+                    i = ids.get(w)
+                    if i is None:
+                        if depth < n:
+                            i = ids[w] = len(heights)
+                            if i >= MAX_BALL_VERTICES:
+                                return None
+                            nxt.append(w)
+                            heights.append(hw)
+                        else:
+                            i = leaves.get(hw)
+                            if i is None:
+                                i = leaves[hw] = len(heights)
+                                heights.append(hw)
+                    elif heights[i] != hw:
+                        return None
+                    row.append(i)
+                rows.append(row)
+            frontier = nxt
+    except Exception:
+        return None
+    return _CompiledBall(rows, heights)
+
+
+def _walk_ball(
+    ball: _CompiledBall,
+    path: Sequence[int],
+    remaining: int,
+    hmax: int = 0,
+    out: Optional[list] = None,
+) -> Tuple[int, int]:
+    """`_walk` over a compiled ball of radius n: extend the path of ids
+    `path` by exactly `remaining` >= 1 steps, with len(path) - 1 +
+    remaining <= n, and return (walks found, nodes entered). The ball
+    holds the heights and only the edges a bridge may take, so the one
+    check left is that a walk ends at its running maximum `hmax` (always
+    true for SAWs). `out` collects (path, height, running maximum) as in
+    `_walk`.
+    """
+    rows, heights = ball.rows, ball.heights
+    visited = bytearray(len(heights))
+    for i in path:
+        visited[i] = 1
+    trail = list(path)
+    hits = nodes = 0
+
+    def extend(v, hmax, remaining):
+        nonlocal hits, nodes
+        if remaining == 1:
+            for w in rows[v]:
+                if not visited[w]:
+                    nodes += 1
+                    hw = heights[w]
+                    if hw >= hmax:
+                        hits += 1
+                    if out is not None:
+                        out.append((tuple(trail) + (w,), hw, hw if hw > hmax else hmax))
+            return
+        remaining -= 1
+        for w in rows[v]:
+            if not visited[w]:
+                nodes += 1
+                hw = heights[w]
+                visited[w] = 1
+                if out is not None:
+                    trail.append(w)
+                extend(w, hw if hw > hmax else hmax, remaining)
+                if out is not None:
+                    trail.pop()
+                visited[w] = 0
+
+    extend(path[-1], hmax, remaining)
+    return hits, nodes
+
+
+# The walker state of a count: a _CompiledBall, or (g, h) for `_walk`.
+_WalkerState = Union[_CompiledBall, Tuple[GraphOracle, Optional[HeightFunction]]]
+
+
+def _extend(
+    state: _WalkerState,
+    path: Sequence,
+    remaining: int,
+    hv: int = 0,
+    hmax: int = 0,
+    out: Optional[list] = None,
+) -> Tuple[int, int]:
+    """Extend `path` with the walker `state` selects (see `_walk`)."""
+    if isinstance(state, _CompiledBall):
+        return _walk_ball(state, path, remaining, hmax, out)
+    g, h = state
+    return _walk(g, h, path, remaining, hv, hmax, out)
+
+
+# Set once in each pool worker by `_init_worker`, the pool's initializer,
+# so that tasks carry only (prefix, rest, hv, hmax).
+_worker_state: Optional[_WalkerState] = None
+
+
+def _init_worker(state: _WalkerState) -> None:
+    global _worker_state
+    _worker_state = state
+
+
+def _walk_task(task) -> Tuple[int, int]:
+    return _extend(_worker_state, *task)
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +370,17 @@ def _run_iterative(
     # A depth-(k+1) pass expands at most (1 + degree_bound) times the
     # nodes of the depth-k pass, so this projection never overshoots.
     factor = 1 + g.degree_bound()
+    ball = _compile_ball(g, h, start, n_max)
+    state: _WalkerState = (g, h) if ball is None else ball
+    root = (start,) if ball is None else (0,)
     prefixes: Optional[list] = None
 
     pool = None
     try:
         if threads > 1:
-            pool = ProcessPoolExecutor(max_workers=threads)
+            pool = ProcessPoolExecutor(
+                max_workers=threads, initializer=_init_worker, initargs=(state,)
+            )
         for depth in range(1, n_max + 1):
             projected = last_pass_nodes * factor
             if nodes_used + projected > budget:
@@ -202,15 +389,17 @@ def _run_iterative(
             if pool is not None and depth > SPLIT_DEPTH:
                 if prefixes is None:
                     prefixes = []
-                    _, prefix_nodes = _walk(g, h, (start,), SPLIT_DEPTH, out=prefixes)
+                    _, prefix_nodes = _extend(state, root, SPLIT_DEPTH, out=prefixes)
                     prefix_nodes += 1
                 rest = depth - SPLIT_DEPTH
-                tasks = [(g, h, p, rest, hv, hm) for p, hv, hm in prefixes]
-                results = list(pool.map(_walk_task, tasks, chunksize=8))
+                tasks = [(p, rest, hv, hm) for p, hv, hm in prefixes]
+                # One chunk per worker.
+                chunksize = max(1, -(-len(tasks) // threads))
+                results = list(pool.map(_walk_task, tasks, chunksize=chunksize))
                 hits = sum(r[0] for r in results)
                 pass_nodes = prefix_nodes + sum(r[1] for r in results)
             else:
-                hits, pass_nodes = _walk(g, h, (start,), depth)
+                hits, pass_nodes = _extend(state, root, depth)
                 pass_nodes += 1
             counts[depth] = hits
             nodes_used += pass_nodes

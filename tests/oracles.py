@@ -64,6 +64,23 @@ def truncated_square_neighbors(v: tuple) -> List[tuple]:
     return square + [(x, y - 1, 1)]
 
 
+def voltage_cover_neighbors(doc: dict) -> Callable[[tuple], List[tuple]]:
+    """Cover of a voltage-graph document {"orbits", "dim", "edges"}: vertex
+    (o, x) is adjacent to (o2, x + t) for every edge [o1, o2, t] and to
+    (o1, x - t) from (o2, x); parallel copies of a directed edge count once."""
+    out: Dict[int, List[Tuple[int, tuple]]] = {}
+    for o1, o2, t in doc["edges"]:
+        for a, b, s in ((o1, o2, tuple(t)), (o2, o1, tuple(-c for c in t))):
+            if (b, s) not in out.setdefault(a, []):
+                out[a].append((b, s))
+
+    def neigh(v: tuple) -> List[tuple]:
+        o, x = v
+        return [(o2, tuple(c + d for c, d in zip(x, s))) for o2, s in out.get(o, [])]
+
+    return neigh
+
+
 # ---------------------------------------------------------------------------
 # Brute-force walk counting (path lists, no cleverness)
 # ---------------------------------------------------------------------------

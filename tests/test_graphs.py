@@ -219,6 +219,22 @@ def test_pg_document_roundtrip():
     assert periodic_graph_from_document(json.dumps(half)) == pg3
 
 
+def test_pg_oracle_neighbor_order_and_labels():
+    # Unlabelled edges are named e<i> by their position among the edges
+    # leaving their orbit, labelled or not.
+    pg = periodic_graph_from_document(
+        {"orbits": 2, "dim": 1, "edges": [[1, 2, [0], "a"], [2, 1, [1]]]}
+    )
+    g = PGOracle(pg)
+    assert g.neighbors((1, (0,))) == (((2, (-1,)), "e0"), ((2, (0,)), "a"))
+    assert g.neighbors((2, (3,))) == (((1, (3,)), "e0"), ((1, (4,)), "e1"))
+    assert [label for _, _, label in pg.out_edges(2)] == ["e0", "e1"]
+    hexa = catalog("hexagonal")
+    assert hexa.neighbors((2, (0, 0))) == (
+        ((1, (0, 0)), "s1"), ((1, (1, 0)), "s3"), ((1, (0, 1)), "s2")
+    )
+
+
 def test_pg_preset_degrees():
     assert all(zd2_pg().degree(o) == 4 for o in (1,))
     assert all(hexagonal_pg().degree(o) == 3 for o in (1, 2))

@@ -116,6 +116,15 @@ def test_witness_is_a_distance_preserving_isomorphism():
     assert edges_a == edges_b
 
 
+def test_ball_iso_backtracks_without_recursion():
+    # The radius-10 ball of Z^3 has 1561 vertices, more than the default
+    # recursion limit; the backtracking keeps its own stack.
+    g = resolve_model("zd3")
+    ok, wit = ball_iso(g, g, 10)
+    assert ok and len(wit) == ball(g, 10).vertex_count() == 1561
+    assert iso_radius(g, g, 10).k == 10
+
+
 def test_ladder_dihedral_matches_cylinder():
     for m in (4, 7):
         a = resolve_model(f"ladder_dihedral{m}")

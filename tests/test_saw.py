@@ -5,12 +5,20 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from sawlab import saw
 from sawlab.cli import resolve_height
-from sawlab.graphs import resolve_model
-from sawlab.heights import CoordinateHeight, IdentityHeight, LevelHeight
+from sawlab.graphs import PGOracle, periodic_graph_from_document, resolve_model
+from sawlab.heights import (
+    CoordinateHeight,
+    GammaHeight,
+    HeightError,
+    HeightFunction,
+    IdentityHeight,
+    LevelHeight,
+)
 from sawlab.saw import (
     BoundsReport,
     CountTable,
@@ -222,6 +230,108 @@ def test_nodes_used_and_budget_high_water_frozen(
     ):
         assert (t.high_water, t.nodes_used) == (high_water, nodes)
         assert t.partial == (high_water < n)
+
+
+# ---------------------------------------------------------------------------
+# Compiled-ball kernel against the oracle walker
+# ---------------------------------------------------------------------------
+
+
+def _table_fields(t):
+    return (t.kind, t.counts, t.nodes_used, t.high_water, t.partial, t.height_name)
+
+
+@pytest.mark.parametrize("model,n", [(row[0], row[1]) for row in FROZEN_NODES])
+def test_kernel_tables_equal_oracle_walker(model, n, monkeypatch):
+    g = resolve_model(model)
+    h = resolve_height(g, None)
+    runs = [(hh, budget, threads)
+            for hh in (None, h) for budget in (None, 5000) for threads in (1, 2)]
+    kernel = [_table_fields(saw._run_iterative(g, n, None, t, b, hh)) for hh, b, t in runs]
+    monkeypatch.setattr(saw, "MAX_BALL_VERTICES", 0)
+    assert saw._compile_ball(g, None, g.root, n) is None
+    walker = [_table_fields(saw._run_iterative(g, n, None, t, b, hh)) for hh, b, t in runs]
+    assert kernel == walker
+
+
+def test_kernel_compiles_small_balls_and_caps_large_ones():
+    zd2 = resolve_model("zd2")
+    ball = saw._compile_ball(zd2, None, zd2.root, 4)
+    # 25 vertices within distance 3 have rows; the 28 edges from there to
+    # distance 4 all go to the one leaf id of height 0.
+    assert len(ball.rows) == 25 and len(ball.heights) == 26
+    assert sum(row.count(25) for row in ball.rows) == 28
+    bridge_ball = saw._compile_ball(zd2, X, zd2.root, 4)
+    assert all(hv > 0 for hv in bridge_ball.heights[1:])
+    assert sorted(bridge_ball.heights[len(bridge_ball.rows):]) == [1, 2, 3, 4]
+    tree3 = resolve_model("tree3")
+    assert saw._compile_ball(tree3, None, tree3.root, 16) is None
+
+
+class _FirstCoordinate(HeightFunction):
+    """h(o, x) = x[0] on a voltage-graph cover."""
+
+    name = "x0"
+
+    def at(self, v):
+        return v[1][0]
+
+
+@st.composite
+def voltage_documents(draw):
+    """Small connected voltage graphs: a voltage-0 path through the orbits
+    and a unit self-loop per lattice direction make every draw connected
+    with cycle voltages spanning Z^d; random edges come on top."""
+    orbits = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 2))
+    edges = [[o, o + 1, [0] * dim] for o in range(1, orbits)]
+    edges += [[1, 1, [int(i == j) for j in range(dim)]] for i in range(dim)]
+    extra = st.tuples(
+        st.integers(1, orbits),
+        st.integers(1, orbits),
+        st.lists(st.integers(-1, 1), min_size=dim, max_size=dim),
+    )
+    for o1, o2, t in draw(st.lists(extra, max_size=3)):
+        if o1 != o2 or any(t):
+            edges.append([o1, o2, t])
+    return {"orbits": orbits, "dim": dim, "edges": edges}
+
+
+@settings(max_examples=40, deadline=None)
+@given(voltage_documents(), st.integers(1, 6))
+def test_kernel_matches_brute_force_on_random_voltage_covers(doc, n):
+    g = PGOracle(periodic_graph_from_document(doc))
+    h = _FirstCoordinate()
+    assert saw._compile_ball(g, None, g.root, n) is not None
+    assert saw._compile_ball(g, h, g.root, n) is not None
+    nbrs = oracles.voltage_cover_neighbors(doc)
+    assert count_saws(g, n).series() == oracles.brute_saw_counts(nbrs, g.root, n)
+    assert count_bridges(g, h, n).series() == oracles.brute_bridge_counts(
+        nbrs, g.root, lambda v: v[1][0], n
+    )
+
+
+def test_step_height_conflict_falls_back_to_the_walker():
+    # Every step raises the transported height by 1, so a vertex reached
+    # by walks of different lengths gets different heights: the ball does
+    # not compile, and every SAW counts as a bridge, as `_walk` finds.
+    g = resolve_model("zd2")
+    up = GammaHeight(gamma=(("x", 1), ("X", 1), ("y", 1), ("Y", 1)))
+    assert saw._compile_ball(g, up, g.root, 6) is None
+    for threads in (1, 2):
+        t = count_bridges(g, up, 6, threads=threads)
+        assert t.series() == oracles.ZD2_SIGMA[:7]
+        assert t.nodes_used == count_saws(g, 6).nodes_used
+
+
+def test_height_errors_surface_as_without_a_ball():
+    g = resolve_model("zd2")
+    assert saw._compile_ball(g, IdentityHeight(), g.root, 4) is None
+    with pytest.raises(HeightError):
+        count_bridges(g, IdentityHeight(), 4)
+    missing = GammaHeight(gamma=(("x", 1), ("X", -1)))
+    with pytest.raises(HeightError):
+        count_bridges(g, missing, 4)
 
 
 # ---------------------------------------------------------------------------
