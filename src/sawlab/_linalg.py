@@ -3,8 +3,9 @@
 Everything here operates on plain Python ints and fractions.Fraction;
 no floating point enters any decision. Matrices are lists of row
 tuples/lists. These routines back the rank/kernel computations on
-coefficient matrices and the harmonic linear systems, both of which
-are small (at most a few dozen rows), so clarity beats asymptotics.
+coefficient matrices, the harmonic linear systems and the lattice-span
+check of periodic graphs, all of which are small (at most a few dozen
+rows), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
@@ -73,7 +74,9 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List
         for r in range(nrows):
             if r != row and m[r][col] != 0:
                 factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+                # The pivot rows of sparse systems (graph Laplacians) are
+                # mostly zero; skip those entries.
+                m[r] = [a - factor * b if b else a for a, b in zip(m[r], m[row])]
         pivots.append(col)
         row += 1
     return m, pivots
@@ -122,6 +125,38 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[int,
         ints = [int(x * denom_lcm) for x in vec]
         basis.append(_primitive(ints))
     return basis
+
+
+def lattice_index(vectors: Sequence[Sequence[int]], d: int) -> int:
+    """Index of the lattice the integer vectors span in Z^d; 0 if its rank is < d.
+
+    Integer row reduction: each vector is folded into an echelon basis
+    (one row per pivot column) by Euclid's algorithm on the pivot
+    column, which keeps the spanned lattice. The diagonal of the
+    result is that of the Hermite normal form, and the index is the
+    product of its pivots. The work is polynomial in the input: at most
+    len(vectors) * d Euclid reductions.
+    """
+    basis: List[List[int]] = [[] for _ in range(d)]
+    for vec in vectors:
+        v = list(vec)
+        for i in range(d):
+            if v[i] == 0:
+                continue
+            b = basis[i]
+            if not b:
+                basis[i] = v if v[i] > 0 else [-x for x in v]
+                break
+            while v[i]:
+                q = b[i] // v[i]
+                b, v = v, [x - q * y for x, y in zip(b, v)]
+            basis[i] = b if b[i] > 0 else [-x for x in b]
+    index = 1
+    for i, b in enumerate(basis):
+        if not b:
+            return 0
+        index *= b[i]
+    return index
 
 
 class InconsistentSystem(ValueError):

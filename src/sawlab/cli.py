@@ -22,16 +22,8 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import graphs, heights, locality, presentations, saw
-from .graphs import BudgetExceeded, GraphError, PGOracle
-from .heights import (
-    CoordinateHeight,
-    GammaHeight,
-    HeightError,
-    HeightFunction,
-    IdentityHeight,
-    LevelHeight,
-    RepairExhausted,
-)
+from .graphs import BudgetExceeded, GraphError
+from .heights import HeightError, HeightFunction, RepairExhausted
 from .presentations import PresentationError
 
 EXIT_OK = 0
@@ -54,7 +46,6 @@ class RunConfig:
     output: Optional[str] = None
     format: str = "csv"
     no_timestamp: bool = False
-    seed: Optional[int] = None  # reserved; exact pipelines use no randomness
 
 
 def _timestamp(cfg: RunConfig) -> Optional[str]:
@@ -91,62 +82,17 @@ def _default_n_max(g) -> int:
 # Height resolution
 # ---------------------------------------------------------------------------
 
-# Default height per oracle name; parameterised families are keyed by the
-# name with its numeric parameter stripped.
-_DEFAULT_HEIGHTS = {
-    "zd": "x",
-    "cylinder_zd": "x",
-    "ladder_dihedral": "x",
-    "dihedral": "identity",
-    "grandparent": "level",
-    "tree3": "ghf",
-    "heisenberg": "ghf",
-    "lamplighter": "ghf",
-    "hexagonal": "repaired",
-    "square_octagon": "repaired",
-}
-
-
-def default_height_name(g) -> str:
-    """Default height of a resolved model, whichever spelling named it."""
-    value = _DEFAULT_HEIGHTS.get(g.name) or _DEFAULT_HEIGHTS.get(
-        g.name.rstrip("0123456789")
-    )
-    if value is None:
-        raise GraphError(f"no default height for model {g.name!r}")
-    return value
-
-
 def resolve_height(
     g, name: Optional[str], model: Optional[str] = None
 ) -> HeightFunction:
-    """Height `name` (None or "auto": the model's default) on oracle `g`.
+    """Height `name` (None or "auto": the model's default) on oracle `g`,
+    by `heights.resolve_height`.
 
     Everything is derived from `g`, so every accepted spelling of a model
     gets its canonical model's height; `model`, the spelling itself, is
     accepted for three-argument callers and not used.
     """
-    if name is None or name == "auto":
-        name = default_height_name(g)
-    if name == "x":
-        return CoordinateHeight(0, label="x")
-    if name == "y":
-        return CoordinateHeight(1, label="y")
-    if name == "identity":
-        return IdentityHeight()
-    if name == "level":
-        return LevelHeight()
-    if name == "ghf":
-        pres = presentations.preset_presentation(g.name)
-        spec = presentations.choose_ghf(pres)
-        if spec is None:
-            raise HeightError(f"presentation {g.name!r} admits no such height")
-        return GammaHeight.from_spec(spec)
-    if name == "repaired":
-        if not isinstance(g, PGOracle):
-            raise HeightError("repaired heights require a periodic-graph model")
-        return heights.increase_repair(g.pg)
-    raise HeightError(f"unknown height {name!r}")
+    return heights.resolve_height(g, name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,30 @@
 """Infinite vertex-transitive graphs behind a uniform oracle interface.
 
 Each oracle exposes a root, deterministic labelled neighbor expansion,
-orbit labels, and an injective canonical key per vertex. The catalog
-covers integer lattices, the infinite dihedral line, the 3-regular
-tree, the discrete Heisenberg group, the lamplighter group, hexagonal
-and square/octagon tilings (as periodic voltage covers), cylinder and
-ladder quotient families, and the grandparent graph. Generic Cayley
-graph generation from arbitrary presentations is deliberately absent:
-normal forms are curated per model, and PeriodicGraph is the escape
-hatch for user-defined Z^d-periodic graphs.
+orbit labels, an injective canonical key per vertex and the name of its
+default height. Every Z^d-periodic model of the catalog is the cover of
+a PeriodicGraph (a finite voltage graph), walked by one oracle, PGOracle:
+the integer lattices zd_d, the infinite dihedral line, the cylinders
+Z x C_m, the ladders (infinite dihedral) x C_m, and the hexagonal and
+square/octagon tilings. Their vertices are cover vertices (o, x), and a
+per-model key prints each as the model's own coordinates. Hand-written
+oracles remain for the models that are not Z^d-periodic: the 3-regular
+tree, the discrete Heisenberg group, the lamplighter group and the
+grandparent graph. Generic Cayley graph generation from arbitrary
+presentations is deliberately absent: normal forms are curated per
+model, and PeriodicGraph is the escape hatch for user-defined
+Z^d-periodic graphs.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd
 from operator import add
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from ._linalg import lattice_index
 
 
 class GraphError(ValueError):
@@ -32,9 +36,14 @@ class BudgetExceeded(RuntimeError):
 
 
 class GraphOracle:
-    """Interface: subclasses fix `name` and implement the four methods."""
+    """Interface: subclasses fix `name` and implement the four methods.
+
+    `default_height` names the height a count or a check uses when none
+    is given (see `heights.resolve_height`).
+    """
 
     name: str = "oracle"
+    default_height: Optional[str] = None
 
     @property
     def root(self):
@@ -60,139 +69,6 @@ class GraphOracle:
 # Cayley-graph models with exact normal forms
 # ---------------------------------------------------------------------------
 
-_AXIS_LABELS = ("x", "y", "z")
-_AXIS_INV = ("X", "Y", "Z")
-
-
-@dataclass(frozen=True)
-class ZdOracle(GraphOracle):
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise GraphError("zd requires d >= 1")
-
-    @property
-    def name(self) -> str:
-        return f"zd{self.d}"
-
-    @property
-    def root(self):
-        return (0,) * self.d
-
-    def _label(self, i: int, positive: bool) -> str:
-        if self.d <= 3:
-            return (_AXIS_LABELS if positive else _AXIS_INV)[i]
-        return (f"g{i}" if positive else f"G{i}")
-
-    def neighbors(self, v):
-        out = []
-        for i in range(self.d):
-            up = list(v)
-            up[i] += 1
-            down = list(v)
-            down[i] -= 1
-            out.append((tuple(up), self._label(i, True)))
-            out.append((tuple(down), self._label(i, False)))
-        return tuple(out)
-
-    def degree_bound(self) -> int:
-        return 2 * self.d
-
-
-@dataclass(frozen=True)
-class CylinderOracle(GraphOracle):
-    """Z x C_m: the quotient of Z^2 by m in the second coordinate."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 3:
-            raise GraphError("cylinder requires m >= 3")
-
-    @property
-    def name(self) -> str:
-        return f"cylinder_zd{self.m}"
-
-    @property
-    def root(self):
-        return (0, 0)
-
-    def neighbors(self, v):
-        x, k = v
-        return (
-            ((x + 1, k), "x"),
-            ((x - 1, k), "X"),
-            ((x, (k + 1) % self.m), "y"),
-            ((x, (k - 1) % self.m), "Y"),
-        )
-
-    def degree_bound(self) -> int:
-        return 4
-
-
-@dataclass(frozen=True)
-class DihedralLineOracle(GraphOracle):
-    """Cayley graph of the infinite dihedral group: the line Z.
-
-    The two involutions act as s1: pair {2k, 2k+1}, s2: pair {2k-1, 2k}.
-    """
-
-    name = "dihedral"
-
-    @property
-    def root(self):
-        return 0
-
-    def neighbors(self, v):
-        if v % 2 == 0:
-            return ((v + 1, "s1"), (v - 1, "s2"))
-        return ((v - 1, "s1"), (v + 1, "s2"))
-
-    def degree_bound(self) -> int:
-        return 2
-
-
-@dataclass(frozen=True)
-class LadderDihedralOracle(GraphOracle):
-    """Cayley graph of (infinite dihedral) x (cyclic of order m).
-
-    Vertices are (line position, cycle position); the graph is the same
-    cylinder as CylinderOracle but the vertex encoding and edge labels
-    follow the product group.
-    """
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 3:
-            raise GraphError("ladder_dihedral requires m >= 3")
-
-    @property
-    def name(self) -> str:
-        return f"ladder_dihedral{self.m}"
-
-    @property
-    def root(self):
-        return (0, 0)
-
-    def neighbors(self, v):
-        p, k = v
-        if p % 2 == 0:
-            s1, s2 = p + 1, p - 1
-        else:
-            s1, s2 = p - 1, p + 1
-        return (
-            ((s1, k), "s1"),
-            ((s2, k), "s2"),
-            ((p, (k + 1) % self.m), "a"),
-            ((p, (k - 1) % self.m), "b"),
-        )
-
-    def degree_bound(self) -> int:
-        return 4
-
-
 _TREE3_INVERSE = {"s1": "t", "t": "s1", "s2": "s2"}
 _TREE3_CHAR = {"s1": "a", "t": "A", "s2": "b"}
 _CHAR_INVERSE = {"a": "A", "A": "a", "b": "b"}
@@ -207,6 +83,7 @@ class Tree3Oracle(GraphOracle):
     """
 
     name = "tree3"
+    default_height = "ghf"
 
     @property
     def root(self):
@@ -232,6 +109,7 @@ class HeisenbergOracle(GraphOracle):
     (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b')."""
 
     name = "heisenberg"
+    default_height = "ghf"
 
     @property
     def root(self):
@@ -261,6 +139,7 @@ class LamplighterOracle(GraphOracle):
     """
 
     name = "lamplighter"
+    default_height = "ghf"
 
     @property
     def root(self):
@@ -294,6 +173,7 @@ class GrandparentOracle(GraphOracle):
     """
 
     name = "grandparent"
+    default_height = "level"
 
     @property
     def root(self):
@@ -348,50 +228,6 @@ class GrandparentOracle(GraphOracle):
 # ---------------------------------------------------------------------------
 
 
-def _det_int(rows: List[List[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free)."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    det_sign = 1
-    prev = 1
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det_sign = -det_sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    return det_sign * prev
-
-
-def _spans_full_lattice(vectors: List[Tuple[int, ...]], d: int) -> bool:
-    """Do the integer vectors generate all of Z^d as a group?
-
-    True iff some d x d minor is non-zero and the gcd of all d x d
-    minors is 1 (the index of the spanned lattice).
-    """
-    if d == 0:
-        return True
-    vecs = [v for v in vectors if any(v)]
-    if len(vecs) < d:
-        return False
-    g = 0
-    for subset in itertools.combinations(vecs, d):
-        g = gcd(g, abs(_det_int([list(v) for v in subset])))
-        if g == 1:
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class PeriodicGraph:
     """Finite quotient multigraph with Z^d voltages.
@@ -427,9 +263,9 @@ class PeriodicGraph:
                 raise GraphError(f"edge {(o1, o2, t)} missing its reversal")
         if not self._connected():
             raise GraphError("cover is not connected")
-        out: Dict[int, list] = {}
+        out: Dict[int, list] = {o: [] for o in range(1, self.orbit_count + 1)}
         for o1, o2, t, label in self.edges:
-            edges = out.setdefault(o1, [])
+            edges = out[o1]
             edges.append((o2, t, label if label is not None else f"e{len(edges)}"))
         object.__setattr__(
             self, "_out_edges", {o: tuple(edges) for o, edges in out.items()}
@@ -467,7 +303,7 @@ class PeriodicGraph:
                 potential[o1][i] + t[i] - potential[o2][i] for i in range(self.dim)
             )
             cycle_voltages.append(vec)
-        return _spans_full_lattice(cycle_voltages, self.dim)
+        return lattice_index(cycle_voltages, self.dim) == 1
 
     def out_edges(self, o: int) -> Tuple[Tuple[int, Tuple[int, ...], str], ...]:
         """(o2, t, label) of the edges leaving orbit o, in edge-list order;
@@ -560,13 +396,59 @@ def square_octagon_pg() -> PeriodicGraph:
     ])
 
 
+def zd_pg(d: int) -> PeriodicGraph:
+    """The lattice Z^d: one orbit with a loop of voltage +e_i and one of
+    -e_i per axis, labelled x/X, y/Y, z/Z (g<i>/G<i> for d > 3)."""
+    if d < 1:
+        raise GraphError("zd requires d >= 1")
+    up = "xyz" if d <= 3 else [f"g{i}" for i in range(d)]
+    edges = []
+    for i in range(d):
+        e = tuple(int(j == i) for j in range(d))
+        edges += [(1, 1, e, up[i]), (1, 1, tuple(-c for c in e), up[i].swapcase())]
+    return _build_pg(1, d, edges)
+
+
 def zd2_pg() -> PeriodicGraph:
-    return _build_pg(1, 2, [
-        (1, 1, (1, 0), "x"),
-        (1, 1, (-1, 0), "X"),
-        (1, 1, (0, 1), "y"),
-        (1, 1, (0, -1), "Y"),
-    ])
+    return zd_pg(2)
+
+
+def cylinder_pg(m: int) -> PeriodicGraph:
+    """Z x C_m, the quotient of Z^2 by m in the second coordinate: orbit
+    k+1 is cycle position k, with edges x, X along Z and y, Y around the
+    cycle."""
+    if m < 3:
+        raise GraphError("cylinder requires m >= 3")
+    edges = []
+    for k in range(m):
+        edges += [
+            (k + 1, k + 1, (1,), "x"),
+            (k + 1, k + 1, (-1,), "X"),
+            (k + 1, (k + 1) % m + 1, (0,), "y"),
+            (k + 1, (k - 1) % m + 1, (0,), "Y"),
+        ]
+    return _build_pg(m, 1, edges)
+
+
+def ladder_dihedral_pg(m: int) -> PeriodicGraph:
+    """Cayley graph of (infinite dihedral) x (cyclic of order m), the same
+    graph as the cylinder with the product group's labels: orbit
+    1 + par + 2k is line position p = 2x + par at cycle position k. The
+    involutions s1, s2 pair {2x, 2x+1} and {2x-1, 2x}; a and b step
+    around the cycle."""
+    if m < 3:
+        raise GraphError("ladder_dihedral requires m >= 3")
+    edges = []
+    for k in range(m):
+        for par in (0, 1):
+            o = 1 + par + 2 * k
+            edges += [
+                (o, o + 1 - 2 * par, (0,), "s1"),
+                (o, o + 1 - 2 * par, (2 * par - 1,), "s2"),
+                (o, 1 + par + 2 * ((k + 1) % m), (0,), "a"),
+                (o, 1 + par + 2 * ((k - 1) % m), (0,), "b"),
+            ]
+    return _build_pg(2 * m, 1, edges)
 
 
 def dihedral_line_pg() -> PeriodicGraph:
@@ -600,10 +482,18 @@ def periodic_preset(name: str) -> PeriodicGraph:
 
 @dataclass(frozen=True)
 class PGOracle(GraphOracle):
-    """Cover of a PeriodicGraph: vertices (o, x) with o in 1..M, x in Z^d."""
+    """Cover of a PeriodicGraph: vertices (o, x) with o in 1..M, x in Z^d.
+
+    `key` renders a vertex for `canonical_key`; a catalog model's key
+    prints its vertices as its own coordinates (a lattice point, a line
+    position, ...). It must be a module-level function, so that the
+    oracle pickles into pool workers.
+    """
 
     pg: PeriodicGraph
     model_name: str = "periodic"
+    key: Callable[[object], str] = repr
+    default_height: str = "repaired"
 
     @property
     def name(self) -> str:
@@ -615,9 +505,30 @@ class PGOracle(GraphOracle):
 
     def neighbors(self, v):
         o, x = v
-        return tuple(
-            ((o2, tuple(map(add, x, t))), label) for o2, t, label in self.pg.out_edges(o)
-        )
+        edges = self.pg._out_edges[o]
+        out = []
+        # Unpacked coordinates for the catalog's dimensions, and a plain
+        # loop: this is the innermost call of every ball build.
+        n = len(x)
+        if n == 1:
+            (a,) = x
+            for o2, (s,), label in edges:
+                out.append(((o2, (a + s,)), label))
+        elif n == 2:
+            a, b = x
+            for o2, (s, t), label in edges:
+                out.append(((o2, (a + s, b + t)), label))
+        elif n == 3:
+            a, b, c = x
+            for o2, (s, t, u), label in edges:
+                out.append(((o2, (a + s, b + t, c + u)), label))
+        else:
+            for o2, t, label in edges:
+                out.append(((o2, tuple(map(add, x, t))), label))
+        return tuple(out)
+
+    def canonical_key(self, v) -> bytes:
+        return self.key(v).encode()
 
     def orbit_label(self, v) -> int:
         return v[0] - 1
@@ -661,14 +572,36 @@ CATALOG_NAMES = (
 )
 
 
+def _lattice_key(v) -> str:
+    """zd_d: the lattice point x."""
+    return repr(v[1])
+
+
+def _cylinder_key(v) -> str:
+    """cylinder_m: (x, k), k the cycle position."""
+    return repr((v[1][0], v[0] - 1))
+
+
+def _ladder_key(v) -> str:
+    """ladder_dihedral_m: (p, k), p the line position, k the cycle position."""
+    k, par = divmod(v[0] - 1, 2)
+    return repr((2 * v[1][0] + par, k))
+
+
+def _line_key(v) -> str:
+    """The dihedral line: the position p = 2x + o - 1."""
+    return repr(2 * v[1][0] + v[0] - 1)
+
+
 def catalog(name: str, param: Optional[int] = None) -> GraphOracle:
     """Build a preset oracle. `param` is d for zd, m for the quotient families."""
+    if name in ("zd", "cylinder_zd", "ladder_dihedral") and param is None:
+        what = "a dimension parameter" if name == "zd" else "the cycle length m"
+        raise GraphError(f"{name} needs {what}")
     if name == "zd":
-        if param is None:
-            raise GraphError("zd needs a dimension parameter")
-        return ZdOracle(param)
+        return PGOracle(zd_pg(param), f"zd{param}", _lattice_key, "x")
     if name == "dihedral":
-        return DihedralLineOracle()
+        return PGOracle(dihedral_line_pg(), "dihedral", _line_key, "identity")
     if name == "tree3":
         return Tree3Oracle()
     if name == "heisenberg":
@@ -680,13 +613,11 @@ def catalog(name: str, param: Optional[int] = None) -> GraphOracle:
     if name == "square_octagon":
         return PGOracle(square_octagon_pg(), "square_octagon")
     if name == "cylinder_zd":
-        if param is None:
-            raise GraphError("cylinder_zd needs the cycle length m")
-        return CylinderOracle(param)
+        return PGOracle(cylinder_pg(param), f"cylinder_zd{param}", _cylinder_key, "x")
     if name == "ladder_dihedral":
-        if param is None:
-            raise GraphError("ladder_dihedral needs the cycle length m")
-        return LadderDihedralOracle(param)
+        return PGOracle(
+            ladder_dihedral_pg(param), f"ladder_dihedral{param}", _ladder_key, "x"
+        )
     if name == "grandparent":
         return GrandparentOracle()
     raise GraphError(f"unknown preset {name!r}")
@@ -802,7 +733,8 @@ def ball(
                             f"ball({g.name}, {k}) exceeds {max_vertices} vertices"
                         )
         frontier = nxt
-    verts = sorted(order, key=lambda v: (dist[v], g.canonical_key(v)))
+    key_of = {v: g.canonical_key(v) for v in order}
+    verts = sorted(order, key=lambda v: (dist[v], key_of[v]))
     index = {v: i for i, v in enumerate(verts)}
     drop_shell = convention == "walk"
     edges = set()
@@ -814,10 +746,10 @@ def ball(
             if j is not None and j != i and not (on_shell and dist[w] == k):
                 edges.add((i, j) if i < j else (j, i))
     return Ball(
-        center_key=g.canonical_key(root),
+        center_key=key_of[root],
         radius=k,
         vertices=verts,
-        keys=[g.canonical_key(v) for v in verts],
+        keys=[key_of[v] for v in verts],
         distances=[dist[v] for v in verts],
         edges=sorted(edges),
         index=index,

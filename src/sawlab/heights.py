@@ -16,10 +16,12 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ._linalg import InconsistentSystem, integer_kernel, solve_unique
 from .graphs import Ball, GraphOracle, PeriodicGraph, PGOracle, ball
+from .presentations import choose_ghf, preset_presentation
 
 
 class HeightError(ValueError):
@@ -47,7 +49,9 @@ class HeightFunction:
 
 @dataclass(frozen=True)
 class CoordinateHeight(HeightFunction):
-    """h = a fixed coordinate of a tuple vertex (lattices, cylinders)."""
+    """h = a fixed coordinate: of the lattice point x of a periodic-graph
+    cover vertex (o, x), or of a plain tuple vertex such as a Heisenberg
+    element."""
 
     index: int = 0
     label: str = "x"
@@ -58,23 +62,10 @@ class CoordinateHeight(HeightFunction):
         return self.label
 
     def at(self, v) -> int:
-        return v[self.index]
-
-
-@dataclass(frozen=True)
-class IdentityHeight(HeightFunction):
-    """h = the vertex itself, for integer-line models (plain ints or
-    1-tuples)."""
-
-    subgroup: str = "shifts"
-    name = "identity"
-
-    def at(self, v) -> int:
-        if isinstance(v, tuple):
-            if len(v) != 1:
-                raise HeightError("identity height needs a line model")
-            return int(v[0])
-        return int(v)
+        try:
+            return v[1][self.index] if isinstance(v[1], tuple) else v[self.index]
+        except (IndexError, TypeError):
+            raise HeightError(f"vertex {v!r} has no coordinate {self.index}") from None
 
 
 @dataclass(frozen=True)
@@ -85,11 +76,9 @@ class LevelHeight(HeightFunction):
     name = "level"
 
     def at(self, v) -> int:
-        try:
-            k, w = v
-            return k - len(w)
-        except TypeError as exc:
-            raise HeightError(f"level height needs (level, word) vertices, got {v!r}") from exc
+        if isinstance(v, tuple) and len(v) == 2 and isinstance(v[1], str):
+            return v[0] - len(v[1])
+        raise HeightError(f"level height needs (level, word) vertices, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +123,7 @@ class PeriodicHeight(HeightFunction):
 
     def at(self, v) -> int:
         o, x = v
-        return self.f[o - 1] + sum(l * c for l, c in zip(self.lam, x))
+        return self.f[o - 1] + sum(map(mul, self.lam, x))
 
 
 def height_table(g: GraphOracle, h: HeightFunction, b: Ball) -> List[int]:
@@ -341,15 +330,27 @@ def _strictly_increasing_everywhere(
 def _coefficient_candidates(count: int, max_coeff: int):
     """Integer coefficient vectors by max-norm ring, then by number of
     non-zero entries, then lexicographically descending. This tries
-    single basis solutions with +1 first."""
+    single basis solutions with +1 first. Lazy: the first candidates
+    come without listing a ring, which has (2 * ring + 1)^count vectors."""
     for ring in range(1, max_coeff + 1):
-        ring_vecs = [
-            c
-            for c in itertools.product(range(-ring, ring + 1), repeat=count)
-            if max(abs(x) for x in c) == ring
-        ]
-        ring_vecs.sort(key=lambda c: (sum(1 for x in c if x), tuple(-x for x in c)))
-        yield from ring_vecs
+        for nonzero in range(1, count + 1):
+            for c in _descending_vectors(count, nonzero, ring):
+                if max(map(abs, c)) == ring:
+                    yield c
+
+
+def _descending_vectors(count: int, nonzero: int, bound: int):
+    """Vectors of `count` integers in [-bound, bound] with exactly
+    `nonzero` non-zero entries, lexicographically descending."""
+    if count == 0:
+        if nonzero == 0:
+            yield ()
+        return
+    for first in range(bound, -bound - 1, -1):
+        rest = nonzero - (first != 0)
+        if 0 <= rest < count:
+            for tail in _descending_vectors(count - 1, rest, bound):
+                yield (first,) + tail
 
 
 def increase_repair(
@@ -409,6 +410,46 @@ def repair_document(pg: PeriodicGraph, h: PeriodicHeight) -> dict:
             for o, lo, hi in (wit or [])
         ],
     }
+
+
+# ---------------------------------------------------------------------------
+# Heights by name
+# ---------------------------------------------------------------------------
+
+
+def resolve_height(g: GraphOracle, name: Optional[str] = None) -> HeightFunction:
+    """Height `name` on model `g`; None or "auto" is `g.default_height`.
+
+    On a periodic-graph cover the default height, and "repaired", is the
+    integer harmonic height `increase_repair` finds, named `name`. Other
+    names: "x" and "y" (coordinates), "identity" (the coordinate of a
+    one-orbit line), "level" (grandparent) and "ghf" (the word-sum
+    height of the model's presentation preset).
+    """
+    if name is None or name == "auto":
+        name = g.default_height
+        if name is None:
+            raise HeightError(f"no default height for model {g.name!r}")
+    if isinstance(g, PGOracle) and name in (g.default_height, "repaired"):
+        return increase_repair(g.pg, name=name)
+    if name == "x":
+        return CoordinateHeight(0, label="x")
+    if name == "y":
+        return CoordinateHeight(1, label="y")
+    if name == "identity":
+        if isinstance(g, PGOracle) and g.pg.orbit_count == g.pg.dim == 1:
+            return CoordinateHeight(0, label="identity")
+        raise HeightError("identity height needs a line model")
+    if name == "level":
+        return LevelHeight()
+    if name == "ghf":
+        spec = choose_ghf(preset_presentation(g.name))
+        if spec is None:
+            raise HeightError(f"presentation {g.name!r} admits no such height")
+        return GammaHeight.from_spec(spec)
+    if name == "repaired":
+        raise HeightError("repaired heights require a periodic-graph model")
+    raise HeightError(f"unknown height {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +519,7 @@ def verify_height_axioms(
         if bad:
             failures.append(f"difference-invariance violated at {bad} translates")
         note = "exact (all orbits x translation window)"
-    elif isinstance(h, (CoordinateHeight, IdentityHeight)):
+    elif isinstance(h, CoordinateHeight):
         deltas = set()
         for i, v in enumerate(b.vertices):
             for j in adj[i]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .graphs import Ball, BudgetExceeded, GraphOracle, ball
-from .heights import CoordinateHeight, HeightFunction
+from .heights import HeightFunction, resolve_height
 from .saw import BoundsReport, CountTable, count_bridges, count_saws, mu_bounds
 
 
@@ -354,7 +354,8 @@ def locality_scan(
     tables on both sides; verification that counts agree for every
     n <= K (zero discrepancies expected: an n-step walk from the root
     lies inside S_n); and the member's bound pair, which stabilizes to
-    the base one as m grows.
+    the base one as m grows. Bridges use `height` on every model, or,
+    when it is None, each model's own default height.
     """
     if isinstance(family, str):
         family_name = family
@@ -366,8 +367,6 @@ def locality_scan(
     else:
         family_name = getattr(family, "__name__", "family")
         family_fn = family
-    if height is None:
-        height = CoordinateHeight(0, label="x")
     if bound is None:
         bound = n_max
 
@@ -389,8 +388,13 @@ def locality_scan(
             "satisfied": rank < len(pres.generators) - 1,
         }
 
+    def height_on(model: GraphOracle) -> HeightFunction:
+        return resolve_height(model) if height is None else height
+
     base_sigma = count_saws(g, n_max, threads=threads, budget=budget)
-    base_bridge = count_bridges(g, height, n_max, threads=threads, budget=budget)
+    base_bridge = count_bridges(
+        g, height_on(g), n_max, threads=threads, budget=budget
+    )
     base_bounds = mu_bounds(base_sigma, base_bridge, precision=precision)
     partial = base_sigma.partial or base_bridge.partial
 
@@ -400,7 +404,7 @@ def locality_scan(
         iso = iso_radius(g, member, bound, convention=convention)
         member_sigma = count_saws(member, n_max, threads=threads, budget=budget)
         member_bridge = count_bridges(
-            member, height, n_max, threads=threads, budget=budget
+            member, height_on(member), n_max, threads=threads, budget=budget
         )
         agree_up_to, discrepancies = count_agreement(
             base_sigma, base_bridge, member_sigma, member_bridge,

@@ -14,12 +14,16 @@ compiles that ball once (`_compile_ball`): BFS ids, integer adjacency
 rows in the oracle's neighbor order, and one height per id.
 `_walk_ball` then runs the DFS over ints with a bytearray visited mask.
 A ball with more than MAX_BALL_VERTICES inner vertices is not compiled,
-nor one whose `step` heights conflict or raise; such a count runs
-`_walk`, the same DFS over the oracle's vertex objects, so its counts
-and errors are what they would be without a ball. With more than one
-thread, the walker lists the feasible prefixes of length SPLIT_DEPTH
-once per count, and every deeper pass extends them in a process pool.
-The pool's initializer gives each worker the walker state once (the
+nor one whose heights raise; such a count runs `_walk`, the same DFS
+over the oracle's vertex objects, so its counts and errors are what they
+would be without a ball. A `step` height that gives an inner vertex of
+the ball two heights is not well defined, and the count raises
+HeightError, as `heights.height_table` does. A ball over the cap is not
+checked: `_walk` transports the height along each walk as it goes, and
+its counts depend on the path if the height is ill defined. With more
+than one thread, the walker lists the feasible prefixes of length
+SPLIT_DEPTH once per count, and every deeper pass extends them in a
+process pool. The pool's initializer gives each worker the walker state once (the
 compiled ball, or the oracle and height), so a task is only a prefix,
 the steps left and the prefix's heights; each worker gets one chunk of
 tasks per pass.
@@ -44,7 +48,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ._linalg import nth_root_decimal, root_compare
 from .graphs import GraphOracle
-from .heights import HeightFunction
+from .heights import HeightError, HeightFunction
 
 DEFAULT_NODE_BUDGET = 50_000_000
 
@@ -201,14 +205,12 @@ def _compile_ball(
     """The radius-`n` ball around `start` for `_walk_ball`, or None.
 
     None means the count walks the oracle with `_walk` instead: the ball
-    has more than MAX_BALL_VERTICES inner vertices, `h.step` transport
-    gives a vertex two heights, or the oracle or the height raised. In
-    those cases `_walk` surfaces the same error, or counts the same walks
-    with the heights it transports along each walk, as it would without
-    a ball.
+    has more than MAX_BALL_VERTICES inner vertices, or the oracle or the
+    height raised, and `_walk` surfaces the same error where it meets
+    it. Raises HeightError if `h.step` transport gives an inner vertex
+    two heights (checked on the edges the ball keeps).
     """
-    # Any error goes to the fallback, which reproduces it where the
-    # walker itself meets it.
+    conflict = None
     try:
         at = step = None
         h0 = 0
@@ -248,11 +250,18 @@ def _compile_ball(
                                 i = leaves[hw] = len(heights)
                                 heights.append(hw)
                     elif heights[i] != hw:
-                        return None
+                        conflict = HeightError(
+                            f"height transport conflict at {w!r}: {heights[i]} vs {hw}"
+                        )
+                        raise conflict
                     row.append(i)
                 rows.append(row)
             frontier = nxt
-    except Exception:
+    except Exception as exc:
+        # Any other error goes to the fallback, which reproduces it where
+        # the walker itself meets it.
+        if exc is conflict:
+            raise
         return None
     return _CompiledBall(rows, heights)
 

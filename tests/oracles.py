@@ -9,6 +9,8 @@ are asserted against the fast implementations in the test suite.
 
 from __future__ import annotations
 
+import itertools
+from math import gcd
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 
@@ -38,6 +40,24 @@ def cylinder_neighbors(m: int) -> Callable[[tuple], List[tuple]]:
         return [(x + 1, k), (x - 1, k), (x, (k + 1) % m), (x, (k - 1) % m)]
 
     return neigh
+
+
+def ladder_dihedral_neighbors(m: int) -> Callable[[tuple], List[tuple]]:
+    """(infinite dihedral) x (Z/m) as (p, k): s1 pairs {2j, 2j+1}, s2
+    pairs {2j-1, 2j}, then k + 1 and k - 1 around the cycle."""
+
+    def neigh(v: tuple) -> List[tuple]:
+        p, k = v
+        s1, s2 = (p + 1, p - 1) if p % 2 == 0 else (p - 1, p + 1)
+        return [(s1, k), (s2, k), (p, (k + 1) % m), (p, (k - 1) % m)]
+
+    return neigh
+
+
+def dihedral_line_neighbors(p: int) -> List[int]:
+    """The infinite dihedral group on Z: s1 pairs {2j, 2j+1}, s2 pairs
+    {2j-1, 2j}."""
+    return [p + 1, p - 1] if p % 2 == 0 else [p - 1, p + 1]
 
 
 def brick_wall_neighbors(v: tuple) -> List[tuple]:
@@ -141,6 +161,42 @@ def brute_bridge_counts(
         if hw > h0:
             extend([root, w], [h0, hw])
     return counts
+
+
+# ---------------------------------------------------------------------------
+# Lattice index by minors
+# ---------------------------------------------------------------------------
+
+
+def _det(rows: List[List[int]]) -> int:
+    """Exact determinant of a square integer matrix (fraction-free)."""
+    m = [row[:] for row in rows]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            sign = -sign
+        for r in range(col + 1, n):
+            for c in range(col + 1, n):
+                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
+            m[r][col] = 0
+        prev = m[col][col]
+    return sign * prev
+
+
+def minors_lattice_index(vectors: Sequence[Sequence[int]], d: int) -> int:
+    """Index in Z^d of the lattice the integer vectors span: the gcd of
+    all d x d minors of the matrix with those rows (0 if the rank is
+    below d). Combinatorial in the number of vectors."""
+    g = 0
+    for subset in itertools.combinations(vectors, d):
+        g = gcd(g, _det([list(v) for v in subset]))
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from sawlab.graphs import PGOracle, periodic_preset, resolve_model
 from sawlab.heights import (
     CoordinateHeight,
     GammaHeight,
-    IdentityHeight,
     LevelHeight,
     compute_d,
     increase_repair,
@@ -128,7 +127,7 @@ def test_criterion_4_bridge_counts_and_supermultiplicativity():
     rep = check_multiplicativity(bridge)
     assert rep.ok and rep.pairs_checked > 0
 
-    line = count_bridges(resolve_model("zd1"), IdentityHeight(), 10)
+    line = count_bridges(resolve_model("zd1"), CoordinateHeight(0, label="identity"), 10)
     assert line.series() == [1] * 11
 
     assert doubling_monotone(bridge) == []
@@ -224,7 +223,7 @@ def test_criterion_9_thread_count_does_not_change_tables():
         ("tree3", None, 10),
         ("zd2", None, 12),
         ("zd2", X, 12),
-        ("zd1", IdentityHeight(), 10),
+        ("zd1", CoordinateHeight(0, label="identity"), 10),
     ]
     for model, height, n_max in jobs:
         g = resolve_model(model)

@@ -1,22 +1,21 @@
 """Graph oracles, periodic graphs, and ball extraction."""
 
+import itertools
 import json
+from ast import literal_eval
 
 import pytest
 
 from sawlab.graphs import (
     Ball,
     BudgetExceeded,
-    CylinderOracle,
     GraphError,
     GrandparentOracle,
     HeisenbergOracle,
-    LadderDihedralOracle,
     LamplighterOracle,
     PeriodicGraph,
     PGOracle,
     Tree3Oracle,
-    ZdOracle,
     ball,
     catalog,
     cover_vertex,
@@ -28,6 +27,7 @@ from sawlab.graphs import (
     square_octagon_pg,
     zd2_pg,
 )
+from sawlab._linalg import lattice_index
 
 import oracles
 
@@ -86,12 +86,46 @@ def test_canonical_keys_injective_on_ball():
 
 
 def test_zd_degrees_and_labels():
-    g = ZdOracle(2)
-    labels = dict((label, w) for w, label in g.neighbors((0, 0)))
+    g = catalog("zd", 2)
+    labels = dict((label, w[1]) for w, label in g.neighbors(g.root))
     assert labels == {"x": (1, 0), "X": (-1, 0), "y": (0, 1), "Y": (0, -1)}
-    assert ZdOracle(3).degree_bound() == 6
+    assert catalog("zd", 3).degree_bound() == 6
     with pytest.raises(GraphError):
-        ZdOracle(0)
+        catalog("zd", 0)
+
+
+ZD_LABELS = {1: "xX", 2: "xXyY", 3: "xXyYzZ",
+             4: ["g0", "G0", "g1", "G1", "g2", "G2", "g3", "G3"]}
+
+
+@pytest.mark.parametrize("model,reference,origin,labels", [
+    *[(f"zd{d}", oracles.zd_neighbors(d), (0,) * d, list(ZD_LABELS[d]))
+      for d in (1, 2, 3, 4)],
+    ("cylinder5", oracles.cylinder_neighbors(5), (0, 0), ["x", "X", "y", "Y"]),
+    ("ladder_dihedral5", oracles.ladder_dihedral_neighbors(5), (0, 0),
+     ["s1", "s2", "a", "b"]),
+    ("dihedral_line", oracles.dihedral_line_neighbors, 0, ["s1", "s2"]),
+])
+def test_periodic_catalog_keys_are_the_coordinate_models(model, reference, origin, labels):
+    # A migrated model's key prints each cover vertex as its coordinates
+    # (lattice point, (x, k), (p, k) or p), and the neighbors come in the
+    # coordinate model's order with the same labels, so every ball order,
+    # witness and artifact reads as the coordinate model's.
+    g = resolve_model(model)
+    assert g.canonical_key(g.root) == repr(origin).encode()
+    for v in ball(g, 4).vertices:
+        old = literal_eval(g.canonical_key(v).decode())
+        nbrs = g.neighbors(v)
+        assert [label for _, label in nbrs] == labels, (model, v)
+        assert [literal_eval(g.canonical_key(w).decode()) for w, _ in nbrs] == list(
+            reference(old)
+        ), (model, v)
+
+
+def test_periodic_catalog_parameter_errors():
+    for name, bad in (("zd", 0), ("cylinder_zd", 2), ("ladder_dihedral", 2)):
+        with pytest.raises(GraphError, match="requires"):
+            catalog(name, bad)
 
 
 def test_tree3_is_a_tree_with_involutions():
@@ -126,29 +160,35 @@ def test_lamplighter_relations():
 
 def test_dihedral_line_is_the_integer_line():
     g = resolve_model("dihedral_line")
-    assert g.root == 0
-    assert walk(g, ["s1", "s1"]) == 0
-    assert walk(g, ["s2", "s2"]) == 0
-    assert sorted(w for w, _ in g.neighbors(0)) == [-1, 1]
-    assert sorted(w for w, _ in g.neighbors(1)) == [0, 2]
+
+    def position(v):
+        return int(g.canonical_key(v))
+
+    assert position(g.root) == 0
+    assert walk(g, ["s1", "s1"]) == g.root
+    assert walk(g, ["s2", "s2"]) == g.root
+    one = walk(g, ["s1"])
+    assert position(one) == 1
+    assert sorted(position(w) for w, _ in g.neighbors(g.root)) == [-1, 1]
+    assert sorted(position(w) for w, _ in g.neighbors(one)) == [0, 2]
     b = ball(g, 3)
     assert b.vertex_count() == 7
     assert len(b.edges) == 6
 
 
 def test_cylinder_wraps():
-    g = CylinderOracle(4)
+    g = catalog("cylinder_zd", 4)
     assert ball(g, 1).vertex_count() == 5
     v = walk(g, ["y", "y", "y", "y"])
     assert v == g.root
     with pytest.raises(GraphError):
-        CylinderOracle(2)
+        catalog("cylinder_zd", 2)
 
 
 def test_ladder_dihedral_is_same_graph_as_cylinder():
     for m in (3, 5, 8):
-        a = LadderDihedralOracle(m)
-        b = CylinderOracle(m)
+        a = catalog("ladder_dihedral", m)
+        b = catalog("cylinder_zd", m)
         for k in range(1, 5):
             assert oracles.rooted_isomorphic(
                 _as_triple(ball(a, k)), _as_triple(ball(b, k))
@@ -196,6 +236,20 @@ def test_pg_validation_rejects_bad_documents():
             1,
             ((1, 1, (1,), None), (1, 1, (-1,), None), (2, 2, (1,), None), (2, 2, (-1,), None)),
         )
+
+
+def test_pg_rejects_a_proper_sublattice_without_enumerating_minors():
+    # 30 loops with even voltages in dimension 4: the cover splits into
+    # 2^4 components. The directed edge list has 60 voltages, so the
+    # old gcd over all 4 x 4 minors took C(60, 4) = 487,635 determinants.
+    voltages = [
+        v for v in itertools.product((0, 2, 4), repeat=4) if any(v)
+    ][:30]
+    doc = {"orbits": 1, "dim": 4, "edges": [[1, 1, list(v)] for v in voltages]}
+    with pytest.raises(GraphError, match="not connected"):
+        periodic_graph_from_document(doc)
+    both = voltages + [tuple(-c for c in v) for v in voltages]
+    assert lattice_index(both, 4) == 16
 
 
 def test_pg_document_roundtrip():
@@ -302,7 +356,7 @@ def test_resolve_model_spellings():
 
 
 def test_ball_shape_zd2():
-    g = ZdOracle(2)
+    g = resolve_model("zd2")
     b1 = ball(g, 1)
     assert b1.vertex_count() == 5
     assert len(b1.edges) == 4
@@ -318,11 +372,11 @@ def test_ball_shape_zd2():
 
 def test_ball_budget():
     with pytest.raises(BudgetExceeded):
-        ball(ZdOracle(2), 10, max_vertices=20)
+        ball(resolve_model("zd2"), 10, max_vertices=20)
 
 
 def test_ball_deterministic():
-    g = ZdOracle(2)
+    g = resolve_model("zd2")
     a, b = ball(g, 3), ball(g, 3)
     assert a.keys == b.keys
     assert a.edges == b.edges
@@ -345,4 +399,4 @@ def test_walk_ball_drops_only_shell_edges():
 def test_ball_rejects_unknown_convention():
     for bad in ("", "Walk", "shell"):
         with pytest.raises(GraphError):
-            ball(ZdOracle(2), 2, convention=bad)
+            ball(resolve_model("zd2"), 2, convention=bad)

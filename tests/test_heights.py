@@ -1,6 +1,8 @@
 """Harmonic solutions, integer repair, and height verification."""
 
+import itertools
 import random
+from ast import literal_eval
 from fractions import Fraction
 
 import pytest
@@ -12,10 +14,10 @@ from sawlab.heights import (
     HarmonicSolution,
     HeightError,
     HeightFunction,
-    IdentityHeight,
     LevelHeight,
     PeriodicHeight,
     RepairExhausted,
+    _coefficient_candidates,
     compute_d,
     compute_r,
     harmonic_extension,
@@ -23,6 +25,7 @@ from sawlab.heights import (
     height_table,
     increase_repair,
     repair_document,
+    resolve_height,
     solution_space,
     verify_harmonic,
     verify_height_axioms,
@@ -137,6 +140,53 @@ def test_repair_is_integer_increasing_harmonic():
         assert hr.all_zero, name
 
 
+def _reference_candidates(count, max_coeff):
+    # Each max-norm ring listed in full, then sorted.
+    for ring in range(1, max_coeff + 1):
+        ring_vecs = [
+            c
+            for c in itertools.product(range(-ring, ring + 1), repeat=count)
+            if max(abs(x) for x in c) == ring
+        ]
+        ring_vecs.sort(key=lambda c: (sum(1 for x in c if x), tuple(-x for x in c)))
+        yield from ring_vecs
+
+
+def test_coefficient_candidates_order_and_laziness():
+    for count in (1, 2, 3, 4):
+        for max_coeff in (1, 2, 3):
+            assert list(_coefficient_candidates(count, max_coeff)) == list(
+                _reference_candidates(count, max_coeff)
+            ), (count, max_coeff)
+    # Ring 1 alone has 3^40 - 1 vectors; the first one comes at once.
+    assert next(_coefficient_candidates(40, 8)) == (1,) + (0,) * 39
+
+
+def test_default_heights_of_the_periodic_catalog():
+    # (model, lambda, f, scale, name): the coordinate heights the
+    # catalog used before its models became periodic covers.
+    expected = [
+        ("zd1", (1,), (0,), 1, "x"),
+        ("zd3", (1, 0, 0), (0,), 1, "x"),
+        ("zd12", (1,) + (0,) * 11, (0,), 1, "x"),
+        ("cylinder5", (1,), (0,) * 5, 1, "x"),
+        ("ladder_dihedral5", (2,), (0, 1) * 5, 2, "x"),
+        ("dihedral_line", (2,), (0, 1), 2, "identity"),
+    ]
+    for model, lam, f, scale, name in expected:
+        g = resolve_model(model)
+        h = resolve_height(g)
+        assert (h.lam, h.f, h.scale, h.name) == (lam, f, scale, name), model
+        assert resolve_height(g, name) == h, model
+    # The ladder's and the line's heights are the line position p.
+    for model in ("ladder_dihedral5", "dihedral_line"):
+        g = resolve_model(model)
+        h = resolve_height(g)
+        for v in ball(g, 4).vertices:
+            old = literal_eval(g.canonical_key(v).decode())
+            assert h.at(v) == (old[0] if isinstance(old, tuple) else old), (model, v)
+
+
 def test_repair_document_fields():
     pg = periodic_preset("square_octagon")
     h = increase_repair(pg)
@@ -165,14 +215,14 @@ class AbsHeight(HeightFunction):
     name = "abs"
 
     def at(self, v):
-        return abs(v[0])
+        return abs(v[1][0])
 
 
 class ShiftedHeight(HeightFunction):
     name = "shifted"
 
     def at(self, v):
-        return v[0] + 3
+        return v[1][0] + 3
 
 
 CANONICAL = [
@@ -180,8 +230,8 @@ CANONICAL = [
     ("zd2", CoordinateHeight(0, label="x")),
     ("zd3", CoordinateHeight(0, label="x")),
     ("cylinder5", CoordinateHeight(0, label="x")),
-    ("ladder_dihedral5", CoordinateHeight(0, label="x")),
-    ("dihedral_line", IdentityHeight()),
+    ("ladder_dihedral5", resolve_height(resolve_model("ladder_dihedral5"), "x")),
+    ("dihedral_line", resolve_height(resolve_model("dihedral_line"), "identity")),
     ("grandparent", LevelHeight()),
 ]
 
@@ -244,7 +294,8 @@ def test_verify_harmonic_flags_defects():
 
 def test_compute_d_values():
     assert compute_d(resolve_model("zd2"), CoordinateHeight(0, label="x")) == 1
-    assert compute_d(resolve_model("dihedral_line"), IdentityHeight()) == 1
+    gd = resolve_model("dihedral_line")
+    assert compute_d(gd, resolve_height(gd, "identity")) == 1
     so = catalog("square_octagon")
     assert compute_d(so, increase_repair(so.pg)) == 2
     hx = catalog("hexagonal")
@@ -259,7 +310,12 @@ def test_compute_r_values():
 
     gd = resolve_model("dihedral_line")
     assert (
-        compute_r(gd, IdentityHeight(), orbit_reps=[0, 1], orbit_of=lambda v: v % 2)
+        compute_r(
+            gd,
+            resolve_height(gd, "identity"),
+            orbit_reps=[(1, (0,)), (2, (0,))],
+            orbit_of=lambda v: v[0] - 1,
+        )
         == 1
     )
 

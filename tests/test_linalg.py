@@ -9,11 +9,13 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from sawlab._linalg import (
     InconsistentSystem,
     bareiss_rank,
     integer_kernel,
     iroot_floor,
+    lattice_index,
     nth_root_decimal,
     rref,
     root_compare,
@@ -125,6 +127,30 @@ def test_solve_unique_matches_sympy(data):
     expected = m.solve(sympy.Matrix(rhs))
     for x, e in zip(got, expected):
         assert x == Fraction(int(e.p), int(e.q))
+
+
+def vector_lists(max_dim=4, max_count=7):
+    return st.integers(0, max_dim).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(st.lists(small_int, min_size=d, max_size=d), max_size=max_count),
+        )
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(vector_lists())
+def test_lattice_index_matches_gcd_of_minors(data):
+    d, vectors = data
+    assert lattice_index(vectors, d) == oracles.minors_lattice_index(vectors, d)
+
+
+def test_lattice_index_examples():
+    assert lattice_index([(2, 0), (0, 3)], 2) == 6
+    assert lattice_index([(2, 0), (0, 3), (1, 1)], 2) == 1
+    assert lattice_index([(1, 2), (2, 4)], 2) == 0
+    assert lattice_index([], 1) == 0
+    assert lattice_index([], 0) == 1
 
 
 @settings(max_examples=300, deadline=None)

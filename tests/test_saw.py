@@ -16,7 +16,6 @@ from sawlab.heights import (
     GammaHeight,
     HeightError,
     HeightFunction,
-    IdentityHeight,
     LevelHeight,
 )
 from sawlab.saw import (
@@ -82,7 +81,7 @@ def test_tree3_closed_form():
 def test_zd1_series():
     t = count_saws(resolve_model("zd1"), 12)
     assert t.series() == [1] + [2] * 12
-    b = count_bridges(resolve_model("zd1"), IdentityHeight(), 12)
+    b = count_bridges(resolve_model("zd1"), CoordinateHeight(0, label="identity"), 12)
     assert b.series() == [1] * 13
 
 
@@ -100,7 +99,7 @@ def test_counts_match_naive_reference(model):
 def test_bridges_match_naive_reference():
     g = resolve_model("zd2")
     nbrs = lambda v: [w for w, _ in g.neighbors(v)]
-    want = oracles.brute_bridge_counts(nbrs, g.root, lambda v: v[0], 8)
+    want = oracles.brute_bridge_counts(nbrs, g.root, lambda v: v[1][0], 8)
     assert count_bridges(g, X, 8).series() == want
 
 
@@ -194,8 +193,8 @@ def test_threads_with_shallow_depth():
 
 def test_start_vertex_translation_invariance():
     g = resolve_model("zd2")
-    assert count_saws(g, 6, start=(3, -2)).series() == oracles.ZD2_SIGMA[:7]
-    shifted = count_bridges(g, X, 6, start=(3, -2))
+    assert count_saws(g, 6, start=(1, (3, -2))).series() == oracles.ZD2_SIGMA[:7]
+    shifted = count_bridges(g, X, 6, start=(1, (3, -2)))
     assert shifted.series() == oracles.ZD2_BRIDGES_X[:7]
 
 
@@ -311,24 +310,24 @@ def test_kernel_matches_brute_force_on_random_voltage_covers(doc, n):
     )
 
 
-def test_step_height_conflict_falls_back_to_the_walker():
+def test_step_height_conflict_raises():
     # Every step raises the transported height by 1, so a vertex reached
-    # by walks of different lengths gets different heights: the ball does
-    # not compile, and every SAW counts as a bridge, as `_walk` finds.
+    # by walks of different lengths gets different heights: the height is
+    # not well defined, and the count refuses it as `height_table` does.
     g = resolve_model("zd2")
     up = GammaHeight(gamma=(("x", 1), ("X", 1), ("y", 1), ("Y", 1)))
-    assert saw._compile_ball(g, up, g.root, 6) is None
+    with pytest.raises(HeightError, match="conflict"):
+        saw._compile_ball(g, up, g.root, 6)
     for threads in (1, 2):
-        t = count_bridges(g, up, 6, threads=threads)
-        assert t.series() == oracles.ZD2_SIGMA[:7]
-        assert t.nodes_used == count_saws(g, 6).nodes_used
+        with pytest.raises(HeightError, match="conflict"):
+            count_bridges(g, up, 6, threads=threads)
 
 
 def test_height_errors_surface_as_without_a_ball():
     g = resolve_model("zd2")
-    assert saw._compile_ball(g, IdentityHeight(), g.root, 4) is None
+    assert saw._compile_ball(g, LevelHeight(), g.root, 4) is None
     with pytest.raises(HeightError):
-        count_bridges(g, IdentityHeight(), 4)
+        count_bridges(g, LevelHeight(), 4)
     missing = GammaHeight(gamma=(("x", 1), ("X", -1)))
     with pytest.raises(HeightError):
         count_bridges(g, missing, 4)
@@ -414,7 +413,8 @@ def test_mu_bounds_upper_only_tree3():
 def test_mu_bounds_zd1_degenerate():
     g = resolve_model("zd1")
     rep = mu_bounds(
-        count_saws(g, 8), count_bridges(g, IdentityHeight(), 8), precision=10
+        count_saws(g, 8), count_bridges(g, CoordinateHeight(0, label="identity"), 8),
+        precision=10
     )
     assert Fraction(rep.best_lower) == 1
     assert rep.best_upper == "1.0905077327"  # 2^(1/8), rounded up
