@@ -501,20 +501,21 @@ def verify_height_axioms(
             )
         checked += 1
 
-    # Difference-invariance. For periodic heights the value is affine in
-    # the lattice coordinate, so check the increment against <lam, t>
-    # explicitly over a translation window; coordinate heights are checked
-    # by sampling; word-sum and level heights are invariant structurally
-    # (additivity under left multiplication / end-preserving maps).
+    # Difference-invariance. A periodic height is affine in the lattice
+    # coordinate on each orbit, h(o, x) = c_o + <m_o, x>, so it is
+    # invariant exactly when m_o = lam, that is when each unit translation
+    # of the orbit's base point raises h by lam_i: d checks per orbit
+    # decide it. Coordinate heights are checked by sampling; word-sum and
+    # level heights are invariant structurally (additivity under left
+    # multiplication / end-preserving maps).
     if isinstance(h, PeriodicHeight) and isinstance(g, PGOracle):
         d = g.pg.dim
-        window = [t for t in itertools.product((-2, -1, 0, 1, 2), repeat=d)]
+        units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
         bad = 0
         for o in range(1, g.pg.orbit_count + 1):
             v = (o, (0,) * d)
-            for t in window:
-                expected = sum(l * c for l, c in zip(h.lam, t))
-                if h.at(g.translate(v, t)) - h.at(v) != expected:
+            for lam_i, t in zip(h.lam, units):
+                if h.at(g.translate(v, t)) - h.at(v) != lam_i:
                     bad += 1
         if bad:
             failures.append(f"difference-invariance violated at {bad} translates")

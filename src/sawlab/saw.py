@@ -1,14 +1,23 @@
 """Exact enumeration of self-avoiding walks and bridges.
 
-Counts are exact big integers obtained by depth-first backtracking.
-Enumeration is iterative-deepening per depth: pass k walks the tree to
-depth k and finalizes sigma_k (or b_k), so a resource budget always
-yields a table whose entries up to the high-water mark are exact and
-final. The node budget is enforced between passes with a conservative
-projection, which keeps partial results identical for any thread count.
+Counts are exact big integers obtained by depth-first backtracking. One
+DFS to depth D tallies, for every depth k <= D, the nodes N_k it enters
+and the hits among them (walks of length k that count), so one pass
+yields sigma_k (or b_k) for every k <= D. The node budget is accounted as
+iterative deepening would spend it, one pass per depth: pass k enters
+P_k = 1 + N_1 + ... + N_k nodes, and the schedule stops before depth k
+when the nodes used so far plus (1 + degree bound) * P_(k-1) exceed the
+budget. `_run_iterative` replays that schedule from the tallies, so
+`nodes_used`, `high_water` and `partial` are the same as if the passes
+had run, and a budget always yields a table whose entries up to the
+high-water mark are exact and final, identical for any thread count.
+The real passes stay within the budget: a pass to depth D runs only if
+the schedule's own projection, (1 + degree bound) times more nodes per
+depth, fits up to D. It then enters P_D nodes, no more than the
+schedule's passes to the depths it covers.
 
-Two walkers share one contract: extend a given path by a fixed number of
-steps and return the walks found and the nodes entered. Every walk of
+Two walkers share one contract: extend a given path by up to a number of
+steps and return the per-depth tallies. Every walk of
 length <= n from the start lies in the radius-n ball, so each count first
 compiles that ball once (`_compile_ball`): BFS ids, integer adjacency
 rows in the oracle's neighbor order, and one height per id.
@@ -21,12 +30,14 @@ the ball two heights is not well defined, and the count raises
 HeightError, as `heights.height_table` does. A ball over the cap is not
 checked: `_walk` transports the height along each walk as it goes, and
 its counts depend on the path if the height is ill defined. With more
-than one thread, the walker lists the feasible prefixes of length
-SPLIT_DEPTH once per count, and every deeper pass extends them in a
-process pool. The pool's initializer gives each worker the walker state once (the
-compiled ball, or the oracle and height), so a task is only a prefix,
-the steps left and the prefix's heights; each worker gets one chunk of
-tasks per pass.
+than one thread, a real pass lists the feasible prefixes of length
+SPLIT_DEPTH and extends them, in a process pool if the pass is big
+enough to pay for starting one (POOL_MIN_NODES, decided from exact node
+bounds, never from a clock) and otherwise in this process. The pool's
+initializer gives each worker the walker state once (the compiled ball,
+or the oracle and height), so a task is only a prefix, the steps left
+and the prefix's heights; each worker gets one chunk of tasks per real
+pass.
 
 Bridges follow the height inequalities h(start) < h(pi_i) <= h(pi_n):
 every vertex after the start is strictly higher than the start, and the
@@ -121,16 +132,18 @@ def _walk(
     hv: int = 0,
     hmax: int = 0,
     out: Optional[list] = None,
-) -> Tuple[int, int]:
-    """Extend the self-avoiding `path` by exactly `remaining` >= 1 steps.
+) -> Tuple[List[int], List[int]]:
+    """Extend the self-avoiding `path` by up to `remaining` >= 1 steps.
 
-    Returns (walks found, nodes entered below `path`). With `h` None the
-    walks are SAWs. Otherwise a step must end strictly above the start,
-    and a walk counts only if it ends at its running maximum; `hv` and
-    `hmax` are the height of the end of `path` and the running maximum,
-    both relative to the start. If `out` is given, every feasible
-    extension is appended to it as (path, hv, hmax), whether or not it
-    ends at its maximum.
+    Returns the per-depth tallies (hits, nodes): `nodes[j]` is the number
+    of nodes entered j steps below `path`, and `hits[j]` the number of
+    those that end a counted walk (index 0 is 0). With `h` None the walks
+    are SAWs and every node is a hit. Otherwise a step must end strictly
+    above the start, and a walk counts only if it ends at its running
+    maximum; `hv` and `hmax` are the height of the end of `path` and the
+    running maximum, both relative to the start. If `out` is given, every
+    feasible extension by exactly `remaining` steps is appended to it as
+    (path, hv, hmax), whether or not it ends at its maximum.
     """
     neighbors = g.neighbors
     visited = dict.fromkeys(path)  # insertion-ordered: the keys are the path
@@ -143,11 +156,12 @@ def _walk(
             h0, step = 0, h.step
         else:
             at = h.at
-    hits = nodes = 0
+    hits = [0] * (remaining + 1)
+    nodes = [0] * (remaining + 1)
 
-    def extend(v, hv, hmax, remaining):
-        nonlocal hits, nodes
-        last = remaining == 1
+    def extend(v, hv, hmax, depth):
+        last = depth == remaining
+        found = entered = 0
         hw = top = 0
         for w, label in neighbors(v):
             if w in visited:
@@ -157,18 +171,19 @@ def _walk(
                 if hw <= 0:
                     continue
                 top = hw if hw > hmax else hmax
-            nodes += 1
+            entered += 1
+            if hw == top:
+                found += 1
             if not last:
                 visited[w] = None
-                extend(w, hw, top, remaining - 1)
+                extend(w, hw, top, depth + 1)
                 del visited[w]
-            else:
-                if hw == top:
-                    hits += 1
-                if out is not None:
-                    out.append((tuple(visited) + (w,), hw, top))
+            elif out is not None:
+                out.append((tuple(visited) + (w,), hw, top))
+        hits[depth] += found
+        nodes[depth] += entered
 
-    extend(path[-1], hv, hmax, remaining)
+    extend(path[-1], hv, hmax, 1)
     return hits, nodes
 
 
@@ -272,48 +287,55 @@ def _walk_ball(
     remaining: int,
     hmax: int = 0,
     out: Optional[list] = None,
-) -> Tuple[int, int]:
+) -> Tuple[List[int], List[int]]:
     """`_walk` over a compiled ball of radius n: extend the path of ids
-    `path` by exactly `remaining` >= 1 steps, with len(path) - 1 +
-    remaining <= n, and return (walks found, nodes entered). The ball
-    holds the heights and only the edges a bridge may take, so the one
-    check left is that a walk ends at its running maximum `hmax` (always
-    true for SAWs). `out` collects (path, height, running maximum) as in
-    `_walk`.
+    `path` by up to `remaining` >= 1 steps, with len(path) - 1 +
+    remaining <= n, and return the per-depth tallies (hits, nodes). The
+    ball holds the heights and only the edges a bridge may take, so the
+    one check left is that a walk ends at its running maximum `hmax`
+    (always true for SAWs). `out` collects (path, height, running
+    maximum) at depth `remaining` as in `_walk`.
     """
     rows, heights = ball.rows, ball.heights
     visited = bytearray(len(heights))
     for i in path:
         visited[i] = 1
     trail = list(path)
-    hits = nodes = 0
+    hits = [0] * (remaining + 1)
+    nodes = [0] * (remaining + 1)
 
-    def extend(v, hmax, remaining):
-        nonlocal hits, nodes
-        if remaining == 1:
+    def extend(v, hmax, depth):
+        found = entered = 0
+        if depth == remaining:
             for w in rows[v]:
                 if not visited[w]:
-                    nodes += 1
+                    entered += 1
                     hw = heights[w]
                     if hw >= hmax:
-                        hits += 1
+                        found += 1
                     if out is not None:
                         out.append((tuple(trail) + (w,), hw, hw if hw > hmax else hmax))
-            return
-        remaining -= 1
-        for w in rows[v]:
-            if not visited[w]:
-                nodes += 1
-                hw = heights[w]
-                visited[w] = 1
-                if out is not None:
-                    trail.append(w)
-                extend(w, hw if hw > hmax else hmax, remaining)
-                if out is not None:
-                    trail.pop()
-                visited[w] = 0
+        else:
+            for w in rows[v]:
+                if not visited[w]:
+                    entered += 1
+                    hw = heights[w]
+                    if hw >= hmax:
+                        found += 1
+                        top = hw
+                    else:
+                        top = hmax
+                    visited[w] = 1
+                    if out is not None:
+                        trail.append(w)
+                    extend(w, top, depth + 1)
+                    if out is not None:
+                        trail.pop()
+                    visited[w] = 0
+        hits[depth] += found
+        nodes[depth] += entered
 
-    extend(path[-1], hmax, remaining)
+    extend(path[-1], hmax, 1)
     return hits, nodes
 
 
@@ -328,7 +350,7 @@ def _extend(
     hv: int = 0,
     hmax: int = 0,
     out: Optional[list] = None,
-) -> Tuple[int, int]:
+) -> Tuple[List[int], List[int]]:
     """Extend `path` with the walker `state` selects (see `_walk`)."""
     if isinstance(state, _CompiledBall):
         return _walk_ball(state, path, remaining, hmax, out)
@@ -346,13 +368,86 @@ def _init_worker(state: _WalkerState) -> None:
     _worker_state = state
 
 
-def _walk_task(task) -> Tuple[int, int]:
+def _walk_task(task) -> Tuple[List[int], List[int]]:
     return _extend(_worker_state, *task)
 
 
 # ---------------------------------------------------------------------------
 # Public counting API
 # ---------------------------------------------------------------------------
+
+# A pass with more than one thread runs in the process pool only if it is
+# big enough to pay for starting the pool: the bound on the nodes at its
+# deepest depth, weighted by the cost of a node, must be at least
+# POOL_MIN_NODES. A node of the oracle walker `_walk` costs about
+# ORACLE_NODE_COST nodes of the compiled-ball walker. Measured on a
+# 2-vCPU machine, a pool start costs about as much wall time as 100,000
+# compiled-ball nodes; both numbers are exact integers, so the choice is
+# the same on every run.
+POOL_MIN_NODES = 100_000
+ORACLE_NODE_COST = 4
+
+
+def _plan_depth(depth: int, n_max: int, nodes_used: int, last: int, factor: int,
+                budget: int) -> int:
+    """The deepest real pass the budget allows, at most `n_max`.
+
+    `depth` is the first depth without a tally, and `nodes_used` and
+    `last` are the replayed schedule before it, whose budget check for
+    `depth` passed. Each further depth is projected to cost `factor`
+    times the one before, as the schedule's own check assumes, and the
+    pass stops at the last depth whose projected check still passes.
+    Real passes grow by at most `factor` per depth, so the replay gets
+    through every depth planned here.
+    """
+    pass_nodes = last * factor
+    nodes_used += pass_nodes
+    while depth < n_max:
+        pass_nodes *= factor
+        if nodes_used + pass_nodes > budget:
+            break
+        nodes_used += pass_nodes
+        depth += 1
+    return depth
+
+
+def _real_pass(state: _WalkerState, root: tuple, target: int, threads: int, degree: int,
+               pools: list) -> Tuple[List[int], List[int]]:
+    """Tally hits and nodes at every depth up to `target` in one DFS.
+
+    With more than one thread the prefixes of length SPLIT_DEPTH are
+    listed first. A self-avoiding walk has at most `degree` - 1 ways to
+    go on, so the prefix tally bounds the nodes at depth `target`; if
+    that bound is large enough (POOL_MIN_NODES), the prefixes are
+    extended in a process pool, started on first use and kept in
+    `pools`, and otherwise here. Either way the pass enters the same
+    nodes, so the tallies are the same for any thread count.
+    """
+    if threads == 1 or target <= SPLIT_DEPTH:
+        return _extend(state, root, target)
+    prefixes: list = []
+    hits, nodes = _extend(state, root, SPLIT_DEPTH, out=prefixes)
+    rest = target - SPLIT_DEPTH
+    tasks = [(p, rest, hv, hm) for p, hv, hm in prefixes]
+    size = nodes[SPLIT_DEPTH] * (degree - 1) ** rest
+    if not isinstance(state, _CompiledBall):
+        size *= ORACLE_NODE_COST
+    if size < POOL_MIN_NODES:
+        results = [_extend(state, *task) for task in tasks]
+    else:
+        if not pools:
+            pools.append(ProcessPoolExecutor(
+                max_workers=threads, initializer=_init_worker, initargs=(state,)))
+        # One chunk per worker.
+        chunksize = max(1, -(-len(tasks) // threads))
+        results = pools[0].map(_walk_task, tasks, chunksize=chunksize)
+    hits += [0] * rest
+    nodes += [0] * rest
+    for task_hits, task_nodes in results:
+        for j in range(1, rest + 1):
+            hits[SPLIT_DEPTH + j] += task_hits[j]
+            nodes[SPLIT_DEPTH + j] += task_nodes[j]
+    return hits, nodes
 
 
 def _run_iterative(
@@ -363,6 +458,9 @@ def _run_iterative(
     budget: Optional[int],
     h: Optional[HeightFunction],
 ) -> CountTable:
+    """Count to `n_max` with the budget schedule of iterative deepening,
+    replayed from the tallies of as few real passes as the budget allows
+    (see the module docstring)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if threads < 1:
@@ -371,51 +469,35 @@ def _run_iterative(
         budget = default_budget()
     if start is None:
         start = g.root
-    counts: Dict[int, int] = {0: 1}
-    nodes_used = 1
-    high_water = 0
-    partial = False
-    last_pass_nodes = 1
     # A depth-(k+1) pass expands at most (1 + degree_bound) times the
     # nodes of the depth-k pass, so this projection never overshoots.
-    factor = 1 + g.degree_bound()
+    degree = g.degree_bound()
+    factor = 1 + degree
     ball = _compile_ball(g, h, start, n_max)
     state: _WalkerState = (g, h) if ball is None else ball
     root = (start,) if ball is None else (0,)
-    prefixes: Optional[list] = None
-
-    pool = None
+    counts: Dict[int, int] = {0: 1}
+    hits: List[int] = []  # the last real pass's tallies, to depth `tallied`
+    nodes: List[int] = []
+    tallied = 0
+    nodes_used = last_pass_nodes = 1  # the replayed schedule; P_0 = 1
+    high_water = 0
+    partial = False
+    pools: list = []
     try:
-        if threads > 1:
-            pool = ProcessPoolExecutor(
-                max_workers=threads, initializer=_init_worker, initargs=(state,)
-            )
         for depth in range(1, n_max + 1):
-            projected = last_pass_nodes * factor
-            if nodes_used + projected > budget:
+            if nodes_used + last_pass_nodes * factor > budget:
                 partial = True
                 break
-            if pool is not None and depth > SPLIT_DEPTH:
-                if prefixes is None:
-                    prefixes = []
-                    _, prefix_nodes = _extend(state, root, SPLIT_DEPTH, out=prefixes)
-                    prefix_nodes += 1
-                rest = depth - SPLIT_DEPTH
-                tasks = [(p, rest, hv, hm) for p, hv, hm in prefixes]
-                # One chunk per worker.
-                chunksize = max(1, -(-len(tasks) // threads))
-                results = list(pool.map(_walk_task, tasks, chunksize=chunksize))
-                hits = sum(r[0] for r in results)
-                pass_nodes = prefix_nodes + sum(r[1] for r in results)
-            else:
-                hits, pass_nodes = _extend(state, root, depth)
-                pass_nodes += 1
-            counts[depth] = hits
-            nodes_used += pass_nodes
-            last_pass_nodes = pass_nodes
+            if depth > tallied:
+                tallied = _plan_depth(depth, n_max, nodes_used, last_pass_nodes, factor, budget)
+                hits, nodes = _real_pass(state, root, tallied, threads, degree, pools)
+            counts[depth] = hits[depth]
+            last_pass_nodes += nodes[depth]
+            nodes_used += last_pass_nodes
             high_water = depth
     finally:
-        if pool is not None:
+        for pool in pools:
             pool.shutdown()
 
     return CountTable(

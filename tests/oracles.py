@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +161,51 @@ def brute_bridge_counts(
         if hw > h0:
             extend([root, w], [h0, hw])
     return counts
+
+
+def iterative_reference(
+    neighbors: Callable[[tuple], Iterable[tuple]],
+    root,
+    n_max: int,
+    budget: int,
+    factor: int,
+    height: Optional[Callable[[tuple], int]] = None,
+) -> Tuple[Dict[int, int], int, int, bool]:
+    """Iterative deepening under a node budget, one full pass per depth.
+
+    Pass k walks every feasible walk of length <= k from the root (SAWs,
+    or with `height` every vertex after the root strictly above it) and
+    counts those of length k (bridges: ending weakly highest). It enters
+    P_k nodes, the root included. Before pass k the schedule stops if
+    the nodes used so far plus `factor` * P_(k-1) exceed `budget`.
+    Returns (counts, nodes used, high-water mark, partial).
+    """
+    h0 = height(root) if height is not None else 0
+    counts = {0: 1}
+    nodes_used = last_pass = 1
+    high_water = 0
+    for depth in range(1, n_max + 1):
+        if nodes_used + last_pass * factor > budget:
+            return counts, nodes_used, high_water, True
+        tally = [0, 1]  # walks of length depth, nodes entered
+
+        def extend(path: List, top: int):
+            for w in neighbors(path[-1]):
+                hw = height(w) - h0 if height is not None else 0
+                if w in path or (height is not None and hw <= 0):
+                    continue
+                tally[1] += 1
+                if len(path) == depth:
+                    tally[0] += hw >= top
+                else:
+                    extend(path + [w], max(top, hw))
+
+        extend([root], 0)
+        counts[depth] = tally[0]
+        nodes_used += tally[1]
+        last_pass = tally[1]
+        high_water = depth
+    return counts, nodes_used, high_water, False
 
 
 # ---------------------------------------------------------------------------

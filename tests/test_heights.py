@@ -267,6 +267,23 @@ def test_axioms_fail_for_shifted_root():
     assert any("h(root) = 3" in f for f in report.failures)
 
 
+class _BentPeriodicHeight(PeriodicHeight):
+    """3x + (x mod 2) on zd2: every vertex keeps a lower and a higher
+    neighbor, but the height is not affine in x."""
+
+    def at(self, v):
+        return super().at(v) + v[1][0] % 2
+
+
+def test_axioms_fail_for_non_affine_periodic_height():
+    g = resolve_model("zd2")
+    report = verify_height_axioms(g, _BentPeriodicHeight(f=(0,), lam=(3, 0)), radius=2)
+    assert report.failures == ["difference-invariance violated at 1 translates"]
+    assert report.invariance_note == "exact (all orbits x translation window)"
+    affine = verify_height_axioms(g, PeriodicHeight(f=(0,), lam=(3, 0)), radius=2)
+    assert affine.ok and affine.invariance_note == report.invariance_note
+
+
 def test_height_table_transport_conflict():
     g = resolve_model("zd2")
     bad = GammaHeight(gamma=(("x", 1), ("X", -1), ("y", 1), ("Y", 0)))

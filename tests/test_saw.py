@@ -1,5 +1,6 @@
 """Exact SAW/bridge counting and connective-constant bounds."""
 
+import concurrent.futures
 import json
 import os
 from fractions import Fraction
@@ -10,13 +11,14 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from sawlab import saw
 from sawlab.cli import resolve_height
-from sawlab.graphs import PGOracle, periodic_graph_from_document, resolve_model
+from sawlab.graphs import PGOracle, ball, periodic_graph_from_document, resolve_model
 from sawlab.heights import (
     CoordinateHeight,
     GammaHeight,
     HeightError,
     HeightFunction,
     LevelHeight,
+    height_table,
 )
 from sawlab.saw import (
     BoundsReport,
@@ -361,6 +363,90 @@ def test_budget_projection_never_cuts_mid_pass():
     for budget in (10, 100, 1000, 5000):
         t = count_saws(g, 9, budget=budget)
         assert t.series() == oracles.ZD2_SIGMA[: t.high_water + 1]
+
+
+# ---------------------------------------------------------------------------
+# One real pass for many depths: the replayed schedule
+# ---------------------------------------------------------------------------
+
+
+def _counting_pool(starts, map_calls, entered):
+    """A process pool that records its starts and `map` calls and adds
+    the nodes its tasks report to `entered[0]`."""
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(1)
+            super().__init__(*args, **kwargs)
+
+        def map(self, fn, *iterables, **kwargs):
+            results = list(super().map(fn, *iterables, **kwargs))
+            map_calls.append(len(results))
+            entered[0] += sum(sum(nodes) for _, nodes in results)
+            return iter(results)
+
+    return CountingPool
+
+
+@pytest.mark.parametrize("model,n", [(row[0], row[1]) for row in FROZEN_NODES])
+def test_one_pass_tables_equal_iterative_reference(model, n, monkeypatch):
+    monkeypatch.delenv("SAWLAB_BUDGET", raising=False)
+    g = resolve_model(model)
+    h = resolve_height(g, None)
+    b = ball(g, n)
+    height = dict(zip(b.vertices, height_table(g, h, b))).__getitem__
+    nbrs = lambda v: [w for w, _ in g.neighbors(v)]
+    factor = 1 + g.degree_bound()
+    # Every node a walker enters, in this process or in a pool worker.
+    entered = [0]
+    for name in ("_walk", "_walk_ball"):
+        def counted(*args, _walker=getattr(saw, name), **kwargs):
+            hits, nodes = _walker(*args, **kwargs)
+            entered[0] += sum(nodes)
+            return hits, nodes
+
+        monkeypatch.setattr(saw, name, counted)
+    starts = []
+    monkeypatch.setattr(saw, "ProcessPoolExecutor", _counting_pool(starts, [], entered))
+    # Threads 2 with the default pool threshold extends the prefixes in
+    # this process; with a threshold of 0 every split pass uses the pool.
+    runs = ((1, saw.POOL_MIN_NODES), (2, saw.POOL_MIN_NODES), (2, 0))
+    for hh, hfun in ((None, None), (h, height)):
+        for budget in (None, 5000, 300, 10):
+            limit = saw.DEFAULT_NODE_BUDGET if budget is None else budget
+            want = oracles.iterative_reference(nbrs, g.root, n, limit, factor, hfun)
+            for threads, pool_min in runs:
+                monkeypatch.setattr(saw, "POOL_MIN_NODES", pool_min)
+                entered[0] = 0
+                t = saw._run_iterative(g, n, None, threads, budget, hh)
+                assert (t.counts, t.nodes_used, t.high_water, t.partial) == want, (
+                    hh, budget, threads, pool_min)
+                assert entered[0] < t.nodes_used <= limit
+    assert starts
+
+
+def test_pool_maps_once_per_real_pass(monkeypatch):
+    g = resolve_model("zd2")
+    serial = count_saws(g, 10, threads=1)
+    targets, starts, map_calls = [], [], []
+    real_pass = saw._real_pass
+
+    def counted_pass(state, root, target, *args):
+        targets.append(target)
+        return real_pass(state, root, target, *args)
+
+    monkeypatch.setattr(saw, "_real_pass", counted_pass)
+    monkeypatch.setattr(saw, "ProcessPoolExecutor", _counting_pool(starts, map_calls, [0]))
+    # Too small to pay for a pool: the prefixes are extended here.
+    t = count_saws(g, 10, threads=2)
+    assert _table_fields(t) == _table_fields(serial)
+    assert starts == [] and map_calls == []
+    monkeypatch.setattr(saw, "POOL_MIN_NODES", 0)
+    targets.clear()
+    t = count_saws(g, 10, threads=2)
+    assert _table_fields(t) == _table_fields(serial)
+    assert len(starts) == 1
+    assert 1 <= len(map_calls) <= len(targets)
 
 
 # ---------------------------------------------------------------------------
