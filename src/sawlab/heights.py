@@ -13,7 +13,7 @@ vertex.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -28,14 +28,23 @@ class HeightError(ValueError):
     pass
 
 
+class HeightConflict(HeightError):
+    """Transport gave a vertex two heights; args: (vertex, had, carried)."""
+
+    def __str__(self) -> str:
+        return "height transport conflict at {!r}: {} vs {}".format(*self.args)
+
+
 # ---------------------------------------------------------------------------
 # Height-function objects (picklable; consumed by the walk enumerator)
 # ---------------------------------------------------------------------------
 
 
 class HeightFunction:
-    """A vertex height. Subclasses provide direct evaluation (`at`) or
-    incremental transport along labelled edges (`step`), or both."""
+    """A vertex height, read at a vertex (`at`) or carried across an edge
+    (`across`). A height with values at vertices implements `at`; one
+    known only by transport along edge labels, such as a word sum,
+    implements `across` and `origin` instead."""
 
     name: str = "height"
     subgroup: str = ""
@@ -43,8 +52,16 @@ class HeightFunction:
     def at(self, v) -> Optional[int]:
         return None
 
-    def step(self, h: int, label: str) -> Optional[int]:
-        return None
+    def across(self, hv: int, w, label: str) -> int:
+        """The height of `w`, entered with height `hv` along an edge
+        labelled `label`."""
+        return self.at(w)
+
+    def origin(self, v) -> int:
+        """The height a transport from `v` starts at: `at(v)`. A height
+        known only by transport starts at 0, its value at the root; away
+        from the root only its differences are used."""
+        return self.at(v)
 
 
 @dataclass(frozen=True)
@@ -93,11 +110,18 @@ class GammaHeight(HeightFunction):
     def name(self) -> str:
         return self.height_name
 
-    def step(self, h: int, label: str) -> int:
-        for sym, g in self.gamma:
-            if sym == label:
-                return h + g
-        raise HeightError(f"edge label {label!r} has no height increment")
+    def __post_init__(self):
+        # The first entry of a symbol wins, as in a scan of `gamma`.
+        object.__setattr__(self, "_delta", dict(reversed(self.gamma)))
+
+    def across(self, hv: int, w, label: str) -> int:
+        try:
+            return hv + self._delta[label]
+        except KeyError:
+            raise HeightError(f"edge label {label!r} has no height increment") from None
+
+    def origin(self, v) -> int:
+        return 0
 
     @staticmethod
     def from_spec(spec) -> "GammaHeight":
@@ -126,38 +150,78 @@ class PeriodicHeight(HeightFunction):
         return self.f[o - 1] + sum(map(mul, self.lam, x))
 
 
+def transport(
+    g: GraphOracle,
+    h: Optional[HeightFunction],
+    start,
+    radius: int,
+    ids: Dict[object, int],
+    heights: List[int],
+    above: bool = False,
+    convention: str = "walk",
+):
+    """Carry `h` over a BFS of the radius-`radius` ball around `start`.
+
+    Fills the empty `ids` (vertex -> id, in BFS order, `start` = 0) and
+    `heights` (per id: `h.origin` at the start, else `h.across` along the
+    first edge in; 0 if `h` is None). With `above`, only edges into
+    vertices above the start are followed, and distance is measured along
+    them. Yields (depth, ids its followed edges reach in neighbor order)
+    for each vertex at distance depth < `radius`, in id order. An edge
+    that gives a kept vertex a second height raises HeightConflict. The
+    "walk" `convention` keeps no vertex at distance `radius`: each edge
+    into one gets a fresh id. "induced" keeps them and also checks the
+    edges between two of them, as in an induced `graphs.Ball`.
+    """
+    across = None if h is None else h.across
+    h0 = 0 if h is None else h.origin(start)
+    floor = h0 if above else None
+    closed = convention == "induced"
+    ids[start] = 0
+    heights.append(h0)
+    vertices = [start]
+    lo = 0
+    for depth in range(radius + closed):
+        shell = depth == radius
+        keep = closed or depth < radius - 1
+        hi = len(vertices)
+        for i in range(lo, hi):
+            hv = heights[i]
+            row = []
+            for w, label in g.neighbors(vertices[i]):
+                hw = 0 if across is None else across(hv, w, label)
+                if floor is not None and hw <= floor:
+                    continue
+                j = ids.get(w)
+                if j is None:
+                    if shell:
+                        continue
+                    j = len(heights)
+                    heights.append(hw)
+                    if keep:
+                        ids[w] = j
+                        vertices.append(w)
+                elif heights[j] != hw:
+                    raise HeightConflict(w, heights[j], hw)
+                row.append(j)
+            yield depth, row
+        lo = hi
+
+
 def height_table(g: GraphOracle, h: HeightFunction, b: Ball) -> List[int]:
     """Heights of all ball vertices, aligned with b.vertices.
 
-    Uses direct evaluation when available, otherwise BFS transport along
-    labelled edges (conflicts raise: the function is not well defined).
+    A height with values at vertices is read directly; any other is
+    carried from the root by `transport`, checked on every edge between
+    two ball vertices.
     """
-    probe = h.at(g.root)
-    if probe is not None:
+    if h.at(g.root) is not None:
         return [h.at(v) for v in b.vertices]
-    values: Dict[object, int] = {g.root: 0}
-    frontier = [g.root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            if v not in b.index:
-                continue
-            hv = values[v]
-            for w, label in g.neighbors(v):
-                if w not in b.index:
-                    continue
-                hw = h.step(hv, label)
-                if w in values:
-                    if values[w] != hw:
-                        raise HeightError(
-                            f"height transport conflict at {w!r}: "
-                            f"{values[w]} vs {hw}"
-                        )
-                else:
-                    values[w] = hw
-                    nxt.append(w)
-        frontier = nxt
-    return [values[v] for v in b.vertices]
+    ids: Dict[object, int] = {}
+    values: List[int] = []
+    for _ in transport(g, h, g.root, b.radius, ids, values, convention="induced"):
+        pass
+    return [values[ids[v]] for v in b.vertices]
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +431,11 @@ def increase_repair(
     basis = [s for s in basis if not s.is_constant()]
     if not basis:
         raise RepairExhausted("basis has no non-constant solution")
+    # An orbit whose increments are zero in every basis solution has them
+    # zero in every combination, so every candidate would fail there.
+    for o in range(1, pg.orbit_count + 1):
+        if all(s.value(o2, t) == s.f[o - 1] for s in basis for o2, t, _ in pg.out_edges(o)):
+            raise RepairExhausted(f"orbit {o} has no neighbor of another height in any solution")
     for coeffs in _coefficient_candidates(len(basis), max_coeff):
         lam = tuple(
             sum(Fraction(c) * s.lam[i] for c, s in zip(coeffs, basis))
@@ -608,7 +677,14 @@ def compute_r(
     other orbit contains a vertex v' with h(u) < h(v') reachable by a
     self-avoiding walk of length <= r whose interior heights lie strictly
     between h(u) and h(v'). Returns 0 when a single orbit (transitive
-    action), None when some pair needs more than `bound`."""
+    action), None when some pair needs more than `bound`.
+
+    The walks are the bridge walker's (`saw._walk`): every vertex after u
+    lies above h(u). Heights are carried from u, so any representative
+    works for a height known only by transport.
+    """
+    from .saw import _walk
+
     if orbit_reps is None:
         orbit_reps = g.orbit_reps()
     if orbit_of is None:
@@ -619,52 +695,20 @@ def compute_r(
         raise HeightError("bound must be >= 1")
 
     orbits = [orbit_of(u) for u in orbit_reps]
-    needed_pairs = {(a, c) for a in orbits for c in orbits if a != c}
     best: Dict[Tuple[int, int], int] = {}
-
-    for u in orbit_reps:
-        ou = orbit_of(u)
-        hu = _height_at(g, h, u)
-
-        # DFS over SAWs from u; every vertex after u must satisfy h > h(u)
-        # (both interior vertices and the endpoint require it).
-        def dfs(v, heights, visited, depth):
-            for w, label in g.neighbors(v):
-                if w in visited:
-                    continue
-                hw = h.at(w)
-                if hw is None:
-                    hw = h.step(heights[-1], label)
-                if hw <= hu:
-                    continue
-                ow = orbit_of(w)
-                if ow != ou:
-                    interior = heights[1:]
-                    if all(x < hw for x in interior):
-                        key = (ou, ow)
-                        if key not in best or depth + 1 < best[key]:
-                            best[key] = depth + 1
-                if depth + 1 < bound:
-                    visited.add(w)
-                    heights.append(hw)
-                    dfs(w, heights, visited, depth + 1)
-                    heights.pop()
-                    visited.remove(w)
-
-        dfs(u, [hu], {u}, 0)
-
-    if not needed_pairs <= set(best):
-        return None
-    return max(best[p] for p in needed_pairs)
-
-
-def _height_at(g: GraphOracle, h: HeightFunction, v) -> int:
-    val = h.at(v)
-    if val is not None:
-        return val
-    if v == g.root:
-        return 0
-    raise HeightError(
-        "height function supports only incremental evaluation; "
-        "representative must be the root"
-    )
+    for u, ou in zip(orbit_reps, orbits):
+        missing = set(orbits) - {ou}
+        for r in range(1, bound + 1):
+            if not missing:
+                break
+            ends: list = []
+            _walk(g, h, (u,), r, out=ends)
+            for path, hw, top in ends:
+                ow = orbit_of(path[-1])
+                # `top` is the running maximum before the last step.
+                if ow in missing and hw > top:
+                    missing.discard(ow)
+                    best[ou, ow] = min(best.get((ou, ow), r), r)
+        if missing:
+            return None
+    return max(best.values(), default=0)

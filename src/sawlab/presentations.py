@@ -12,7 +12,7 @@ on the whole group.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._linalg import bareiss_rank, integer_kernel
@@ -227,12 +227,13 @@ def verify_well_defined(
     """Check gamma annihilates every relator row, and optionally that all
     word spellings of vertices in the radius-`depth` ball agree in height.
 
-    The ball check transports heights along labelled edges of a Cayley
-    oracle; any two spellings of the same ball vertex form a cycle inside
-    the ball, so a conflict-free transport certifies agreement. The oracle
-    only needs `root` and `neighbors(v) -> [(vertex, label), ...]`.
+    The ball check carries heights along labelled edges of a Cayley
+    oracle with `heights.transport`; any two spellings of the same ball
+    vertex form a cycle inside the ball, so a conflict-free transport
+    certifies agreement. The oracle only needs `root` and
+    `neighbors(v) -> [(vertex, label), ...]`; a label outside S raises
+    PresentationError.
     """
-    idx = p.symbol_index()
     gamma = spec.gamma
     c = coefficient_matrix(p)
     labels = list(p.relators) + [
@@ -248,34 +249,21 @@ def verify_well_defined(
             )
     checked = 0
     if depth > 0 and oracle is not None:
-        gmap = spec.gamma_by_symbol()
-        heights = {oracle.root: 0}
-        frontier = [oracle.root]
-        for _ in range(depth):
-            nxt = []
-            for v in frontier:
-                hv = heights[v]
-                for w, label in oracle.neighbors(v):
-                    delta = gmap.get(label)
-                    if delta is None:
-                        # Edge labels outside S (e.g. inverse traversal
-                        # direction) are looked up via the inverse pairing.
-                        raise PresentationError(f"edge label {label!r} not in S")
-                    hw = hv + delta
-                    if w in heights:
-                        if heights[w] != hw:
-                            return WellDefinedReport(
-                                ok=False,
-                                witness_detail=(
-                                    f"vertex reachable at depth <= {depth} has two "
-                                    f"heights {heights[w]} and {hw}"
-                                ),
-                            )
-                    else:
-                        heights[w] = hw
-                        nxt.append(w)
-            frontier = nxt
-        checked = len(heights)
+        # heights imports this module, so it is imported here.
+        from .heights import GammaHeight, HeightConflict, HeightError, transport
+
+        h = GammaHeight.from_spec(spec)
+        ids: Dict[object, int] = {}
+        try:
+            for _ in transport(oracle, h, oracle.root, depth, ids, [], convention="induced"):
+                pass
+        except HeightConflict as exc:
+            _w, had, got = exc.args
+            detail = f"vertex reachable at depth <= {depth} has two heights {had} and {got}"
+            return WellDefinedReport(ok=False, witness_detail=detail)
+        except HeightError as exc:
+            raise PresentationError(str(exc)) from None
+        checked = len(ids)
     return WellDefinedReport(ok=True, ball_vertices_checked=checked)
 
 

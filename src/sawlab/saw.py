@@ -17,35 +17,31 @@ depth, fits up to D. It then enters P_D nodes, no more than the
 schedule's passes to the depths it covers.
 
 Two walkers share one contract: extend a given path by up to a number of
-steps and return the per-depth tallies. Every walk of
-length <= n from the start lies in the radius-n ball, so each count first
-compiles that ball once (`_compile_ball`): BFS ids, integer adjacency
-rows in the oracle's neighbor order, and one height per id.
-`_walk_ball` then runs the DFS over ints with a bytearray visited mask.
-A ball with more than MAX_BALL_VERTICES inner vertices is not compiled,
-nor one whose heights raise; such a count runs `_walk`, the same DFS
-over the oracle's vertex objects, so its counts and errors are what they
-would be without a ball. A `step` height that gives an inner vertex of
-the ball two heights is not well defined, and the count raises
-HeightError, as `heights.height_table` does. A ball over the cap is not
-checked: `_walk` transports the height along each walk as it goes, and
-its counts depend on the path if the height is ill defined. With more
-than one thread, a real pass lists the feasible prefixes of length
-SPLIT_DEPTH and extends them, in a process pool if the pass is big
-enough to pay for starting one (POOL_MIN_NODES, decided from exact node
-bounds, never from a clock) and otherwise in this process. The pool's
-initializer gives each worker the walker state once (the compiled ball,
-or the oracle and height), so a task is only a prefix, the steps left
-and the prefix's heights; each worker gets one chunk of tasks per real
-pass.
+steps and return the per-depth tallies. Every walk of length <= n from
+the start lies in the radius-n ball, so each count first compiles that
+ball once (`_compile_ball`) from one `heights.transport` BFS: ids,
+integer adjacency rows in the oracle's neighbor order, and one height per
+id. `_walk_ball` then runs the DFS over ints with a bytearray visited
+mask. Errors of the oracle or the height propagate from the build, and a
+height that the BFS gives two values at one vertex is not well defined:
+the count raises HeightConflict, as `heights.height_table` does. A ball
+with more than MAX_BALL_VERTICES inner vertices is not compiled; such a
+count runs `_walk`, the same DFS over the oracle's vertex objects, which
+carries the height along each walk unchecked. With more than one thread,
+a real pass lists the feasible prefixes of length SPLIT_DEPTH and extends
+them, in a process pool if the pass is big enough to pay for starting one
+(POOL_MIN_NODES, decided from exact node bounds, never from a clock) and
+otherwise in this process. The pool's initializer gives each worker the
+walker state once (the compiled ball, or the oracle and height), so a
+task is only a prefix, the steps left and the prefix's heights; each
+worker gets one chunk of tasks per real pass.
 
 Bridges follow the height inequalities h(start) < h(pi_i) <= h(pi_n):
 every vertex after the start is strictly higher than the start, and the
 walk ends at a running maximum. A bridge count is a SAW count with this
 filter; the compiled ball of a bridge count keeps only the edges into
-vertices above the start. Heights are evaluated directly (`at`) when the
-height function gives a value at the start, and otherwise transported
-along edge labels (`step`); this is decided once per count.
+vertices above the start. Both walkers carry heights across edges with
+`HeightFunction.across`, relative to the start.
 """
 
 from __future__ import annotations
@@ -59,7 +55,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ._linalg import nth_root_decimal, root_compare
 from .graphs import GraphOracle
-from .heights import HeightError, HeightFunction
+from .heights import HeightFunction, transport
 
 DEFAULT_NODE_BUDGET = 50_000_000
 
@@ -143,22 +139,21 @@ def _walk(
     maximum; `hv` and `hmax` are the height of the end of `path` and the
     running maximum, both relative to the start. If `out` is given, every
     feasible extension by exactly `remaining` steps is appended to it as
-    (path, hv, hmax), whether or not it ends at its maximum.
+    (path, height of its end, running maximum before its last step),
+    whether or not it ends at its maximum. Heights are carried across
+    each step by `h.across`, from `h.origin` at the start.
     """
     neighbors = g.neighbors
     visited = dict.fromkeys(path)  # insertion-ordered: the keys are the path
     bridge = h is not None
-    at = step = None
     h0 = 0
     if bridge:
-        h0 = h.at(path[0])
-        if h0 is None:
-            h0, step = 0, h.step
-        else:
-            at = h.at
+        across = h.across
+        h0 = h.origin(path[0])
     hits = [0] * (remaining + 1)
     nodes = [0] * (remaining + 1)
 
+    # Heights inside are absolute: relative ones plus h0.
     def extend(v, hv, hmax, depth):
         last = depth == remaining
         found = entered = 0
@@ -167,8 +162,8 @@ def _walk(
             if w in visited:
                 continue
             if bridge:
-                hw = step(hv, label) if at is None else at(w) - h0
-                if hw <= 0:
+                hw = across(hv, w, label)
+                if hw <= h0:
                     continue
                 top = hw if hw > hmax else hmax
             entered += 1
@@ -179,11 +174,11 @@ def _walk(
                 extend(w, hw, top, depth + 1)
                 del visited[w]
             elif out is not None:
-                out.append((tuple(visited) + (w,), hw, top))
+                out.append((tuple(visited) + (w,), hw - h0, hmax - h0))
         hits[depth] += found
         nodes[depth] += entered
 
-    extend(path[-1], hv, hmax, 1)
+    extend(path[-1], hv + h0, hmax + h0, 1)
     return hits, nodes
 
 
@@ -217,67 +212,29 @@ class _CompiledBall(NamedTuple):
 def _compile_ball(
     g: GraphOracle, h: Optional[HeightFunction], start, n: int
 ) -> Optional[_CompiledBall]:
-    """The radius-`n` ball around `start` for `_walk_ball`, or None.
+    """The radius-`n` ball around `start` for `_walk_ball`, or None if it
+    has more than MAX_BALL_VERTICES inner vertices.
 
-    None means the count walks the oracle with `_walk` instead: the ball
-    has more than MAX_BALL_VERTICES inner vertices, or the oracle or the
-    height raised, and `_walk` surfaces the same error where it meets
-    it. Raises HeightError if `h.step` transport gives an inner vertex
-    two heights (checked on the edges the ball keeps).
+    One `heights.transport` BFS gives the ids, rows and heights, so an
+    error of the oracle or the height propagates, and HeightConflict is
+    raised if an edge the ball keeps gives an inner vertex two heights.
     """
-    conflict = None
-    try:
-        at = step = None
-        h0 = 0
-        if h is not None:
-            h0 = h.at(start)
-            if h0 is None:
-                h0, step = 0, h.step
-            else:
-                at = h.at
-        ids = {start: 0}
-        leaves: Dict[int, int] = {}  # leaf id per height
-        heights = [0]
-        rows: List[List[int]] = []
-        frontier = [start]
-        for depth in range(1, n + 1):
-            nxt = []
-            for v in frontier:
-                hv = heights[len(rows)]
-                row = []
-                for w, label in g.neighbors(v):
-                    hw = 0
-                    if h is not None:
-                        hw = step(hv, label) if at is None else at(w) - h0
-                        if hw <= 0:
-                            continue
-                    i = ids.get(w)
-                    if i is None:
-                        if depth < n:
-                            i = ids[w] = len(heights)
-                            if i >= MAX_BALL_VERTICES:
-                                return None
-                            nxt.append(w)
-                            heights.append(hw)
-                        else:
-                            i = leaves.get(hw)
-                            if i is None:
-                                i = leaves[hw] = len(heights)
-                                heights.append(hw)
-                    elif heights[i] != hw:
-                        conflict = HeightError(
-                            f"height transport conflict at {w!r}: {heights[i]} vs {hw}"
-                        )
-                        raise conflict
-                    row.append(i)
-                rows.append(row)
-            frontier = nxt
-    except Exception as exc:
-        # Any other error goes to the fallback, which reproduces it where
-        # the walker itself meets it.
-        if exc is conflict:
-            raise
-        return None
+    ids: Dict[object, int] = {}
+    carried: List[int] = []
+    rows: List[List[int]] = []
+    leaves: Dict[int, int] = {}  # leaf id per height
+    for depth, row in transport(g, h, start, n, ids, carried, above=h is not None):
+        inner = len(ids)
+        if depth < n - 1:
+            if inner > MAX_BALL_VERTICES:
+                return None
+        else:
+            # Ids from `inner` on are edges into distance n: leaves.
+            for k, i in enumerate(row):
+                if i >= inner:
+                    row[k] = leaves.setdefault(carried[i] - carried[0], inner + len(leaves))
+        rows.append(row)
+    heights = [hv - carried[0] for hv in carried[:len(ids)]] + list(leaves)
     return _CompiledBall(rows, heights)
 
 
@@ -294,7 +251,7 @@ def _walk_ball(
     ball holds the heights and only the edges a bridge may take, so the
     one check left is that a walk ends at its running maximum `hmax`
     (always true for SAWs). `out` collects (path, height, running
-    maximum) at depth `remaining` as in `_walk`.
+    maximum before the last step) at depth `remaining` as in `_walk`.
     """
     rows, heights = ball.rows, ball.heights
     visited = bytearray(len(heights))
@@ -314,7 +271,7 @@ def _walk_ball(
                     if hw >= hmax:
                         found += 1
                     if out is not None:
-                        out.append((tuple(trail) + (w,), hw, hw if hw > hmax else hmax))
+                        out.append((tuple(trail) + (w,), hw, hmax))
         else:
             for w in rows[v]:
                 if not visited[w]:
@@ -428,7 +385,7 @@ def _real_pass(state: _WalkerState, root: tuple, target: int, threads: int, degr
     prefixes: list = []
     hits, nodes = _extend(state, root, SPLIT_DEPTH, out=prefixes)
     rest = target - SPLIT_DEPTH
-    tasks = [(p, rest, hv, hm) for p, hv, hm in prefixes]
+    tasks = [(p, rest, hv, max(hv, hm)) for p, hv, hm in prefixes]
     size = nodes[SPLIT_DEPTH] * (degree - 1) ** rest
     if not isinstance(state, _CompiledBall):
         size *= ORACLE_NODE_COST

@@ -208,6 +208,72 @@ def iterative_reference(
     return counts, nodes_used, high_water, False
 
 
+def brute_compute_r(
+    neighbors: Callable[[object], Iterable[Tuple[object, str]]],
+    reps: Sequence,
+    orbit_of: Callable[[object], int],
+    bound: int,
+    start_height: Callable[[object], int],
+    carry: Callable[[int, object, str], int],
+) -> Optional[int]:
+    """The r of a height function by listing every self-avoiding walk.
+
+    `neighbors(v)` lists (w, label); a walk from u starts at height
+    start_height(u), and a step to w along `label` from height h reaches
+    height carry(h, w, label). A walk u = p_0, ..., p_k = v with k >= 1
+    joins u to the orbit of v when that orbit is not u's and
+    h(u) < h(p_i) < h(v) for 0 < i < k and h(u) < h(v). Returns the
+    largest, over ordered pairs of distinct representative orbits, of
+    the shortest joining walk of length <= bound; 0 for one orbit; None
+    if some pair has no such walk.
+    """
+    if len(reps) <= 1:
+        return 0
+    orbits = [orbit_of(u) for u in reps]
+    shortest: Dict[Tuple[int, int], int] = {}
+
+    def extend(path: List, heights: List[int], ou: int):
+        k = len(path) - 1
+        if k >= 1:
+            hv, ov = heights[-1], orbit_of(path[-1])
+            if (ov != ou and heights[0] < hv
+                    and all(heights[0] < x < hv for x in heights[1:-1])):
+                shortest[ou, ov] = min(shortest.get((ou, ov), k), k)
+        if k == bound:
+            return
+        for w, label in neighbors(path[-1]):
+            if w not in path:
+                extend(path + [w], heights + [carry(heights[-1], w, label)], ou)
+
+    for u, ou in zip(reps, orbits):
+        extend([u], [start_height(u)], ou)
+    pairs = [(a, b) for a in orbits for b in orbits if a != b]
+    if any(p not in shortest for p in pairs):
+        return None
+    return max((shortest[p] for p in pairs), default=0)
+
+
+def word_sum_heights(
+    neighbors: Callable[[object], Iterable[Tuple[object, str]]],
+    root,
+    gamma: Dict[str, int],
+    radius: int,
+) -> Dict[object, int]:
+    """Heights of the radius-`radius` ball: the sum of gamma over the
+    labels of the first BFS path from the root to each vertex."""
+    heights = {root: 0}
+    frontier = [root]
+    for _ in range(radius):
+        nxt = []
+        for v in frontier:
+            for w, label in neighbors(v):
+                if w not in heights:
+                    heights[w] = heights[v] + gamma[label]
+                    nxt.append(w)
+        frontier = nxt
+    return heights
+
+
 # ---------------------------------------------------------------------------
 # Lattice index by minors
 # ---------------------------------------------------------------------------

@@ -146,6 +146,20 @@ def test_harmonic_model_and_pg_file(capsys, tmp_path):
     assert "lambda = (1), f = (0, 1/2)" in out2
 
 
+def test_harmonic_exits_negative_at_once_without_increments(capsys, tmp_path):
+    # Orbit 2 takes orbit 1's value in every harmonic solution of this
+    # d = 6 document, so no repaired height exists; the search over up to
+    # 17^6 candidates is not started.
+    d = 6
+    units = [[int(i == j) for j in range(d)] for i in range(d)]
+    doc = tmp_path / "pinned.json"
+    doc.write_text(json.dumps(
+        {"orbits": 2, "dim": d, "edges": [[1, 2, [0] * d]] + [[1, 1, e] for e in units]}))
+    code, _, err = run(capsys, "harmonic", "--input", str(doc))
+    assert code == EXIT_NEGATIVE
+    assert "orbit 2" in err
+
+
 def test_ball_iso_stdout(capsys):
     code, out, _ = run(capsys, "ball-iso", "--a", "zd2", "--b", "cylinder8", "--bound", "6")
     assert code == EXIT_OK

@@ -2,12 +2,21 @@
 
 import itertools
 import random
+import time
 from ast import literal_eval
 from fractions import Fraction
 
 import pytest
 
-from sawlab.graphs import PGOracle, ball, catalog, periodic_preset, resolve_model
+import oracles
+from sawlab.graphs import (
+    PGOracle,
+    ball,
+    catalog,
+    periodic_graph_from_document,
+    periodic_preset,
+    resolve_model,
+)
 from sawlab.heights import (
     CoordinateHeight,
     GammaHeight,
@@ -27,6 +36,7 @@ from sawlab.heights import (
     repair_document,
     resolve_height,
     solution_space,
+    transport,
     verify_harmonic,
     verify_height_axioms,
 )
@@ -206,6 +216,23 @@ def test_repair_exhausted_on_constant_basis():
         increase_repair(pg, basis=[const])
 
 
+def pinned_orbit_document(d):
+    """Orbit 2 hangs off orbit 1 by one edge of voltage 0, so every
+    harmonic solution gives it orbit 1's value: no combination of the d
+    basis solutions increases there."""
+    units = [[int(i == j) for j in range(d)] for i in range(d)]
+    return {"orbits": 2, "dim": d, "edges": [[1, 2, [0] * d]] + [[1, 1, e] for e in units]}
+
+
+def test_repair_exhausted_at_once_on_an_orbit_without_increments():
+    pg = periodic_graph_from_document(pinned_orbit_document(6))
+    t0 = time.monotonic()
+    with pytest.raises(RepairExhausted, match="orbit 2"):
+        increase_repair(pg)
+    # The candidate search would try up to 17^6 combinations.
+    assert time.monotonic() - t0 < 1.0
+
+
 # ---------------------------------------------------------------------------
 # Verification on balls
 # ---------------------------------------------------------------------------
@@ -291,6 +318,43 @@ def test_height_table_transport_conflict():
         height_table(g, bad, ball(g, 2))
 
 
+def transported(g, h, radius, convention="induced"):
+    """{vertex: height} of the kept vertices, and the heights given to the
+    edges into the vertices that are not kept."""
+    ids, values = {}, []
+    for _ in transport(g, h, g.root, radius, ids, values, convention=convention):
+        pass
+    return {v: values[i] for v, i in ids.items()}, values[len(ids):]
+
+
+@pytest.mark.parametrize("model,h", CANONICAL, ids=[model for model, _ in CANONICAL])
+def test_transport_equals_direct_evaluation(model, h):
+    g = resolve_model(model)
+    for radius in range(5):
+        b = ball(g, radius)
+        direct = {v: h.at(v) for v in b.vertices}
+        assert transported(g, h, radius) == (direct, [])
+        if radius == 0:
+            continue
+        # The walk convention keeps the vertices inside the shell, and
+        # carries a height along every edge into the shell.
+        inner = {v: hv for v, hv in direct.items() if b.distances[b.index[v]] < radius}
+        into_shell = sorted(h.at(w) for v in inner for w, _ in g.neighbors(v) if w not in inner)
+        kept, carried = transported(g, h, radius, "walk")
+        assert (kept, sorted(carried)) == (inner, into_shell), radius
+
+
+@pytest.mark.parametrize("model", ["zd2", "tree3", "heisenberg", "hexagonal", "lamplighter"])
+def test_transport_of_ghf_heights_equals_height_table(model):
+    g = resolve_model(model)
+    spec = choose_ghf(preset_presentation(model))
+    h = GammaHeight.from_spec(spec)
+    b = ball(g, 4)
+    got, _ = transported(g, h, 4)
+    assert [got[v] for v in b.vertices] == height_table(g, h, b)
+    assert got == oracles.word_sum_heights(g.neighbors, g.root, spec.gamma_by_symbol(), 4)
+
+
 def test_grandparent_level():
     g = catalog("grandparent")
     h = LevelHeight()
@@ -343,6 +407,34 @@ def test_compute_r_values():
 
     hx = catalog("hexagonal")
     assert compute_r(hx, increase_repair(hx.pg), bound=8) == 1
+
+
+def test_compute_r_matches_brute_force_at_any_representative():
+    hx = catalog("hexagonal")
+    spec = choose_ghf(preset_presentation("hexagonal"))
+    gamma = spec.gamma_by_symbol()
+    ghf = GammaHeight.from_spec(spec)
+
+    def word_sum_r(reps, bound):
+        return oracles.brute_compute_r(hx.neighbors, reps, hx.orbit_label, bound,
+                                       lambda u: 0, lambda hv, w, label: hv + gamma[label])
+
+    # The second default representative is not the root; the word-sum
+    # height is carried from each representative.
+    assert hx.orbit_reps()[1] != hx.root
+    assert compute_r(hx, ghf) == word_sum_r(hx.orbit_reps(), 8) == 1
+    away = [(2, (1, -1)), (1, (0, 3))]
+    for bound in (1, 2, 3):
+        assert compute_r(hx, ghf, orbit_reps=away, bound=bound) == word_sum_r(away, bound)
+    # On a cylinder the last step must raise x: r is 4, not the 3 of a
+    # walk whose end only ties its interior.
+    for name in ("hexagonal", "square_octagon", "cylinder4", "ladder_dihedral4"):
+        g = resolve_model(name)
+        h = resolve_height(g)
+        for bound in (2, 3, 4, 6):
+            assert compute_r(g, h, bound=bound) == oracles.brute_compute_r(
+                g.neighbors, g.orbit_reps(), g.orbit_label, bound,
+                h.at, lambda hv, w, label: h.at(w)), (name, bound)
 
 
 def _delta_sum(s, walk):

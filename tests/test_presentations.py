@@ -6,6 +6,7 @@ import json
 import pytest
 
 from sawlab.presentations import (
+    GroupHeightSpec,
     ParamRelatorFamily,
     Presentation,
     PresentationError,
@@ -195,6 +196,13 @@ def test_verify_well_defined_transport_conflict():
     bad = type(spec)(gamma=(1, 0, 0, 0), symbols=spec.symbols)
     report = verify_well_defined(bad, p, depth=2, oracle=resolve_model("zd2"))
     assert not report.ok
+
+
+def test_verify_well_defined_rejects_edge_labels_outside_s():
+    spec = GroupHeightSpec(gamma=(1, -1), symbols=("x", "X"))
+    p = Presentation(generators=spec.symbols)
+    with pytest.raises(PresentationError, match="'y'"):
+        verify_well_defined(spec, p, depth=1, oracle=resolve_model("zd2"))
 
 
 def test_preset_unknown():

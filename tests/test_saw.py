@@ -15,10 +15,17 @@ from sawlab.graphs import PGOracle, ball, periodic_graph_from_document, resolve_
 from sawlab.heights import (
     CoordinateHeight,
     GammaHeight,
+    HeightConflict,
     HeightError,
     HeightFunction,
     LevelHeight,
     height_table,
+)
+from sawlab.presentations import (
+    GroupHeightSpec,
+    Presentation,
+    preset_presentation,
+    verify_well_defined,
 )
 from sawlab.saw import (
     BoundsReport,
@@ -323,11 +330,20 @@ def test_step_height_conflict_raises():
     for threads in (1, 2):
         with pytest.raises(HeightError, match="conflict"):
             count_bridges(g, up, 6, threads=threads)
+    # The other consumers of `heights.transport` find the same conflict.
+    with pytest.raises(HeightConflict):
+        height_table(g, up, ball(g, 2))
+    spec = GroupHeightSpec(gamma=(1, 1, 1, 1), symbols=("x", "X", "y", "Y"))
+    assert not verify_well_defined(spec, preset_presentation("zd2"), depth=2, oracle=g).ok
+    # Without relators only the ball transport can find it.
+    bare = verify_well_defined(spec, Presentation(generators=spec.symbols), depth=2, oracle=g)
+    assert not bare.ok and "two heights" in bare.witness_detail
 
 
 def test_height_errors_surface_as_without_a_ball():
     g = resolve_model("zd2")
-    assert saw._compile_ball(g, LevelHeight(), g.root, 4) is None
+    with pytest.raises(HeightError):
+        saw._compile_ball(g, LevelHeight(), g.root, 4)
     with pytest.raises(HeightError):
         count_bridges(g, LevelHeight(), 4)
     missing = GammaHeight(gamma=(("x", 1), ("X", -1)))
