@@ -1,9 +1,16 @@
 """Command-line front end.
 
 Subcommands wrap the library modules and write reproducible artifacts:
-identical inputs and configuration produce byte-identical files, except
-for an optional timestamp field in JSON output (suppressed with
---no-timestamp; CSV output never carries one).
+identical inputs and options produce byte-identical files.
+
+- `count`, `bridges`, `bounds` and `locality` write their table in
+  `--format` (CSV or JSON) to `--output`, or to stdout without it.
+- `ghf`, `harmonic`, `verify` and `ball-iso` print a text report and
+  write a JSON artifact only with `--output`.
+
+A JSON artifact carries a `generated_at` timestamp unless
+`--no-timestamp` is given; `ghf` and `harmonic` artifacts never carry
+one, and CSV output never does. `--pg` is another spelling of `--input`.
 
 Exit codes: 0 success, 2 input error, 3 negative mathematical verdict,
 4 resource budget exceeded. The SAWLAB_BUDGET environment variable
@@ -17,7 +24,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -32,24 +38,8 @@ EXIT_NEGATIVE = 3
 EXIT_BUDGET = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    model: Optional[str] = None
-    input_path: Optional[str] = None
-    n_max: Optional[int] = None
-    radius: int = 4
-    bound: int = 6
-    precision: int = 10
-    threads: int = 1
-    budget: Optional[int] = None
-    output: Optional[str] = None
-    format: str = "csv"
-    no_timestamp: bool = False
-
-
-def _timestamp(cfg: RunConfig) -> Optional[str]:
-    if cfg.no_timestamp:
+def _timestamp(args) -> Optional[str]:
+    if args.no_timestamp:
         return None
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -67,11 +57,23 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        _atomic_write(cfg.output, text)
+def _emit(args, report) -> None:
+    """Write a CountTable, BoundsReport or ScanReport in `--format` to
+    `--output`, or to stdout without it."""
+    if args.format == "json":
+        text = saw.render_json(report.to_json_dict(), _timestamp(args))
+    else:
+        text = report.to_csv()
+    if args.output:
+        _atomic_write(args.output, text)
     else:
         sys.stdout.write(text)
+
+
+def _save(args, doc: dict, timestamp: Optional[str] = None) -> None:
+    """Write the JSON artifact `doc` to `--output`, if given."""
+    if args.output:
+        _atomic_write(args.output, saw.render_json(doc, timestamp))
 
 
 def _default_n_max(g) -> int:
@@ -100,14 +102,14 @@ def resolve_height(
 # ---------------------------------------------------------------------------
 
 
-def cmd_ghf(cfg: RunConfig, args) -> int:
-    if cfg.input_path:
-        with open(cfg.input_path) as handle:
+def cmd_ghf(args) -> int:
+    if args.input_path:
+        with open(args.input_path) as handle:
             pres = presentations.parse_presentation(handle.read())
-        label = cfg.input_path
-    elif cfg.model:
-        pres = presentations.preset_presentation(cfg.model)
-        label = cfg.model
+        label = args.input_path
+    elif args.model:
+        pres = presentations.preset_presentation(args.model)
+        label = args.model
     else:
         raise PresentationError("ghf needs --model or --input")
     c = presentations.coefficient_matrix(pres)
@@ -141,52 +143,41 @@ def cmd_ghf(cfg: RunConfig, args) -> int:
     else:
         lines.append("no group height function (rank(C) = |S|)")
     print("\n".join(lines))
-    if cfg.output:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        _atomic_write(cfg.output, text)
+    _save(args, doc)
     return EXIT_OK if exists else EXIT_NEGATIVE
 
 
-def _counting_setup(cfg: RunConfig):
-    if not cfg.model:
+def _counting_setup(args):
+    if not args.model:
         raise GraphError("missing --model")
-    g = graphs.resolve_model(cfg.model)
-    n_max = cfg.n_max if cfg.n_max is not None else _default_n_max(g)
+    g = graphs.resolve_model(args.model)
+    n_max = args.n_max if args.n_max is not None else _default_n_max(g)
     return g, n_max
 
 
-def cmd_count(cfg: RunConfig, args) -> int:
-    g, n_max = _counting_setup(cfg)
-    table = saw.count_saws(g, n_max, threads=cfg.threads, budget=cfg.budget)
-    if cfg.format == "json":
-        _emit(cfg, saw.table_to_json(table, _timestamp(cfg)))
-    else:
-        _emit(cfg, table.to_csv())
+def cmd_count(args) -> int:
+    g, n_max = _counting_setup(args)
+    table = saw.count_saws(g, n_max, threads=args.threads, budget=args.budget)
+    _emit(args, table)
     return EXIT_BUDGET if table.partial else EXIT_OK
 
 
-def cmd_bridges(cfg: RunConfig, args) -> int:
-    g, n_max = _counting_setup(cfg)
+def cmd_bridges(args) -> int:
+    g, n_max = _counting_setup(args)
     h = resolve_height(g, args.height)
-    table = saw.count_bridges(g, h, n_max, threads=cfg.threads, budget=cfg.budget)
-    if cfg.format == "json":
-        _emit(cfg, saw.table_to_json(table, _timestamp(cfg)))
-    else:
-        _emit(cfg, table.to_csv())
+    table = saw.count_bridges(g, h, n_max, threads=args.threads, budget=args.budget)
+    _emit(args, table)
     return EXIT_BUDGET if table.partial else EXIT_OK
 
 
-def cmd_bounds(cfg: RunConfig, args) -> int:
-    g, n_max = _counting_setup(cfg)
+def cmd_bounds(args) -> int:
+    g, n_max = _counting_setup(args)
     h = resolve_height(g, args.height)
-    sigma = saw.count_saws(g, n_max, threads=cfg.threads, budget=cfg.budget)
-    bridge = saw.count_bridges(g, h, n_max, threads=cfg.threads, budget=cfg.budget)
-    report = saw.mu_bounds(sigma, bridge, precision=cfg.precision)
-    if cfg.format == "json":
-        _emit(cfg, saw.bounds_to_json(report, _timestamp(cfg)))
-    else:
-        _emit(cfg, report.to_csv())
-    if cfg.output:
+    sigma = saw.count_saws(g, n_max, threads=args.threads, budget=args.budget)
+    bridge = saw.count_bridges(g, h, n_max, threads=args.threads, budget=args.budget)
+    report = saw.mu_bounds(sigma, bridge, precision=args.precision)
+    _emit(args, report)
+    if args.output:
         print(
             f"best lower {report.best_lower} (n={report.best_lower_n}), "
             f"best upper {report.best_upper} (n={report.best_upper_n})"
@@ -194,15 +185,15 @@ def cmd_bounds(cfg: RunConfig, args) -> int:
     return EXIT_BUDGET if sigma.partial or bridge.partial else EXIT_OK
 
 
-def cmd_harmonic(cfg: RunConfig, args) -> int:
-    if cfg.input_path:
-        with open(cfg.input_path) as handle:
+def cmd_harmonic(args) -> int:
+    if args.input_path:
+        with open(args.input_path) as handle:
             doc = json.load(handle)
         pg = graphs.periodic_graph_from_document(doc)
-        label = cfg.input_path
-    elif cfg.model:
-        pg = graphs.periodic_preset(cfg.model)
-        label = cfg.model
+        label = args.input_path
+    elif args.model:
+        pg = graphs.periodic_preset(args.model)
+        label = args.model
     else:
         raise GraphError("harmonic needs --model or --input")
     basis = heights.solution_space(pg)
@@ -230,20 +221,19 @@ def cmd_harmonic(cfg: RunConfig, args) -> int:
         f"scale = {repaired.scale}"
     )
     print("\n".join(lines))
-    if cfg.output:
-        _atomic_write(cfg.output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _save(args, doc)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
-    if not cfg.model:
+def cmd_verify(args) -> int:
+    if not args.model:
         raise GraphError("missing --model")
-    g = graphs.resolve_model(cfg.model)
+    g = graphs.resolve_model(args.model)
     h = resolve_height(g, args.height)
-    axioms = heights.verify_height_axioms(g, h, cfg.radius)
-    harmonic = heights.verify_harmonic(g, h, cfg.radius)
-    d = heights.compute_d(g, h, max(2, min(cfg.radius, 4)))
-    print(f"model {cfg.model}, height {h.name}, radius {cfg.radius}")
+    axioms = heights.verify_height_axioms(g, h, args.radius)
+    harmonic = heights.verify_harmonic(g, h, args.radius)
+    d = heights.compute_d(g, h, max(2, min(args.radius, 4)))
+    print(f"model {args.model}, height {h.name}, radius {args.radius}")
     print(
         f"axioms: {'pass' if axioms.ok else 'FAIL'} "
         f"({axioms.increase_checked} vertices; invariance: {axioms.invariance_note})"
@@ -261,62 +251,56 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             f"worst {harmonic.worst}"
         )
     print(f"d = {d}")
-    if cfg.output:
-        doc = {
-            "model": cfg.model,
-            "height": h.name,
-            "radius": cfg.radius,
-            "axioms_ok": axioms.ok,
-            "failures": axioms.failures,
-            "harmonic_all_zero": harmonic.all_zero,
-            "uniform_defect": (
-                str(harmonic.uniform_defect)
-                if harmonic.uniform_defect is not None
-                else None
-            ),
-            "d": d,
-        }
-        ts = _timestamp(cfg)
-        if ts:
-            doc["generated_at"] = ts
-        _atomic_write(cfg.output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    doc = {
+        "model": args.model,
+        "height": h.name,
+        "radius": args.radius,
+        "axioms_ok": axioms.ok,
+        "failures": axioms.failures,
+        "harmonic_all_zero": harmonic.all_zero,
+        "uniform_defect": (
+            str(harmonic.uniform_defect)
+            if harmonic.uniform_defect is not None
+            else None
+        ),
+        "d": d,
+    }
+    _save(args, doc, _timestamp(args))
     return EXIT_OK if axioms.ok else EXIT_NEGATIVE
 
 
-def cmd_ball_iso(cfg: RunConfig, args) -> int:
+def cmd_ball_iso(args) -> int:
     g_a = graphs.resolve_model(args.a)
     g_b = graphs.resolve_model(args.b)
-    max_vertices = cfg.budget if cfg.budget is not None else 2_000_000
-    result = locality.iso_radius(g_a, g_b, cfg.bound, max_vertices=max_vertices)
-    print(f"K({args.a}, {args.b}) = {result.display()} (bound {cfg.bound})")
+    max_vertices = (
+        args.budget if args.budget is not None else graphs.DEFAULT_BALL_BUDGET
+    )
+    result = locality.iso_radius(g_a, g_b, args.bound, max_vertices=max_vertices)
+    print(f"K({args.a}, {args.b}) = {result.display()} (bound {args.bound})")
     for k in sorted(result.verdicts):
         print(f"  radius {k}: {'isomorphic' if result.verdicts[k] else 'different'}")
-    if cfg.output:
-        doc = {
-            "a": args.a,
-            "b": args.b,
-            "bound": cfg.bound,
-            "K": result.k,
-            "K_display": result.display(),
-            "verdicts": {str(k): v for k, v in result.verdicts.items()},
-            "witness": result.witness,
-        }
-        ts = _timestamp(cfg)
-        if ts:
-            doc["generated_at"] = ts
-        _atomic_write(cfg.output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK if result.budget_hit is False else EXIT_BUDGET
+    doc = {
+        "a": args.a,
+        "b": args.b,
+        "bound": args.bound,
+        "K": result.k,
+        "K_display": result.display(),
+        "verdicts": {str(k): v for k, v in result.verdicts.items()},
+        "witness": result.witness,
+    }
+    _save(args, doc, _timestamp(args))
+    return EXIT_BUDGET if result.budget_hit else EXIT_OK
 
 
-def cmd_locality(cfg: RunConfig, args) -> int:
-    base = graphs.resolve_model(cfg.model or "zd2")
+def cmd_locality(args) -> int:
+    base = graphs.resolve_model(args.model or "zd2")
     m_list = [int(tok) for tok in args.m_list.split(",") if tok.strip()]
     if not m_list:
         raise GraphError("empty --m-list")
-    n_max = cfg.n_max if cfg.n_max is not None else 10
+    n_max = args.n_max if args.n_max is not None else 10
     presentation_name = (
-        cfg.model
-        if cfg.model in presentations.PRESENTATION_PRESETS
+        args.model
+        if args.model in presentations.PRESENTATION_PRESETS
         else ("zd2" if base.name == "zd2" else None)
     )
     report = locality.locality_scan(
@@ -324,16 +308,13 @@ def cmd_locality(cfg: RunConfig, args) -> int:
         args.family,
         n_max,
         m_list,
-        bound=cfg.bound,
-        threads=cfg.threads,
-        precision=cfg.precision,
-        budget=cfg.budget,
+        bound=args.bound,
+        threads=args.threads,
+        precision=args.precision,
+        budget=args.budget,
         presentation_name=presentation_name,
     )
-    if cfg.format == "json":
-        _emit(cfg, locality.scan_to_json(report, _timestamp(cfg)))
-    else:
-        _emit(cfg, report.to_csv())
+    _emit(args, report)
     return EXIT_BUDGET if report.partial else EXIT_OK
 
 
@@ -382,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_harm = sub.add_parser(
         "harmonic", parents=[common], help="harmonic solutions and repair"
     )
-    p_harm.add_argument("--pg", dest="input_path_alias", default=None,
-                        help="alias for --input")
+    p_harm.add_argument("--pg", dest="input_path", help="alias for --input")
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="height axioms and harmonic defects"
@@ -448,32 +428,15 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_INPUT
 
-    input_path = getattr(args, "input_path", None) or getattr(
-        args, "input_path_alias", None
-    )
-    cfg = RunConfig(
-        command=args.command,
-        model=getattr(args, "model", None),
-        input_path=input_path,
-        n_max=getattr(args, "n_max", None),
-        radius=getattr(args, "radius", 4),
-        bound=getattr(args, "bound", 6),
-        precision=getattr(args, "precision", 10),
-        threads=getattr(args, "threads", 1),
-        budget=getattr(args, "budget", None),
-        output=getattr(args, "output", None),
-        format=getattr(args, "format", "csv"),
-        no_timestamp=getattr(args, "no_timestamp", False),
-    )
-    if cfg.n_max is not None and cfg.n_max < 0:
+    if args.n_max is not None and args.n_max < 0:
         print("error: --n-max must be >= 0", file=sys.stderr)
         return EXIT_INPUT
-    if cfg.precision < 1 or cfg.threads < 1:
+    if args.precision < 1 or args.threads < 1:
         print("error: --precision and --threads must be >= 1", file=sys.stderr)
         return EXIT_INPUT
 
     try:
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

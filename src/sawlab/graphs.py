@@ -99,9 +99,6 @@ class Tree3Oracle(GraphOracle):
                 out.append((v + ch, label))
         return tuple(out)
 
-    def degree_bound(self) -> int:
-        return 3
-
 
 @dataclass(frozen=True)
 class HeisenbergOracle(GraphOracle):
@@ -125,9 +122,6 @@ class HeisenbergOracle(GraphOracle):
             ((a, b, c + 1), "z"),
             ((a, b, c - 1), "Z"),
         )
-
-    def degree_bound(self) -> int:
-        return 6
 
 
 @dataclass(frozen=True)
@@ -157,9 +151,6 @@ class LamplighterOracle(GraphOracle):
     def canonical_key(self, v) -> bytes:
         lamps, pos = v
         return f"{sorted(lamps)}|{pos}".encode()
-
-    def degree_bound(self) -> int:
-        return 3
 
 
 @dataclass(frozen=True)
@@ -219,9 +210,6 @@ class GrandparentOracle(GraphOracle):
         k, w = v
         return f"{k}:{w}".encode()
 
-    def degree_bound(self) -> int:
-        return 8
-
 
 # ---------------------------------------------------------------------------
 # Z^d-periodic voltage graphs
@@ -272,23 +260,10 @@ class PeriodicGraph:
         )
 
     def _connected(self) -> bool:
-        # Orbit connectivity of the quotient...
-        adj: Dict[int, set] = {o: set() for o in range(1, self.orbit_count + 1)}
-        for o1, o2, _t, _l in self.edges:
-            adj[o1].add(o2)
-        seen = {1}
-        stack = [1]
-        while stack:
-            o = stack.pop()
-            for o2 in adj[o]:
-                if o2 not in seen:
-                    seen.add(o2)
-                    stack.append(o2)
-        if len(seen) < self.orbit_count:
-            return False
-        # ...plus the cycle voltages must generate all of Z^d: assign each
-        # orbit a potential from a spanning tree, then every non-tree edge
-        # contributes the voltage of its fundamental cycle.
+        # The quotient is connected iff a spanning-tree search from orbit 1
+        # reaches every orbit; the cycle voltages must also generate all of
+        # Z^d: each orbit gets a potential from the tree, then every
+        # non-tree edge contributes the voltage of its fundamental cycle.
         potential: Dict[int, Tuple[int, ...]] = {1: (0,) * self.dim}
         frontier = [1]
         while frontier:
@@ -297,6 +272,8 @@ class PeriodicGraph:
                 if o1 == o and o2 not in potential:
                     potential[o2] = tuple(p + x for p, x in zip(potential[o], t))
                     frontier.append(o2)
+        if len(potential) < self.orbit_count:
+            return False
         cycle_voltages = []
         for o1, o2, t, _l in self.edges:
             vec = tuple(

@@ -19,8 +19,8 @@ from math import gcd
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ._linalg import InconsistentSystem, integer_kernel, solve_unique
-from .graphs import Ball, GraphOracle, PeriodicGraph, PGOracle, ball
+from ._linalg import solve_unique
+from .graphs import DEFAULT_BALL_BUDGET, Ball, GraphOracle, PeriodicGraph, PGOracle, ball
 from .presentations import choose_ghf, preset_presentation
 
 
@@ -304,44 +304,20 @@ def _solve_for_lambda(
 
 
 def solution_space(pg: PeriodicGraph) -> List[HarmonicSolution]:
-    """Q-basis of harmonic difference-invariant functions with f(1) = 0.
+    """Q-basis of harmonic difference-invariant functions with f(1) = 0:
+    the harmonic extension of lambda = e_i from orbit 1, one per lattice
+    direction.
 
-    One solution per lattice direction (lambda = e_i), plus any
-    homogeneous solutions (lambda = 0, f non-trivial); for a connected
-    quotient the homogeneous part is empty.
+    A PeriodicGraph is connected, so by the matrix-tree theorem its
+    quotient Laplacian with orbit 1's row and column removed has a
+    non-zero determinant (the number of spanning trees). Each extension
+    therefore exists and is unique, and no solution with lambda = 0 other
+    than the constants exists.
     """
-    basis: List[HarmonicSolution] = []
-    errors: List[str] = []
-    for i in range(pg.dim):
-        lam = tuple(
-            Fraction(1) if j == i else Fraction(0) for j in range(pg.dim)
-        )
-        try:
-            f = _solve_for_lambda(pg, lam, pinned_orbit=1, pinned_value=Fraction(0))
-        except InconsistentSystem:
-            errors.append(f"no harmonic solution for lattice direction e{i + 1}")
-            continue
-        basis.append(HarmonicSolution(pg=pg, lam=lam, f=f))
-    if errors:
-        raise HeightError("; ".join(errors))
-    # Homogeneous part: kernel of the pinned quotient Laplacian.
-    m = pg.orbit_count
-    if m > 1:
-        unknowns = list(range(2, m + 1))
-        col = {o: i for i, o in enumerate(unknowns)}
-        rows = []
-        for o in unknowns:
-            row = [0] * len(unknowns)
-            row[col[o]] += pg.degree(o)
-            for o2, _t, _label in pg.out_edges(o):
-                if o2 != 1:
-                    row[col[o2]] -= 1
-            rows.append(row)
-        for vec in integer_kernel(rows, len(unknowns)):
-            f = (Fraction(0),) + tuple(Fraction(x) for x in vec)
-            zero = tuple(Fraction(0) for _ in range(pg.dim))
-            basis.append(HarmonicSolution(pg=pg, lam=zero, f=f))
-    return basis
+    return [
+        harmonic_extension(pg, 1, [int(j == i) for j in range(pg.dim)])
+        for i in range(pg.dim)
+    ]
 
 
 def harmonic_extension(
@@ -542,7 +518,7 @@ def verify_height_axioms(
     g: GraphOracle,
     h: HeightFunction,
     radius: int,
-    max_vertices: int = 2_000_000,
+    max_vertices: int = DEFAULT_BALL_BUDGET,
 ) -> AxiomReport:
     """Check h(root) = 0, difference-invariance, and that every vertex of
     the radius-`radius` ball has a strictly lower and higher neighbor."""
@@ -625,7 +601,7 @@ def verify_harmonic(
     g: GraphOracle,
     h: HeightFunction,
     radius: int,
-    max_vertices: int = 2_000_000,
+    max_vertices: int = DEFAULT_BALL_BUDGET,
 ) -> HarmonicReport:
     """Exact per-vertex harmonic defect h(v) - mean(neighbor heights) over
     the radius-`radius` ball (neighbors live in the radius+1 ball)."""

@@ -20,13 +20,14 @@ convention; the scan verifies this and reports bound gaps for the family.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .graphs import Ball, BudgetExceeded, GraphOracle, ball
+from .graphs import DEFAULT_BALL_BUDGET, Ball, BudgetExceeded, GraphOracle, ball
 from .heights import HeightFunction, resolve_height
-from .saw import BoundsReport, CountTable, count_bridges, count_saws, mu_bounds
+from .saw import (
+    BoundsReport, CountTable, count_bridges, count_saws, mu_bounds, render_json,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +73,7 @@ def ball_iso(
     g_a: GraphOracle,
     g_b: GraphOracle,
     k: int,
-    max_vertices: int = 2_000_000,
+    max_vertices: int = DEFAULT_BALL_BUDGET,
     convention: str = "induced",
 ) -> Tuple[bool, Optional[List[Tuple[str, str]]]]:
     """Rooted-graph isomorphism of the radius-k balls of `convention`.
@@ -171,7 +172,7 @@ def iso_radius(
     g_a: GraphOracle,
     g_b: GraphOracle,
     bound: int,
-    max_vertices: int = 2_000_000,
+    max_vertices: int = DEFAULT_BALL_BUDGET,
     convention: str = "induced",
 ) -> IsoRadiusResult:
     """Largest k <= bound with isomorphic rooted balls of `convention`.
@@ -440,7 +441,4 @@ def locality_scan(
 
 
 def scan_to_json(report: ScanReport, timestamp: Optional[str] = None) -> str:
-    doc = report.to_json_dict()
-    if timestamp is not None:
-        doc["generated_at"] = timestamp
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return render_json(report.to_json_dict(), timestamp)

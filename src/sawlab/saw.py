@@ -694,15 +694,13 @@ def doubling_monotone(bridge_table: CountTable) -> List[Tuple[int, int]]:
     return bad
 
 
+def render_json(doc: dict, timestamp: Optional[str] = None) -> str:
+    """The bytes of a JSON artifact: `doc` with sorted keys, indent 2 and
+    a trailing newline, plus `generated_at` when a timestamp is given."""
+    if timestamp is not None:
+        doc = {**doc, "generated_at": timestamp}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def table_to_json(table: CountTable, timestamp: Optional[str] = None) -> str:
-    doc = table.to_json_dict()
-    if timestamp is not None:
-        doc["generated_at"] = timestamp
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def bounds_to_json(report: BoundsReport, timestamp: Optional[str] = None) -> str:
-    doc = report.to_json_dict()
-    if timestamp is not None:
-        doc["generated_at"] = timestamp
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return render_json(table.to_json_dict(), timestamp)

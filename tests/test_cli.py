@@ -223,6 +223,45 @@ def test_json_artifact_timestamp_control(capsys, tmp_path):
     assert "generated_at" in json.loads(stamped.read_text())
 
 
+# One small job per subcommand, and whether its JSON artifact is stamped
+# with generated_at when --no-timestamp is not given.
+ARTIFACT_JOBS = [
+    (["ghf", "--model", "hexagonal"], False),
+    (["count", "--model", "zd2", "--n-max", "4"], True),
+    (["bridges", "--model", "zd2", "--n-max", "4"], True),
+    (["bounds", "--model", "zd2", "--n-max", "4", "--threads", "1"], True),
+    (["harmonic", "--model", "hexagonal"], False),
+    (["verify", "--model", "zd2", "--radius", "2"], True),
+    (["ball-iso", "--a", "zd2", "--b", "cylinder4", "--bound", "3"], True),
+    (["locality", "--m-list", "4,5", "--n-max", "4", "--threads", "1"], True),
+]
+
+
+@pytest.mark.parametrize("argv,stamped", ARTIFACT_JOBS,
+                         ids=[argv[0] for argv, _ in ARTIFACT_JOBS])
+def test_json_artifact_timestamp_policy(capsys, tmp_path, argv, stamped):
+    plain, stamp = tmp_path / "plain.json", tmp_path / "stamp.json"
+    argv = argv + ["--format", "json"]
+    assert run(capsys, *argv, "--no-timestamp", "--output", str(plain))[0] == EXIT_OK
+    assert run(capsys, *argv, "--output", str(stamp))[0] == EXIT_OK
+    plain_doc, stamp_doc = json.loads(plain.read_text()), json.loads(stamp.read_text())
+    assert "generated_at" not in plain_doc
+    assert ("generated_at" in stamp_doc) == stamped
+    stamp_doc.pop("generated_at", None)
+    assert stamp_doc == plain_doc
+
+
+def test_harmonic_pg_and_input_write_identical_bytes(capsys, tmp_path):
+    doc = tmp_path / "pg.json"
+    doc.write_text(json.dumps({"orbits": 2, "dim": 1, "edges": [[1, 2, [0]], [2, 1, [1]]]}))
+    outputs = []
+    for flag in ("--pg", "--input"):
+        target = tmp_path / f"out{flag}.json"
+        assert run(capsys, "harmonic", flag, str(doc), "--output", str(target))[0] == EXIT_OK
+        outputs.append(target.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_ghf_artifact(capsys, tmp_path):
     target = tmp_path / "ghf.json"
     code, out, _ = run(

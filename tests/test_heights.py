@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from sawlab._linalg import bareiss_rank
 from sawlab.graphs import (
+    PERIODIC_PRESETS,
     PGOracle,
     ball,
     catalog,
@@ -75,6 +77,34 @@ def test_solutions_have_zero_residuals_and_f1_pinned():
         for s in solution_space(pg):
             assert s.f[0] == 0
             assert all(r == 0 for r in harmonic_residuals(pg, s.lam, s.f))
+
+
+PINNED_LAPLACIAN_GRAPHS = (
+    [("preset", name) for name in sorted(PERIODIC_PRESETS)]
+    + [("model", f"zd{d}") for d in range(1, 5)]
+    + [("model", f"{family}{m}") for family in ("cylinder", "ladder_dihedral")
+       for m in range(3, 10)]
+    + [("model", name) for name in ("hexagonal", "square_octagon", "dihedral_line")]
+)
+
+
+@pytest.mark.parametrize("source,name", PINNED_LAPLACIAN_GRAPHS)
+def test_pinned_quotient_laplacian_has_full_rank(source, name):
+    # solution_space relies on this: the quotient Laplacian with orbit 1's
+    # row and column removed is nonsingular, so no lambda = 0 solution
+    # other than the constants exists and every extension is unique.
+    pg = periodic_preset(name) if source == "preset" else resolve_model(name).pg
+    m = pg.orbit_count
+    rows = [[0] * (m - 1) for _ in range(m - 1)]
+    for o in range(2, m + 1):
+        rows[o - 2][o - 2] += pg.degree(o)
+        for o2, _t, _label in pg.out_edges(o):
+            if o2 != 1:
+                rows[o - 2][o2 - 2] -= 1
+    assert bareiss_rank(rows) == m - 1
+    assert [s.lam for s in solution_space(pg)] == [
+        tuple(F(int(i == j)) for j in range(pg.dim)) for i in range(pg.dim)
+    ]
 
 
 def test_solution_constructor_rejects_non_harmonic():
