@@ -6,7 +6,8 @@ identical inputs and options produce byte-identical files.
 - `count`, `bridges`, `bounds` and `locality` write their table in
   `--format` (CSV or JSON) to `--output`, or to stdout without it.
 - `ghf`, `harmonic`, `verify` and `ball-iso` print a text report and
-  write a JSON artifact only with `--output`.
+  write a JSON artifact only with `--output`; they reject `--format csv`.
+  For `verify` and `ball-iso`, `--budget` caps the vertices of a ball.
 
 A JSON artifact carries a `generated_at` timestamp unless
 `--no-timestamp` is given; `ghf` and `harmonic` artifacts never carry
@@ -74,6 +75,11 @@ def _save(args, doc: dict, timestamp: Optional[str] = None) -> None:
     """Write the JSON artifact `doc` to `--output`, if given."""
     if args.output:
         _atomic_write(args.output, saw.render_json(doc, timestamp))
+
+
+def _ball_budget(args) -> int:
+    """`--budget` as the vertex cap of the balls `verify` and `ball-iso` build."""
+    return args.budget if args.budget is not None else graphs.DEFAULT_BALL_BUDGET
 
 
 def _default_n_max(g) -> int:
@@ -230,9 +236,9 @@ def cmd_verify(args) -> int:
         raise GraphError("missing --model")
     g = graphs.resolve_model(args.model)
     h = resolve_height(g, args.height)
-    axioms = heights.verify_height_axioms(g, h, args.radius)
-    harmonic = heights.verify_harmonic(g, h, args.radius)
-    d = heights.compute_d(g, h, max(2, min(args.radius, 4)))
+    axioms, harmonic, d = heights.verify_on_one_ball(
+        g, h, args.radius, max(2, min(args.radius, 4)), _ball_budget(args)
+    )
     print(f"model {args.model}, height {h.name}, radius {args.radius}")
     print(
         f"axioms: {'pass' if axioms.ok else 'FAIL'} "
@@ -272,10 +278,7 @@ def cmd_verify(args) -> int:
 def cmd_ball_iso(args) -> int:
     g_a = graphs.resolve_model(args.a)
     g_b = graphs.resolve_model(args.b)
-    max_vertices = (
-        args.budget if args.budget is not None else graphs.DEFAULT_BALL_BUDGET
-    )
-    result = locality.iso_radius(g_a, g_b, args.bound, max_vertices=max_vertices)
+    result = locality.iso_radius(g_a, g_b, args.bound, max_vertices=_ball_budget(args))
     print(f"K({args.a}, {args.b}) = {result.display()} (bound {args.bound})")
     for k in sorted(result.verdicts):
         print(f"  radius {k}: {'isomorphic' if result.verdicts[k] else 'different'}")
@@ -347,7 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     common.add_argument("--budget", type=int, default=None)
     common.add_argument("--precision", type=int, default=10)
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument(
+        "--format", choices=("csv", "json"), default=None,
+        help="csv (the default) or json; ghf, harmonic, verify and ball-iso "
+        "write JSON only",
+    )
     common.add_argument("--output", default=None)
     common.add_argument("--no-timestamp", dest="no_timestamp", action="store_true")
 
@@ -418,6 +425,10 @@ _COMMANDS = {
 }
 
 
+# Commands whose artifact has no CSV form.
+_JSON_ONLY = ("ghf", "harmonic", "verify", "ball-iso")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -433,6 +444,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     if args.precision < 1 or args.threads < 1:
         print("error: --precision and --threads must be >= 1", file=sys.stderr)
+        return EXIT_INPUT
+    if args.format == "csv" and args.command in _JSON_ONLY:
+        print(f"error: {args.command} writes JSON only; --format csv is not supported",
+              file=sys.stderr)
         return EXIT_INPUT
 
     try:

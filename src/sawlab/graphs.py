@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -638,13 +639,20 @@ DEFAULT_BALL_BUDGET = 2_000_000
 BALL_CONVENTIONS = ("induced", "walk")
 
 
+def _check_convention(convention: str) -> None:
+    if convention not in BALL_CONVENTIONS:
+        raise GraphError(
+            f"unknown ball convention {convention!r}; expected one of {BALL_CONVENTIONS}"
+        )
+
+
 @dataclass
 class Ball:
     """Rooted ball on all vertices within distance `radius` of the root.
 
     Vertices are sorted by (distance, canonical key); edges are index
     pairs (i, j) with i < j, each edge listed exactly once. Which edges
-    are kept depends on the convention `ball` was called with:
+    are kept depends on the ball's `convention`:
 
     - "induced": every edge of the graph between two ball vertices;
     - "walk": the induced edges minus those whose two ends both lie at
@@ -658,6 +666,7 @@ class Ball:
     keys: List[bytes]
     distances: List[int]
     edges: List[Tuple[int, int]]
+    convention: str = "induced"
     index: Dict[object, int] = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -674,6 +683,131 @@ class Ball:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
+    def _check_restrict(self, r: int, convention: str) -> None:
+        _check_convention(convention)
+        if not 0 <= r <= self.radius:
+            raise GraphError(f"radius {r} outside 0..{self.radius}")
+        if r == self.radius and self.convention == "walk" and convention == "induced":
+            raise GraphError("a walk ball lacks the induced ball's outer shell edges")
+
+    def restrict(self, r: int, convention: str = "induced") -> "Ball":
+        """The radius-`r` ball of `convention`, cut from this one.
+
+        Vertices sort by (distance, key), so the radius-r ball's vertices
+        are a prefix of these, and the result has the same vertices,
+        keys, distances, sorted edges and index as
+        `ball(g, r, convention=convention)`.
+        """
+        self._check_restrict(r, convention)
+        if r == self.radius and convention == self.convention:
+            return self
+        n = bisect_right(self.distances, r)
+        dist = self.distances
+        shell = r if convention == "walk" else -1
+        # Edges (i, j) with i < n are a prefix of the sorted list; with
+        # i < j, dist[i] == r and j < n put both ends on the shell.
+        edges = [
+            (i, j)
+            for i, j in self.edges[:bisect_left(self.edges, (n,))]
+            if j < n and dist[i] != shell
+        ]
+        return Ball(
+            center_key=self.center_key,
+            radius=r,
+            vertices=self.vertices[:n],
+            keys=self.keys[:n],
+            distances=dist[:n],
+            edges=edges,
+            convention=convention,
+        )
+
+    def sizes(self, convention: str = "induced") -> List[Tuple[int, int]]:
+        """(vertex count, edge count) of `restrict(r, convention)` for
+        r = 0..radius, in one pass over the edges."""
+        self._check_restrict(self.radius, convention)
+        dist = self.distances
+        outer = [0] * (self.radius + 1)  # edges whose farther end is at r
+        shell = [0] * (self.radius + 1)  # edges with both ends at r
+        for i, j in self.edges:
+            outer[dist[j]] += 1
+            if dist[i] == dist[j]:
+                shell[dist[j]] += 1
+        walk = convention == "walk"
+        out = []
+        edges = 0
+        for r in range(self.radius + 1):
+            edges += outer[r]
+            out.append((bisect_right(dist, r), edges - shell[r] if walk else edges))
+        return out
+
+
+class BallGrowth:
+    """Layered BFS from the root of `g`, one distance layer per `grow`,
+    holding at most `max_vertices` vertices.
+
+    `ball` grows one to a fixed radius; `locality.iso_radius` grows two
+    side by side and stops at the first layer where they differ in size.
+    """
+
+    def __init__(self, g: GraphOracle, max_vertices: int = DEFAULT_BALL_BUDGET):
+        self.g = g
+        self.max_vertices = max_vertices
+        self.radius = 0
+        self.layer_sizes = [1]
+        self._dist = {g.root: 0}
+        self._order = [g.root]
+        self._frontier = [g.root]
+
+    def grow(self) -> bool:
+        """Add the vertices at distance `radius` + 1 and return True; or,
+        if they would take the ball past `max_vertices`, return False
+        and leave the ball as it was."""
+        depth = self.radius + 1
+        dist, order, cap = self._dist, self._order, self.max_vertices
+        nxt = []
+        for v in self._frontier:
+            for w, _label in self.g.neighbors(v):
+                if w not in dist:
+                    dist[w] = depth
+                    order.append(w)
+                    nxt.append(w)
+                    if len(order) > cap:
+                        for u in nxt:
+                            del dist[u]
+                        del order[-len(nxt):]
+                        return False
+        self._frontier = nxt
+        self.radius = depth
+        self.layer_sizes.append(len(nxt))
+        return True
+
+    def ball(self, convention: str = "induced") -> Ball:
+        """The grown ball, of radius `radius`, under `convention`."""
+        _check_convention(convention)
+        g, dist, k = self.g, self._dist, self.radius
+        key_of = {v: g.canonical_key(v) for v in self._order}
+        verts = sorted(self._order, key=lambda v: (dist[v], key_of[v]))
+        index = {v: i for i, v in enumerate(verts)}
+        drop_shell = convention == "walk"
+        edges = set()
+        for v in verts:
+            i = index[v]
+            on_shell = drop_shell and dist[v] == k
+            for w, _label in g.neighbors(v):
+                j = index.get(w)
+                if j is not None and j != i and not (on_shell and dist[w] == k):
+                    edges.add((i, j) if i < j else (j, i))
+        return Ball(
+            center_key=key_of[g.root],
+            radius=k,
+            vertices=verts,
+            keys=[key_of[v] for v in verts],
+            distances=[dist[v] for v in verts],
+            edges=sorted(edges),
+            convention=convention,
+            index=index,
+        )
+
 
 def ball(
     g: GraphOracle,
@@ -685,49 +819,14 @@ def ball(
 
     `convention` "induced" keeps every edge between ball vertices; "walk"
     also drops the edges between two vertices at distance k (see `Ball`).
-    Both give the same vertices, keys and distances.
+    Both give the same vertices, keys and distances. Raises
+    BudgetExceeded if the ball has more than `max_vertices` vertices.
     """
-    if convention not in BALL_CONVENTIONS:
-        raise GraphError(
-            f"unknown ball convention {convention!r}; expected one of {BALL_CONVENTIONS}"
-        )
+    _check_convention(convention)
     if k < 0:
         raise GraphError("radius must be >= 0")
-    root = g.root
-    dist = {root: 0}
-    order = [root]
-    frontier = [root]
-    for depth in range(k):
-        nxt = []
-        for v in frontier:
-            for w, _label in g.neighbors(v):
-                if w not in dist:
-                    dist[w] = depth + 1
-                    order.append(w)
-                    nxt.append(w)
-                    if len(order) > max_vertices:
-                        raise BudgetExceeded(
-                            f"ball({g.name}, {k}) exceeds {max_vertices} vertices"
-                        )
-        frontier = nxt
-    key_of = {v: g.canonical_key(v) for v in order}
-    verts = sorted(order, key=lambda v: (dist[v], key_of[v]))
-    index = {v: i for i, v in enumerate(verts)}
-    drop_shell = convention == "walk"
-    edges = set()
-    for v in verts:
-        i = index[v]
-        on_shell = drop_shell and dist[v] == k
-        for w, _label in g.neighbors(v):
-            j = index.get(w)
-            if j is not None and j != i and not (on_shell and dist[w] == k):
-                edges.add((i, j) if i < j else (j, i))
-    return Ball(
-        center_key=key_of[root],
-        radius=k,
-        vertices=verts,
-        keys=[key_of[v] for v in verts],
-        distances=[dist[v] for v in verts],
-        edges=sorted(edges),
-        index=index,
-    )
+    growth = BallGrowth(g, max_vertices)
+    while growth.radius < k:
+        if not growth.grow():
+            raise BudgetExceeded(f"ball({g.name}, {k}) exceeds {max_vertices} vertices")
+    return growth.ball(convention)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._linalg import solve_unique
 from .graphs import DEFAULT_BALL_BUDGET, Ball, GraphOracle, PeriodicGraph, PGOracle, ball
@@ -514,6 +514,11 @@ class AxiomReport:
         return self.ok
 
 
+def _check_radius(radius: int) -> None:
+    if radius < 0:
+        raise HeightError("radius must be >= 0")
+
+
 def verify_height_axioms(
     g: GraphOracle,
     h: HeightFunction,
@@ -522,9 +527,16 @@ def verify_height_axioms(
 ) -> AxiomReport:
     """Check h(root) = 0, difference-invariance, and that every vertex of
     the radius-`radius` ball has a strictly lower and higher neighbor."""
-    failures: List[str] = []
+    _check_radius(radius)
     b = ball(g, radius + 1, max_vertices=max_vertices)
-    values = height_table(g, h, b)
+    return _axioms(g, h, radius, b, height_table(g, h, b))
+
+
+def _axioms(
+    g: GraphOracle, h: HeightFunction, radius: int, b: Ball, values: List[int]
+) -> AxiomReport:
+    """`verify_height_axioms` on the radius+1 ball `b` and its heights."""
+    failures: List[str] = []
     root_idx = b.index[g.root]
     root_value = values[root_idx]
     if root_value != 0:
@@ -605,8 +617,13 @@ def verify_harmonic(
 ) -> HarmonicReport:
     """Exact per-vertex harmonic defect h(v) - mean(neighbor heights) over
     the radius-`radius` ball (neighbors live in the radius+1 ball)."""
+    _check_radius(radius)
     b = ball(g, radius + 1, max_vertices=max_vertices)
-    values = height_table(g, h, b)
+    return _harmonic(g, radius, b, height_table(g, h, b))
+
+
+def _harmonic(g: GraphOracle, radius: int, b: Ball, values: List[int]) -> HarmonicReport:
+    """`verify_harmonic` on the radius+1 ball `b` and its heights."""
     adj = b.adjacency()
     defects: Dict[Fraction, int] = {}
     worst: Optional[Tuple[str, Fraction]] = None
@@ -638,8 +655,46 @@ def compute_d(g: GraphOracle, h: HeightFunction, radius: int = 2) -> int:
     root, so the ball maximum equals the global maximum.
     """
     b = ball(g, radius)
-    values = height_table(g, h, b)
+    return _max_increment(b, height_table(g, h, b))
+
+
+def _max_increment(b: Ball, values: List[int]) -> int:
     return max(abs(values[i] - values[j]) for i, j in b.edges)
+
+
+class Verification(NamedTuple):
+    axioms: AxiomReport
+    harmonic: HarmonicReport
+    d: int
+
+
+def verify_on_one_ball(
+    g: GraphOracle,
+    h: HeightFunction,
+    radius: int,
+    d_radius: int,
+    max_vertices: int = DEFAULT_BALL_BUDGET,
+) -> Verification:
+    """`verify_height_axioms` and `verify_harmonic` at `radius`, and
+    `compute_d` at `d_radius`, read from one ball and one height table.
+
+    The ball has radius max(radius + 1, d_radius); each check reads the
+    prefix (`Ball.restrict`) of the radius it would have built, so the
+    reports equal those of the three separate calls.
+    """
+    _check_radius(radius)
+    b = ball(g, max(radius + 1, d_radius), max_vertices=max_vertices)
+    values = height_table(g, h, b)
+
+    def prefix(r: int) -> Tuple[Ball, List[int]]:
+        sub = b.restrict(r)
+        return sub, values[:sub.vertex_count()]
+
+    return Verification(
+        axioms=_axioms(g, h, radius, *prefix(radius + 1)),
+        harmonic=_harmonic(g, radius, *prefix(radius + 1)),
+        d=_max_increment(*prefix(d_radius)),
+    )
 
 
 def compute_r(

@@ -23,7 +23,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .graphs import DEFAULT_BALL_BUDGET, Ball, BudgetExceeded, GraphOracle, ball
+from .graphs import DEFAULT_BALL_BUDGET, Ball, BallGrowth, GraphOracle, ball
 from .heights import HeightFunction, resolve_height
 from .saw import (
     BoundsReport, CountTable, count_bridges, count_saws, mu_bounds, render_json,
@@ -83,6 +83,13 @@ def ball_iso(
     """
     ba = ball(g_a, k, max_vertices=max_vertices, convention=convention)
     bb = ball(g_b, k, max_vertices=max_vertices, convention=convention)
+    return _iso_balls(ba, bb)
+
+
+def _iso_balls(
+    ba: Ball, bb: Ball
+) -> Tuple[bool, Optional[List[Tuple[str, str]]]]:
+    """`ball_iso` on two built balls."""
     if ba.vertex_count() != bb.vertex_count():
         return False, None
     if len(ba.edges) != len(bb.edges):
@@ -142,11 +149,7 @@ def ball_iso(
             frames.pop()
 
     witness = sorted(
-        (
-            g_a.canonical_key(ba.vertices[a]).decode(),
-            g_b.canonical_key(bb.vertices[b]).decode(),
-        )
-        for a, b in mapping.items()
+        (ba.keys[a].decode(), bb.keys[b].decode()) for a, b in mapping.items()
     )
     return True, witness
 
@@ -177,44 +180,70 @@ def iso_radius(
 ) -> IsoRadiusResult:
     """Largest k <= bound with isomorphic rooted balls of `convention`.
 
-    Radii are checked in increasing order; the first failure is final
-    because a rooted isomorphism of the radius-(k+1) ball restricts to
-    one of the radius-k ball. For the induced ball this is plain
-    restriction. For the walk ball it holds too: the isomorphism
+    The verdicts are monotone: a rooted isomorphism of the radius-(k+1)
+    ball restricts to one of the radius-k ball. For the induced ball this
+    is plain restriction. For the walk ball it holds too: the isomorphism
     preserves distance from the root, and the walk ball of radius k+1
     keeps every edge among vertices at distance <= k, so it restricts to
     an isomorphism of the induced radius-k ball, and hence of the walk
-    ball of radius k."""
+    ball of radius k.
+
+    So each graph's ball is grown once, layer by layer beside the other,
+    up to `bound`, or until a layer would take either ball past
+    `max_vertices`, or until the layers differ in size. Every smaller
+    ball is a prefix of the grown one (`Ball.restrict`). The candidate
+    radius is the last one up to which the per-radius vertex and edge
+    counts agree; it is checked first, and if it fails, the radii below
+    it are bisected. K is the largest radius that checked isomorphic (0,
+    the root alone, if none did), and the witness is that check's, so
+    `k`, `at_least`, `verdicts` ({0..K: True, K+1: False}), `witness` and
+    `budget_hit` are what checking each radius in increasing order until
+    the first failure gives.
+    """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    verdicts: Dict[int, bool] = {0: True}
-    witness: Optional[List[Tuple[str, str]]] = [
-        (g_a.canonical_key(g_a.root).decode(), g_b.canonical_key(g_b.root).decode())
-    ]
-    k = 0
-    for radius in range(1, bound + 1):
-        try:
-            ok, wit = ball_iso(
-                g_a, g_b, radius, max_vertices=max_vertices, convention=convention
-            )
-        except BudgetExceeded:
-            return IsoRadiusResult(
-                k=k,
-                at_least=True,
-                bound=bound,
-                verdicts=verdicts,
-                witness=witness,
-                budget_hit=True,
-            )
-        verdicts[radius] = ok
-        if not ok:
-            return IsoRadiusResult(
-                k=k, at_least=False, bound=bound, verdicts=verdicts, witness=witness
-            )
-        k = radius
-        witness = wit
+    growths = (BallGrowth(g_a, max_vertices), BallGrowth(g_b, max_vertices))
+    budget_hit = False
+    while growths[0].radius < bound:
+        if not all(growth.grow() for growth in growths):
+            budget_hit = True
+            break
+        if growths[0].layer_sizes[-1] != growths[1].layer_sizes[-1]:
+            break
+    ba, bb = (growth.ball() for growth in growths)
+    top = min(ba.radius, bb.radius)
+    sizes_a, sizes_b = ba.sizes(convention), bb.sizes(convention)
+    candidate = 0
+    while candidate < top and sizes_a[candidate + 1] == sizes_b[candidate + 1]:
+        candidate += 1
+
+    def check(r: int) -> Tuple[bool, Optional[List[Tuple[str, str]]]]:
+        return _iso_balls(ba.restrict(r, convention), bb.restrict(r, convention))
+
+    witness = [(ba.center_key.decode(), bb.center_key.decode())]
+    # Radius k is isomorphic; radius hi is not, or lies past the candidate.
+    k, hi = 0, candidate + 1
+    r = candidate
+    while r > k:
+        ok, wit = check(r)
+        if ok:
+            k, witness = r, wit
+        else:
+            hi = r
+        r = (k + hi) // 2
+    verdicts = {r: True for r in range(k + 1)}
+    if k < top:
+        verdicts[k + 1] = False
+        return IsoRadiusResult(
+            k=k, at_least=False, bound=bound, verdicts=verdicts, witness=witness
+        )
     return IsoRadiusResult(
-        k=k, at_least=True, bound=bound, verdicts=verdicts, witness=witness
+        k=k,
+        at_least=True,
+        bound=bound,
+        verdicts=verdicts,
+        witness=witness,
+        budget_hit=budget_hit,
     )
 
 

@@ -378,6 +378,34 @@ def rooted_isomorphic(ball_a, ball_b) -> bool:
     return matcher.is_isomorphic()
 
 
+def iso_radius_reference(
+    ball_iso: Callable, budget_error: type, g_a, g_b, bound: int, **options
+) -> dict:
+    """The locality radius by checking every radius in increasing order.
+
+    `ball_iso(g_a, g_b, r, **options)` decides one radius from scratch
+    and raises `budget_error` when a ball is too large; both come from
+    the caller, so this file still imports nothing from the package. The
+    first failing radius ends the search. Returns the fields of an
+    `IsoRadiusResult`.
+    """
+    verdicts = {0: True}
+    witness = [(g_a.canonical_key(g_a.root).decode(), g_b.canonical_key(g_b.root).decode())]
+    k = 0
+    for radius in range(1, bound + 1):
+        try:
+            ok, wit = ball_iso(g_a, g_b, radius, **options)
+        except budget_error:
+            return dict(k=k, at_least=True, verdicts=verdicts, witness=witness,
+                        budget_hit=True)
+        verdicts[radius] = ok
+        if not ok:
+            return dict(k=k, at_least=False, verdicts=verdicts, witness=witness,
+                        budget_hit=False)
+        k, witness = radius, wit
+    return dict(k=k, at_least=True, verdicts=verdicts, witness=witness, budget_hit=False)
+
+
 # ---------------------------------------------------------------------------
 # Frozen values (produced by running this file; asserted in tests)
 # ---------------------------------------------------------------------------

@@ -293,3 +293,52 @@ def test_verify_exit_negative_on_failing_height(capsys):
     # constant level has no strictly increasing neighbors
     code, out, _ = run(capsys, "verify", "--model", "zd2", "--height", "level")
     assert code in (EXIT_NEGATIVE, EXIT_INPUT)
+
+
+def test_verify_rejects_negative_radius(capsys):
+    code, out, err = run(capsys, "verify", "--model", "zd2", "--radius", "-1")
+    assert code == EXIT_INPUT
+    assert out == "" and "radius" in err
+
+
+def test_verify_budget_caps_its_ball(capsys):
+    # the radius-3 check reads the radius-4 ball of Z^2: 41 vertices
+    argv = ("verify", "--model", "zd2", "--radius", "3")
+    assert run(capsys, *argv, "--budget", "41")[0] == EXIT_OK
+    code, out, err = run(capsys, *argv, "--budget", "40")
+    assert code == EXIT_BUDGET
+    assert out == "" and "40 vertices" in err
+
+
+def test_verify_builds_one_ball(capsys, monkeypatch):
+    from sawlab import graphs
+
+    grown = []
+    init = graphs.BallGrowth.__init__
+
+    def counting_init(self, g, *args, **kwargs):
+        grown.append(g.name)
+        init(self, g, *args, **kwargs)
+
+    monkeypatch.setattr(graphs.BallGrowth, "__init__", counting_init)
+    for radius in ("0", "1", "5"):
+        grown.clear()
+        assert run(capsys, "verify", "--model", "grandparent", "--radius", radius)[0] == EXIT_OK
+        assert grown == ["grandparent"], radius
+
+
+@pytest.mark.parametrize("argv", [
+    ("ghf", "--model", "hexagonal"),
+    ("harmonic", "--model", "hexagonal"),
+    ("verify", "--model", "zd2", "--radius", "2"),
+    ("ball-iso", "--a", "zd2", "--b", "zd2", "--bound", "2"),
+], ids=lambda argv: argv[0])
+def test_json_only_commands_reject_csv(capsys, tmp_path, argv):
+    target = tmp_path / "out.csv"
+    code, out, err = run(capsys, *argv, "--format", "csv", "--output", str(target))
+    assert code == EXIT_INPUT
+    assert out == "" and "--format csv" in err
+    assert not target.exists()
+    code, _, _ = run(capsys, *argv, "--format", "json", "--output", str(target))
+    assert code == EXIT_OK
+    json.loads(target.read_text())

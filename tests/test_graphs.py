@@ -400,3 +400,57 @@ def test_ball_rejects_unknown_convention():
     for bad in ("", "Walk", "shell"):
         with pytest.raises(GraphError):
             ball(resolve_model("zd2"), 2, convention=bad)
+
+
+CATALOG_MODELS = ("zd1", "zd2", "zd3", "tree3", "heisenberg", "lamplighter",
+                  "grandparent", "dihedral_line", "hexagonal", "square_octagon",
+                  "cylinder5", "ladder_dihedral6")
+
+
+def _fields(b):
+    return (b.center_key, b.radius, b.vertices, b.keys, b.distances, b.edges,
+            b.convention, b.index)
+
+
+@pytest.mark.parametrize("name", CATALOG_MODELS)
+def test_restrict_equals_ball_of_that_radius(name):
+    g = resolve_model(name)
+    top = 4
+    for grown_as in ("induced", "walk"):
+        grown = ball(g, top, convention=grown_as)
+        for convention in ("induced", "walk"):
+            # A walk ball lacks the induced ball's shell edges at its radius.
+            last = top - 1 if (grown_as, convention) == ("walk", "induced") else top
+            cuts = [grown.restrict(r, convention) for r in range(last + 1)]
+            for r, cut in enumerate(cuts):
+                assert _fields(cut) == _fields(ball(g, r, convention=convention)), (
+                    grown_as, convention, r)
+            if last == top:
+                assert grown.sizes(convention) == [
+                    (cut.vertex_count(), len(cut.edges)) for cut in cuts]
+
+
+def test_restrict_rejects_radius_outside_ball():
+    b = ball(resolve_model("zd2"), 2)
+    for r in (-1, 3):
+        with pytest.raises(GraphError):
+            b.restrict(r)
+    with pytest.raises(GraphError):
+        b.restrict(1, "shell")
+    walk = ball(resolve_model("zd2"), 2, convention="walk")
+    with pytest.raises(GraphError):
+        walk.restrict(2, "induced")
+    with pytest.raises(GraphError):
+        walk.sizes("induced")
+
+
+def test_ball_growth_leaves_ball_unchanged_when_a_layer_does_not_fit():
+    from sawlab.graphs import BallGrowth
+
+    g = resolve_model("zd2")
+    growth = BallGrowth(g, max_vertices=20)
+    assert growth.grow() and growth.grow()  # 5, then 13 vertices
+    assert not growth.grow()  # 25 vertices
+    assert not growth.grow()
+    assert growth.radius == 2 and growth.layer_sizes == [1, 4, 8]
+    assert _fields(growth.ball()) == _fields(ball(g, 2))

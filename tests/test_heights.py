@@ -41,6 +41,7 @@ from sawlab.heights import (
     transport,
     verify_harmonic,
     verify_height_axioms,
+    verify_on_one_ball,
 )
 from sawlab.presentations import choose_ghf, preset_presentation
 
@@ -322,6 +323,32 @@ def test_axioms_fail_for_shifted_root():
     report = verify_height_axioms(resolve_model("zd1"), ShiftedHeight(), radius=2)
     assert not report.ok
     assert any("h(root) = 3" in f for f in report.failures)
+
+
+def test_verify_on_one_ball_equals_the_three_checks():
+    cases = CANONICAL + [
+        (name, GammaHeight.from_spec(choose_ghf(preset_presentation(name))))
+        for name in ("tree3", "heisenberg", "lamplighter")
+    ] + [("zd1", AbsHeight()), ("zd1", ShiftedHeight()),
+         ("hexagonal", resolve_height(resolve_model("hexagonal")))]
+    for model, h in cases:
+        g = resolve_model(model)
+        for radius in range(5):
+            d_radius = max(2, min(radius, 4))
+            got = verify_on_one_ball(g, h, radius, d_radius)
+            assert got.axioms == verify_height_axioms(g, h, radius), (model, radius)
+            assert got.harmonic == verify_harmonic(g, h, radius), (model, radius)
+            assert got.d == compute_d(g, h, d_radius), (model, radius)
+
+
+def test_verification_rejects_negative_radius():
+    g = resolve_model("zd2")
+    h = CoordinateHeight(0, label="x")
+    for check in (verify_height_axioms, verify_harmonic):
+        with pytest.raises(HeightError):
+            check(g, h, -1)
+    with pytest.raises(HeightError):
+        verify_on_one_ball(g, h, -1, 2)
 
 
 class _BentPeriodicHeight(PeriodicHeight):

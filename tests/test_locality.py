@@ -5,7 +5,7 @@ import json
 import pytest
 
 import oracles
-from sawlab.graphs import ball, resolve_model
+from sawlab.graphs import PGOracle, ball, periodic_graph_from_document, resolve_model
 from sawlab.locality import (
     ball_iso,
     count_agreement,
@@ -226,3 +226,118 @@ def test_ball_iso_budget():
     res = iso_radius(resolve_model("zd2"), resolve_model("zd2"), 6, max_vertices=30)
     assert res.budget_hit and res.at_least and res.k < 6
     assert res.display() == f">= {res.k}"
+
+
+# ---------------------------------------------------------------------------
+# iso_radius against the ascending loop, and its work bound
+# ---------------------------------------------------------------------------
+
+# Two pairs of periodic graphs on Z, each root a pendant vertex, whose
+# balls agree in vertex and edge counts well beyond K (1 and 2): found by
+# a random search over small documents, they make iso_radius bisect
+# below its candidate radius, which no catalog pair does.
+SAME_SIZES = {
+    "same_sizes_k1_a": {"orbits": 3, "dim": 1, "edges": [
+        [2, 1, [-1]], [1, 3, [0]], [1, 1, [1]], [3, 3, [-1]]]},
+    "same_sizes_k1_b": {"orbits": 3, "dim": 1, "edges": [
+        [2, 1, [0]], [1, 3, [1]], [1, 1, [-1]], [3, 2, [0]]]},
+    "same_sizes_k2_a": {"orbits": 4, "dim": 1, "edges": [
+        [4, 3, [0]], [2, 4, [-1]], [4, 3, [1]], [2, 2, [1]], [2, 3, [-1]], [1, 2, [0]]]},
+    "same_sizes_k2_b": {"orbits": 4, "dim": 1, "edges": [
+        [3, 3, [1]], [1, 2, [0]], [2, 2, [1]], [4, 3, [1]], [2, 4, [0]], [3, 2, [-1]]]},
+}
+
+
+def _model(name):
+    doc = SAME_SIZES.get(name)
+    if doc is None:
+        return resolve_model(name)
+    return PGOracle(periodic_graph_from_document(doc), name)
+
+
+ISO_PAIRS = [
+    ("same_sizes_k1_a", "same_sizes_k1_b"),
+    ("same_sizes_k2_a", "same_sizes_k2_b"),
+    ("hexagonal", "hexagonal"),
+    ("square_octagon", "square_octagon"),
+    ("tree3", "tree3"),
+    ("lamplighter", "lamplighter"),
+    ("cylinder5", "ladder_dihedral5"),
+    ("cylinder6", "ladder_dihedral6"),
+    ("zd2", "cylinder5"),
+    ("zd2", "cylinder8"),
+    ("tree3", "zd2"),
+]
+
+
+def _biting_caps(g_a, g_b, bound):
+    """Vertex caps that first stop a ball at radius 1, mid-range and at
+    the bound, on either side."""
+    caps = set()
+    for r in {1, max(1, bound // 2), bound}:
+        for g in (g_a, g_b):
+            caps.add(ball(g, r).vertex_count() - 1)
+    return sorted(caps)
+
+
+@pytest.mark.parametrize("convention", ["induced", "walk"])
+@pytest.mark.parametrize("pair", ISO_PAIRS, ids="-".join)
+def test_iso_radius_matches_ascending_loop(pair, convention):
+    from sawlab.graphs import BudgetExceeded
+
+    g_a, g_b = (_model(name) for name in pair)
+    for bound in range(9):
+        caps = [None] + (_biting_caps(g_a, g_b, bound) if bound else [])
+        for cap in caps:
+            options = {"convention": convention}
+            if cap is not None:
+                options["max_vertices"] = cap
+            want = oracles.iso_radius_reference(
+                ball_iso, BudgetExceeded, g_a, g_b, bound, **options
+            )
+            res = iso_radius(g_a, g_b, bound, **options)
+            got = dict(k=res.k, at_least=res.at_least, verdicts=res.verdicts,
+                       witness=res.witness, budget_hit=res.budget_hit)
+            assert got == want, (bound, cap)
+            assert list(res.verdicts) == list(want["verdicts"])
+
+
+def test_iso_radius_grows_once_and_bisects(monkeypatch):
+    import math
+
+    from sawlab import graphs, locality
+
+    growths = []
+    checks = []
+    init = graphs.BallGrowth.__init__
+    iso_balls = locality._iso_balls
+
+    def counting_init(self, g, *args, **kwargs):
+        growths.append(g.name)
+        init(self, g, *args, **kwargs)
+
+    def counting_iso(ba, bb):
+        checks.append(ba.radius)
+        return iso_balls(ba, bb)
+
+    monkeypatch.setattr(graphs.BallGrowth, "__init__", counting_init)
+    monkeypatch.setattr(locality, "_iso_balls", counting_iso)
+    most = 0
+    for pair in ISO_PAIRS + [("zd2", "cylinder7"), ("cylinder7", "ladder_dihedral7")]:
+        g_a, g_b = (_model(name) for name in pair)
+        for convention in ("induced", "walk"):
+            for bound in (0, 1, 2, 5, 8):
+                growths.clear()
+                checks.clear()
+                iso_radius(g_a, g_b, bound, convention=convention)
+                assert growths == [g_a.name, g_b.name], (pair, bound)
+                assert len(checks) <= math.ceil(math.log2(bound + 1)) + 1, (pair, bound)
+                most = max(most, len(checks))
+    assert most > 1  # some pair fails at its candidate radius and bisects
+
+
+def test_iso_radius_stops_growing_at_a_size_mismatch():
+    # zd2 and tree3 differ at radius 1: the tree must not be grown to
+    # the bound (3 * 2**19 vertices at radius 20).
+    res = iso_radius(resolve_model("zd2"), resolve_model("tree3"), 20, max_vertices=50)
+    assert res.k == 0 and res.verdicts == {0: True, 1: False} and not res.budget_hit
