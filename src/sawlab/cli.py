@@ -1,17 +1,16 @@
 """Command-line front end.
 
 Subcommands wrap the library modules and write reproducible artifacts:
-identical inputs and options produce byte-identical files.
+identical inputs and options produce byte-identical files. Each one
+declares only the options it reads (`_COMMANDS`, from `_OPTIONS`); any
+other option, or a count or budget out of range, is a usage error.
 
 - `count`, `bridges`, `bounds` and `locality` write their table in
   `--format` (CSV or JSON) to `--output`, or to stdout without it.
 - `ghf`, `harmonic`, `verify` and `ball-iso` print a text report and
   write a JSON artifact only with `--output`; they reject `--format csv`.
-  For `verify` and `ball-iso`, `--budget` caps the vertices of a ball.
-
-A JSON artifact carries a `generated_at` timestamp unless
-`--no-timestamp` is given; `ghf` and `harmonic` artifacts never carry
-one, and CSV output never does. `--pg` is another spelling of `--input`.
+  A JSON artifact carries a `generated_at` timestamp unless
+  `--no-timestamp` is given, but `ghf` and `harmonic` never write one.
 
 Exit codes: 0 success, 2 input error, 3 negative mathematical verdict,
 4 resource budget exceeded. The SAWLAB_BUDGET environment variable
@@ -82,10 +81,6 @@ def _ball_budget(args) -> int:
     return args.budget if args.budget is not None else graphs.DEFAULT_BALL_BUDGET
 
 
-def _default_n_max(g) -> int:
-    return 14 if g.degree_bound() <= 3 else 12
-
-
 # ---------------------------------------------------------------------------
 # Height resolution
 # ---------------------------------------------------------------------------
@@ -109,15 +104,13 @@ def resolve_height(
 
 
 def cmd_ghf(args) -> int:
-    if args.input_path:
+    if args.input_path is not None:
         with open(args.input_path) as handle:
             pres = presentations.parse_presentation(handle.read())
         label = args.input_path
-    elif args.model:
+    else:
         pres = presentations.preset_presentation(args.model)
         label = args.model
-    else:
-        raise PresentationError("ghf needs --model or --input")
     c = presentations.coefficient_matrix(pres)
     rank = presentations.rank_exact(c)
     basis = presentations.integer_kernel_basis(c)
@@ -154,11 +147,10 @@ def cmd_ghf(args) -> int:
 
 
 def _counting_setup(args):
-    if not args.model:
-        raise GraphError("missing --model")
     g = graphs.resolve_model(args.model)
-    n_max = args.n_max if args.n_max is not None else _default_n_max(g)
-    return g, n_max
+    if args.n_max is None:
+        return g, 14 if g.degree_bound() <= 3 else 12
+    return g, args.n_max
 
 
 def cmd_count(args) -> int:
@@ -192,16 +184,14 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_harmonic(args) -> int:
-    if args.input_path:
+    if args.input_path is not None:
         with open(args.input_path) as handle:
             doc = json.load(handle)
         pg = graphs.periodic_graph_from_document(doc)
         label = args.input_path
-    elif args.model:
+    else:
         pg = graphs.periodic_preset(args.model)
         label = args.model
-    else:
-        raise GraphError("harmonic needs --model or --input")
     basis = heights.solution_space(pg)
     repaired = heights.increase_repair(pg)
     doc = {
@@ -232,8 +222,6 @@ def cmd_harmonic(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not args.model:
-        raise GraphError("missing --model")
     g = graphs.resolve_model(args.model)
     h = resolve_height(g, args.height)
     axioms, harmonic, d = heights.verify_on_one_ball(
@@ -296,15 +284,13 @@ def cmd_ball_iso(args) -> int:
 
 
 def cmd_locality(args) -> int:
-    base = graphs.resolve_model(args.model or "zd2")
+    base = graphs.resolve_model(args.model)
     m_list = [int(tok) for tok in args.m_list.split(",") if tok.strip()]
     if not m_list:
         raise GraphError("empty --m-list")
     n_max = args.n_max if args.n_max is not None else 10
     presentation_name = (
-        args.model
-        if args.model in presentations.PRESENTATION_PRESETS
-        else ("zd2" if base.name == "zd2" else None)
+        base.name if base.name in presentations.PRESENTATION_PRESETS else None
     )
     report = locality.locality_scan(
         base,
@@ -326,6 +312,54 @@ def cmd_locality(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _at_least(low: int):
+    """An argparse `type`: an int, and a usage error (exit 2) below `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
+
+
+# Every option, defined once: its flag and its add_argument keywords (the
+# dest is the flag's unless given). A subcommand declares the ones it reads.
+_OPTIONS = {
+    "--format": dict(choices=("csv", "json"), help="csv (the default) or json; "
+                     "ghf, harmonic, verify and ball-iso write JSON only"),
+    "--output": dict(help="artifact path (default: stdout for the tables)"),
+    "--no-timestamp": dict(
+        action="store_true",
+        help="leave generated_at out of the JSON artifact "
+        "(ghf and harmonic never write it, so they ignore this)",
+    ),
+    "--threads": dict(
+        type=_at_least(1), default=os.cpu_count() or 1,
+        help="worker processes of the walk counts (default: the CPU count); "
+        "ghf, harmonic, verify and ball-iso ignore it",
+    ),
+    "--model": dict(help="catalog model or preset name"),
+    "--input": dict(dest="input_path", help="input document path"),
+    "--pg": dict(dest="input_path", help="another spelling of --input"),
+    "--n-max": dict(type=_at_least(0), help="longest walk (default: 14 on degree <= 3, "
+                    "else 12; locality 10)"),
+    "--height": dict(help="x|y|identity|level|ghf|repaired (default: the model's)"),
+    "--budget": dict(
+        type=_at_least(1),
+        help="node budget of a count, or vertex cap of a ball in verify and ball-iso",
+    ),
+    "--precision": dict(type=_at_least(1), default=10, help="digits of the root bounds"),
+    "--radius": dict(type=int, default=4, help="radius of the checked ball"),
+    "--bound": dict(type=int, default=6, help="largest radius compared"),
+    "--a": dict(required=True, help="first model"),
+    "--b": dict(required=True, help="second model"),
+    "--family": dict(default="cylinder_zd", help="quotient family of the scan"),
+    "--m-list": dict(default="4,5,6,7,8,9", help="comma-separated family members"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sawlab",
@@ -340,51 +374,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="list presentation presets, periodic-graph presets, and models",
     )
     sub = parser.add_subparsers(dest="command")
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", help="catalog model or preset name")
-    common.add_argument("--input", dest="input_path", help="input document path")
-    common.add_argument("--n-max", dest="n_max", type=int, default=None)
-    common.add_argument("--radius", type=int, default=4)
-    common.add_argument("--bound", type=int, default=6)
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    common.add_argument("--budget", type=int, default=None)
-    common.add_argument("--precision", type=int, default=10)
-    common.add_argument(
-        "--format", choices=("csv", "json"), default=None,
-        help="csv (the default) or json; ghf, harmonic, verify and ball-iso "
-        "write JSON only",
-    )
-    common.add_argument("--output", default=None)
-    common.add_argument("--no-timestamp", dest="no_timestamp", action="store_true")
-
-    sub.add_parser("ghf", parents=[common], help="group height function report")
-
-    p_count = sub.add_parser("count", parents=[common], help="sigma_n table")
-    p_bridges = sub.add_parser("bridges", parents=[common], help="b_n table")
-    p_bounds = sub.add_parser("bounds", parents=[common], help="mu bound sandwich")
-    for p in (p_bridges, p_bounds):
-        p.add_argument("--height", default=None, help="x|y|identity|level|ghf|repaired")
-    p_count.add_argument("--height", default=None, help=argparse.SUPPRESS)
-
-    p_harm = sub.add_parser(
-        "harmonic", parents=[common], help="harmonic solutions and repair"
-    )
-    p_harm.add_argument("--pg", dest="input_path", help="alias for --input")
-
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="height axioms and harmonic defects"
-    )
-    p_verify.add_argument("--height", default=None)
-
-    p_iso = sub.add_parser("ball-iso", parents=[common], help="locality radius K")
-    p_iso.add_argument("--a", required=True)
-    p_iso.add_argument("--b", required=True)
-
-    p_loc = sub.add_parser("locality", parents=[common], help="family scan")
-    p_loc.add_argument("--family", default="cylinder_zd")
-    p_loc.add_argument("--m-list", dest="m_list", default="4,5,6,7,8,9")
-
+    shared = argparse.ArgumentParser(add_help=False)
+    for flag in ("--format", "--output", "--no-timestamp", "--threads"):
+        shared.add_argument(flag, **_OPTIONS[flag])
+    for name, (_, help, flags, model) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[shared], help=help, allow_abbrev=False)
+        if "--input" in flags.split():  # exactly one of --model and --input (or --pg)
+            p = p.add_mutually_exclusive_group(required=True)
+        for flag in flags.split():
+            keywords = model if flag == "--model" else {}
+            p.add_argument(flag, **{**_OPTIONS[flag], **keywords})
     return parser
 
 
@@ -413,15 +412,22 @@ def print_presets() -> None:
     )
 
 
+# Each subcommand: its function, its help, the options it declares after
+# the shared four, and the keywords its --model takes.
+_REQUIRED = {"required": True}
 _COMMANDS = {
-    "ghf": cmd_ghf,
-    "count": cmd_count,
-    "bridges": cmd_bridges,
-    "bounds": cmd_bounds,
-    "harmonic": cmd_harmonic,
-    "verify": cmd_verify,
-    "ball-iso": cmd_ball_iso,
-    "locality": cmd_locality,
+    "ghf": (cmd_ghf, "group height function report", "--model --input", {}),
+    "count": (cmd_count, "sigma_n table", "--model --n-max --budget", _REQUIRED),
+    "bridges": (cmd_bridges, "b_n table", "--model --n-max --budget --height", _REQUIRED),
+    "bounds": (cmd_bounds, "mu bound sandwich",
+               "--model --n-max --budget --height --precision", _REQUIRED),
+    "harmonic": (cmd_harmonic, "harmonic solutions and repair", "--model --input --pg", {}),
+    "verify": (cmd_verify, "height axioms and harmonic defects",
+               "--model --height --radius --budget", _REQUIRED),
+    "ball-iso": (cmd_ball_iso, "locality radius K", "--a --b --bound --budget", {}),
+    "locality": (cmd_locality, "family scan", "--model --family --m-list --n-max "
+                 "--bound --budget --precision",
+                 {"default": "zd2", "help": "base model (default: zd2)"}),
 }
 
 
@@ -438,20 +444,13 @@ def main(argv=None) -> int:
     if not args.command:
         parser.print_usage(sys.stderr)
         return EXIT_INPUT
-
-    if args.n_max is not None and args.n_max < 0:
-        print("error: --n-max must be >= 0", file=sys.stderr)
-        return EXIT_INPUT
-    if args.precision < 1 or args.threads < 1:
-        print("error: --precision and --threads must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
     if args.format == "csv" and args.command in _JSON_ONLY:
         print(f"error: {args.command} writes JSON only; --format csv is not supported",
               file=sys.stderr)
         return EXIT_INPUT
 
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, artifacts, golden outputs."""
 
+import argparse
 import json
 
 import pytest
 
+from sawlab import cli
 from sawlab.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, main
 
 
@@ -342,3 +344,161 @@ def test_json_only_commands_reject_csv(capsys, tmp_path, argv):
     code, _, _ = run(capsys, *argv, "--format", "json", "--output", str(target))
     assert code == EXIT_OK
     json.loads(target.read_text())
+
+
+# ---------------------------------------------------------------------------
+# Each subcommand parses only the options it reads
+# ---------------------------------------------------------------------------
+
+SHARED_DESTS = {"format", "output", "no_timestamp", "threads"}
+
+# Each subcommand's own options (after the shared four) and one small job.
+OWN_OPTIONS = {
+    "ghf": ("--model", "--input"),
+    "count": ("--model", "--n-max", "--budget"),
+    "bridges": ("--model", "--n-max", "--budget", "--height"),
+    "bounds": ("--model", "--n-max", "--budget", "--height", "--precision"),
+    "harmonic": ("--model", "--input", "--pg"),
+    "verify": ("--model", "--height", "--radius", "--budget"),
+    "ball-iso": ("--a", "--b", "--bound", "--budget"),
+    "locality": ("--model", "--family", "--m-list", "--n-max", "--bound", "--budget",
+                 "--precision"),
+}
+SMALL_JOBS = {
+    "ghf": ["ghf", "--model", "hexagonal"],
+    "count": ["count", "--model", "zd2", "--n-max", "3"],
+    "bridges": ["bridges", "--model", "zd2", "--n-max", "3"],
+    "bounds": ["bounds", "--model", "zd2", "--n-max", "3"],
+    "harmonic": ["harmonic", "--model", "hexagonal"],
+    "verify": ["verify", "--model", "zd2", "--radius", "1"],
+    "ball-iso": ["ball-iso", "--a", "zd2", "--b", "cylinder4", "--bound", "2"],
+    "locality": ["locality", "--m-list", "4", "--n-max", "3"],
+}
+# The shared flags a subcommand accepts but has no use for.
+HARNESS_NO_OPS = {
+    "ghf": {"threads", "no_timestamp"},
+    "harmonic": {"threads", "no_timestamp"},
+    "verify": {"threads"},
+    "ball-iso": {"threads"},
+}
+# Every subcommand refuses the options of the others, and no prefix of an
+# option stands for it (`count --b` is not `--budget`).
+EVERY_OWN_OPTION = sorted(set().union(*OWN_OPTIONS.values()))
+UNDECLARED = [
+    (command, flag)
+    for command, own in OWN_OPTIONS.items()
+    for flag in EVERY_OWN_OPTION
+    if flag not in own
+] + [("count", "--b"), ("verify", "--b"), ("bounds", "--pre")]
+
+
+def _dest(flag):
+    return "input_path" if flag in ("--input", "--pg") else flag[2:].replace("-", "_")
+
+
+def _exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code
+
+
+@pytest.mark.parametrize("command,flag", UNDECLARED, ids=[f"{c}{f}" for c, f in UNDECLARED])
+def test_subcommand_rejects_options_it_does_not_read(capsys, command, flag):
+    assert _exit_code(SMALL_JOBS[command] + ["--threads", "1", flag, "3"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--model", "zd2", "--n-max", "3", "--radius", "99", "--bound", "-5",
+     "--input", "/nonexistent"),
+    ("ghf", "--model", "hexagonal", "--n-max", "3"),
+    ("ghf", "--model", "hexagonal", "--n-max", "3", "--budget", "7", "--radius", "2"),
+    ("ball-iso", "--a", "zd2", "--b", "zd2", "--bound", "2", "--model", "zd2"),
+], ids=lambda argv: argv[0])
+def test_ignored_options_are_usage_errors(capsys, argv):
+    assert _exit_code(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("ghf", "--model", "hexagonal", "--input", "presentation.json"),
+    ("harmonic", "--model", "hexagonal", "--input", "pg.json"),
+    ("harmonic", "--model", "hexagonal", "--pg", "pg.json"),
+    ("harmonic", "--input", "pg.json", "--pg", "pg.json"),
+    ("ghf",),
+    ("harmonic",),
+], ids=" ".join)
+def test_ghf_and_harmonic_take_exactly_one_input(capsys, argv):
+    assert _exit_code(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["ghf", "harmonic"])
+def test_empty_input_path_is_a_missing_file(capsys, command):
+    code, out, err = run(capsys, command, "--input", "")
+    assert code == EXIT_INPUT
+    assert out == "" and "No such file" in err
+
+
+BUDGETED = ["count", "bounds", "verify", "ball-iso", "locality"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--model", "zd2", "--n-max", "3", "--threads", "0"),
+    ("bounds", "--model", "zd2", "--n-max", "3", "--threads", "1", "--precision", "0"),
+    ("locality", "--m-list", "4", "--n-max", "3", "--threads", "1", "--precision", "0"),
+    ("count", "--model", "zd2", "--n-max", "-1", "--threads", "1"),
+    ("locality", "--m-list", "4", "--n-max", "-1", "--threads", "1"),
+    ("count", "--model", "zd2", "--n-max", "x", "--threads", "1"),
+] + [
+    (*SMALL_JOBS[command], "--threads", "1", "--budget", budget)
+    for command in BUDGETED for budget in ("0", "-5")
+], ids=" ".join)
+def test_invalid_values_are_usage_errors(capsys, argv):
+    assert _exit_code(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", sorted(OWN_OPTIONS))
+def test_every_declared_option_is_read(capsys, tmp_path, monkeypatch, command):
+    parsed, reads = {}, set()
+
+    class ReadSpy(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    build = cli.build_parser
+
+    def spying_parser():
+        parser = build()
+        parse = parser.parse_args
+
+        def parse_and_spy(argv):
+            parsed.update(vars(parse(argv)))
+            return ReadSpy(**parsed)
+
+        parser.parse_args = parse_and_spy
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", spying_parser)
+    argv = SMALL_JOBS[command] + ["--threads", "1", "--format", "json", "--no-timestamp",
+                                  "--output", str(tmp_path / "artifact.json")]
+    assert main(argv) == EXIT_OK
+    declared = set(parsed) - {"command", "preset_list"}
+    assert declared == SHARED_DESTS | {_dest(flag) for flag in OWN_OPTIONS[command]}
+    assert declared - reads == HARNESS_NO_OPS.get(command, set())
+
+
+@pytest.mark.parametrize("canonical,alias", [
+    ("zd3", "ZD3"), ("dihedral", "dihedral_line"), ("zd2", "zd_2"),
+])
+def test_locality_artifact_for_every_model_spelling(capsys, canonical, alias):
+    argv = ["--m-list", "4", "--n-max", "3", "--threads", "1", "--format", "json",
+            "--no-timestamp"]
+    code, want, _ = run(capsys, "locality", "--model", canonical, *argv)
+    assert code == EXIT_OK
+    assert json.loads(want)["rank_precondition"] is not None
+    code, got, err = run(capsys, "locality", "--model", alias, *argv)
+    assert code == EXIT_OK, err
+    assert got == want
