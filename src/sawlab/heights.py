@@ -166,12 +166,13 @@ def transport(
     `heights` (per id: `h.origin` at the start, else `h.across` along the
     first edge in; 0 if `h` is None). With `above`, only edges into
     vertices above the start are followed, and distance is measured along
-    them. Yields (depth, ids its followed edges reach in neighbor order)
-    for each vertex at distance depth < `radius`, in id order. An edge
-    that gives a kept vertex a second height raises HeightConflict. The
-    "walk" `convention` keeps no vertex at distance `radius`: each edge
-    into one gets a fresh id. "induced" keeps them and also checks the
-    edges between two of them, as in an induced `graphs.Ball`.
+    them. Yields (depth, ids its followed edges reach in neighbor order,
+    the labels of those edges) for each vertex at distance depth <
+    `radius`, in id order. An edge that gives a kept vertex a second
+    height raises HeightConflict. The "walk" `convention` keeps no vertex
+    at distance `radius`: each edge into one gets a fresh id. "induced"
+    keeps them and also checks the edges between two of them, as in an
+    induced `graphs.Ball`.
     """
     across = None if h is None else h.across
     h0 = 0 if h is None else h.origin(start)
@@ -188,6 +189,7 @@ def transport(
         for i in range(lo, hi):
             hv = heights[i]
             row = []
+            labels = []
             for w, label in g.neighbors(vertices[i]):
                 hw = 0 if across is None else across(hv, w, label)
                 if floor is not None and hw <= floor:
@@ -204,7 +206,8 @@ def transport(
                 elif heights[j] != hw:
                     raise HeightConflict(w, heights[j], hw)
                 row.append(j)
-            yield depth, row
+                labels.append(label)
+            yield depth, row, labels
         lo = hi
 
 

@@ -20,21 +20,42 @@ Two walkers share one contract: extend a given path by up to a number of
 steps and return the per-depth tallies. Every walk of length <= n from
 the start lies in the radius-n ball, so each count first compiles that
 ball once (`_compile_ball`) from one `heights.transport` BFS: ids,
-integer adjacency rows in the oracle's neighbor order, and one height per
-id. `_walk_ball` then runs the DFS over ints with a bytearray visited
-mask. Errors of the oracle or the height propagate from the build, and a
-height that the BFS gives two values at one vertex is not well defined:
-the count raises HeightConflict, as `heights.height_table` does. A ball
-with more than MAX_BALL_VERTICES inner vertices is not compiled; such a
-count runs `_walk`, the same DFS over the oracle's vertex objects, which
-carries the height along each walk unchecked. With more than one thread,
-a real pass lists the feasible prefixes of length SPLIT_DEPTH and extends
+integer adjacency rows in the oracle's neighbor order, the edge labels of
+each row, and one height per id. `_walk_ball` then runs the DFS over ints
+with a bytearray visited mask. Errors of the oracle or the height
+propagate from the build, and a height that the BFS gives two values at
+one vertex is not well defined: the count raises HeightConflict, as
+`heights.height_table` does. A ball with more than MAX_BALL_VERTICES
+inner vertices is not compiled; such a count runs `_walk`, the same DFS
+over the oracle's vertex objects, which carries the height along each
+walk unchecked. With more than one thread, or with a symmetry (below), a
+real pass lists the feasible prefixes of length SPLIT_DEPTH and extends
 them, in a process pool if the pass is big enough to pay for starting one
 (POOL_MIN_NODES, decided from exact node bounds, never from a clock) and
 otherwise in this process. The pool's initializer gives each worker the
 walker state once (the compiled ball, or the oracle and height), so a
-task is only a prefix, the steps left and the prefix's heights; each
-worker gets one chunk of tasks per real pass.
+task is only a prefix, the steps left and the prefix's heights; workers
+take the tasks one at a time.
+
+Symmetry: an automorphism of the compiled ball that fixes the start (and,
+for bridges, every height) maps the walks that extend a prefix
+bijectively onto the walks that extend its image. So each count looks for
+label permutations that act as such automorphisms (`_symmetries`): a
+candidate is accepted only when a BFS over the ball the count walks
+certifies it (`_certify`), and no symmetry is assumed from a model's
+name. A real pass then merges the listed prefixes into orbits under the
+accepted ones, extends one prefix per orbit and counts its tallies once
+for every prefix of the orbit, at any thread count. The tallies, and so
+the counts, `nodes_used`, `high_water` and `partial`, are those of the
+full DFS; `nodes_used` still counts every node of the unreduced schedule.
+Of the catalog, zd_d, heisenberg, hexagonal, square_octagon, the
+cylinders, the ladders and the dihedral line are reduced, though not
+every bridge count is (hexagonal's repaired height keeps no certified
+symmetry). The grandparent graph has no label permutation that is an
+automorphism, so its counts run unreduced. tree3 and lamplighter are
+reduced only while their ball is compiled (SAWs to n = 10 and 12);
+beyond that their balls pass MAX_BALL_VERTICES and they walk the oracle
+unreduced, as a certificate needs the ball.
 
 Bridges follow the height inequalities h(start) < h(pi_i) <= h(pi_n):
 every vertex after the start is strictly higher than the start, and the
@@ -51,6 +72,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ._linalg import nth_root_decimal, root_compare
@@ -202,11 +224,14 @@ class _CompiledBall(NamedTuple):
     per leaf height. `heights[i]` is the height of id i relative to the
     start; all 0 for SAWs. For bridges only the edges into vertices
     strictly above the start are kept, and distance is measured along
-    them.
+    them. `labels[i]` holds the oracle's labels of the edges in
+    `rows[i]`, entry for entry; rows with the same labels share one
+    tuple. The symmetry finder reads them (`_symmetries`).
     """
 
     rows: List[List[int]]
     heights: List[int]
+    labels: List[Tuple[str, ...]]
 
 
 def _compile_ball(
@@ -215,15 +240,18 @@ def _compile_ball(
     """The radius-`n` ball around `start` for `_walk_ball`, or None if it
     has more than MAX_BALL_VERTICES inner vertices.
 
-    One `heights.transport` BFS gives the ids, rows and heights, so an
-    error of the oracle or the height propagates, and HeightConflict is
-    raised if an edge the ball keeps gives an inner vertex two heights.
+    One `heights.transport` BFS gives the ids, rows, labels and heights,
+    so an error of the oracle or the height propagates, and
+    HeightConflict is raised if an edge the ball keeps gives an inner
+    vertex two heights.
     """
     ids: Dict[object, int] = {}
     carried: List[int] = []
     rows: List[List[int]] = []
+    labels: List[Tuple[str, ...]] = []
+    shared: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
     leaves: Dict[int, int] = {}  # leaf id per height
-    for depth, row in transport(g, h, start, n, ids, carried, above=h is not None):
+    for depth, row, names in transport(g, h, start, n, ids, carried, above=h is not None):
         inner = len(ids)
         if depth < n - 1:
             if inner > MAX_BALL_VERTICES:
@@ -234,8 +262,10 @@ def _compile_ball(
                 if i >= inner:
                     row[k] = leaves.setdefault(carried[i] - carried[0], inner + len(leaves))
         rows.append(row)
+        names = tuple(names)
+        labels.append(shared.setdefault(names, names))
     heights = [hv - carried[0] for hv in carried[:len(ids)]] + list(leaves)
-    return _CompiledBall(rows, heights)
+    return _CompiledBall(rows, heights, labels)
 
 
 def _walk_ball(
@@ -330,6 +360,264 @@ def _walk_task(task) -> Tuple[List[int], List[int]]:
 
 
 # ---------------------------------------------------------------------------
+# Certified symmetry of a compiled ball
+# ---------------------------------------------------------------------------
+
+
+def _compose(p: tuple, q: tuple) -> tuple:
+    """The permutation p, then q (tuples of images)."""
+    return tuple(q[x] for x in p)
+
+
+def _inverse(p: tuple) -> tuple:
+    inverse = [0] * len(p)
+    for x, y in enumerate(p):
+        inverse[y] = x
+    return tuple(inverse)
+
+
+class _PermGroup:
+    """The group generated by permutations of range(n), held as a base
+    and strong generating set (deterministic Schreier-Sims), so that a
+    membership test costs time polynomial in n however large the group
+    is."""
+
+    def __init__(self, n: int):
+        self.identity = tuple(range(n))
+        self.base: List[int] = []
+        self.gens: List[tuple] = []  # strong generators
+        # Per base point b_i: orbit point -> an element of the stabilizer
+        # of b_0 .. b_(i-1) that maps b_i to it.
+        self.levels: List[Dict[int, tuple]] = []
+
+    def _strip(self, g: tuple, start: int = 0) -> Tuple[tuple, int]:
+        """Sift g from level `start`: (residue, level it stopped at)."""
+        for i in range(start, len(self.base)):
+            u = self.levels[i].get(g[self.base[i]])
+            if u is None:
+                return g, i
+            g = _compose(g, _inverse(u))
+        return g, len(self.base)
+
+    def __contains__(self, g: tuple) -> bool:
+        return self._strip(g)[0] == self.identity
+
+    def _level_gens(self, i: int) -> List[tuple]:
+        fixed = self.base[:i]
+        return [s for s in self.gens if all(s[b] == b for b in fixed)]
+
+    def _orbit(self, i: int) -> None:
+        gens = self._level_gens(i)
+        level = {self.base[i]: self.identity}
+        queue = [self.base[i]]
+        for gamma in queue:
+            for s in gens:
+                delta = s[gamma]
+                if delta not in level:
+                    level[delta] = _compose(level[gamma], s)
+                    queue.append(delta)
+        self.levels[i] = level
+
+    def _new_base_point(self, g: tuple) -> None:
+        self.base.append(next(x for x, y in enumerate(g) if x != y))
+        self.levels.append({})
+
+    def add(self, g: tuple) -> None:
+        """Add the generator g, which is not in the group yet."""
+        self.gens.append(g)
+        if all(g[b] == b for b in self.base):
+            self._new_base_point(g)
+        for i in range(len(self.base)):
+            self._orbit(i)
+        # The levels after i hold a complete chain: sift the Schreier
+        # generators of level i through them, and add what does not sift.
+        i = len(self.base) - 1
+        while i >= 0:
+            i = self._check_level(i)
+
+    def _check_level(self, i: int) -> int:
+        """The next level to check after level i."""
+        level = self.levels[i]
+        gens = self._level_gens(i)
+        for gamma, u in level.items():
+            for s in gens:
+                h, j = self._strip(_compose(_compose(u, s), _inverse(level[s[gamma]])), i + 1)
+                if h != self.identity:
+                    self.gens.append(h)
+                    if j == len(self.base):
+                        self._new_base_point(h)
+                    for k in range(i + 1, j + 1):
+                        self._orbit(k)
+                    return j
+        return i - 1
+
+
+def _label_positions(ball: _CompiledBall) -> List[Dict[str, int]]:
+    """Per row, the position of each of its labels (the last one, if a
+    label repeats); rows with the same labels share one dict."""
+    shapes = {labels: {label: k for k, label in enumerate(labels)} for labels in set(ball.labels)}
+    return [shapes[labels] for labels in ball.labels]
+
+
+def _certify(ball: _CompiledBall, move: Dict[str, str],
+             where: Optional[List[Dict[str, int]]] = None) -> Optional[List[int]]:
+    """The automorphism of `ball` that fixes the start and steps along
+    label `move.get(l, l)` wherever the ball steps along label l, as a map
+    of inner ids; None if there is none.
+
+    A BFS from id 0 sets phi(w.l) = phi(w).move(l), and phi is accepted
+    only if it is a bijection of the inner ids that maps every row onto a
+    row entry for entry, maps each leaf entry to the same leaf id and
+    keeps every height. Such a phi maps the walks that extend a path of
+    ids bijectively onto those that extend its image, with the same
+    heights, so both have the same tallies. A row that repeats a label
+    rejects phi. `where` is `_label_positions(ball)`, which callers that
+    certify many moves on one ball compute once.
+    """
+    rows, heights = ball.rows, ball.heights
+    inner = len(rows)
+    if where is None:
+        where = _label_positions(ball)
+    phi = [-1] * inner
+    phi[0] = 0
+    taken = bytearray(inner)
+    taken[0] = 1
+    # Ids are in BFS order, so phi(i) is set before row i is read.
+    for i in range(inner):
+        v = phi[i]
+        row, image = rows[i], rows[v]
+        if len(row) != len(image):
+            return None
+        positions = where[v]
+        if len(positions) < len(image):
+            return None
+        for j, label in zip(row, ball.labels[i]):
+            k = positions.get(move.get(label, label))
+            if k is None:
+                return None
+            w = image[k]
+            if j >= inner or w >= inner:
+                if w != j:
+                    return None
+            elif phi[j] < 0:
+                if taken[w]:
+                    return None
+                phi[j] = w
+                taken[w] = 1
+            elif phi[j] != w:
+                return None
+    if any(heights[phi[i]] != heights[i] for i in range(inner)):
+        return None
+    return phi
+
+
+def _label_moves(g: GraphOracle, start, names: List[str]) -> List[Dict[str, str]]:
+    """Candidate label permutations, each as {label: image} for the
+    labels it moves: those that commute with the edge-label inversion and
+    move at most two inversion classes.
+
+    The inversion is read from the oracle at `start` (a bridge ball drops
+    the edges back down): l and m are inverse if the l-edge from the
+    start comes back along m and the m-edge along l. A class is an
+    inverse pair {l, m}, a self-inverse label, or a label with no
+    inverse read; a candidate maps classes onto classes of the same kind,
+    so there are O(|names|^2) of them. The candidates only prune: each
+    accepted one is certified by `_certify`.
+    """
+    inverse = {}
+    for w, label in g.neighbors(start):
+        back = [m for u, m in g.neighbors(w) if u == start]
+        if len(back) == 1:
+            inverse[label] = back[0]
+    known = set(names)
+    classes: List[tuple] = []
+    kinds: List[str] = []
+    seen = set()
+    for label in names:
+        if label in seen:
+            continue
+        m = inverse.get(label)
+        if m is None or m not in known or inverse.get(m) != label:
+            cls, kind = (label,), "free"
+        elif m == label:
+            cls, kind = (label,), "involution"
+        else:
+            cls, kind = (label, m), "pair"
+        seen.update(cls)
+        classes.append(cls)
+        kinds.append(kind)
+    moves = []
+    for a, cls in enumerate(classes):
+        if kinds[a] == "pair":
+            p, P = cls
+            moves.append({p: P, P: p})
+        for b in range(a + 1, len(classes)):
+            if kinds[b] != kinds[a]:
+                continue
+            if kinds[a] != "pair":
+                moves.append({cls[0]: classes[b][0], classes[b][0]: cls[0]})
+                continue
+            p, P = cls
+            q, Q = classes[b]
+            moves.append({p: P, P: p, q: Q, Q: q})
+            # The four maps that exchange the two pairs.
+            for x, X in ((q, Q), (Q, q)):
+                for y, Y in ((p, P), (P, p)):
+                    moves.append({p: x, P: X, q: y, Q: Y})
+    return moves
+
+
+def _symmetries(g: GraphOracle, ball: _CompiledBall, start) -> List[List[int]]:
+    """Generators of the group of certified label automorphisms of `ball`
+    (see `_certify`), each a map of inner ids; [] if there is none, as
+    when a row repeats a label.
+
+    Each candidate of `_label_moves` that is not yet in the group the
+    accepted ones generate is certified on the ball; group membership is
+    decided exactly on the label permutations (`_PermGroup`), which
+    determine the automorphisms.
+    """
+    names = list(dict.fromkeys(chain.from_iterable(ball.labels)))
+    index = {label: k for k, label in enumerate(names)}
+    group = _PermGroup(len(names))
+    where = _label_positions(ball)
+    generators = []
+    for move in _label_moves(g, start, names):
+        perm = tuple(index[move.get(label, label)] for label in names)
+        if perm in group:
+            continue
+        phi = _certify(ball, move, where)
+        if phi is not None:
+            group.add(perm)
+            generators.append(phi)
+    return generators
+
+
+def _orbit_tasks(prefixes: list, rest: int, symmetries: List[List[int]]):
+    """One task (path, rest, hv, hmax) per orbit of the listed prefixes
+    under the generators `symmetries`, for its first prefix in listing
+    order, and the number of listed prefixes in each orbit."""
+    orbit_of: Dict[tuple, int] = {}
+    tasks: list = []
+    weights: List[int] = []
+    for path, hv, hm in prefixes:
+        k = orbit_of.get(path)
+        if k is None:
+            k = orbit_of[path] = len(tasks)
+            tasks.append((path, rest, hv, max(hv, hm)))
+            weights.append(0)
+            orbit = [path]
+            for p in orbit:
+                for phi in symmetries:
+                    image = tuple(phi[i] for i in p)
+                    if image not in orbit_of:
+                        orbit_of[image] = k
+                        orbit.append(image)
+        weights[k] += 1
+    return tasks, weights
+
+
+# ---------------------------------------------------------------------------
 # Public counting API
 # ---------------------------------------------------------------------------
 
@@ -369,41 +657,44 @@ def _plan_depth(depth: int, n_max: int, nodes_used: int, last: int, factor: int,
 
 
 def _real_pass(state: _WalkerState, root: tuple, target: int, threads: int, degree: int,
-               pools: list) -> Tuple[List[int], List[int]]:
+               pools: list, symmetries: List[List[int]]) -> Tuple[List[int], List[int]]:
     """Tally hits and nodes at every depth up to `target` in one DFS.
 
-    With more than one thread the prefixes of length SPLIT_DEPTH are
-    listed first. A self-avoiding walk has at most `degree` - 1 ways to
-    go on, so the prefix tally bounds the nodes at depth `target`; if
-    that bound is large enough (POOL_MIN_NODES), the prefixes are
-    extended in a process pool, started on first use and kept in
-    `pools`, and otherwise here. Either way the pass enters the same
-    nodes, so the tallies are the same for any thread count.
+    With more than one thread, or with `symmetries` (generators from
+    `_symmetries`), the prefixes of length SPLIT_DEPTH are listed first
+    and merged into orbits under the generators. One prefix per orbit is
+    extended, and its tallies count once for every prefix of the orbit.
+    A self-avoiding walk has at most `degree` - 1 ways to go on, so the
+    number of extended prefixes bounds the nodes at depth `target`; if
+    that bound is large enough (POOL_MIN_NODES) and there is more than
+    one thread, they are extended in a process pool, started on first
+    use and kept in `pools`, and otherwise here. Either way the tallies
+    are those of the full DFS, for any thread count.
     """
-    if threads == 1 or target <= SPLIT_DEPTH:
+    if target <= SPLIT_DEPTH or (threads == 1 and not symmetries):
         return _extend(state, root, target)
     prefixes: list = []
     hits, nodes = _extend(state, root, SPLIT_DEPTH, out=prefixes)
     rest = target - SPLIT_DEPTH
-    tasks = [(p, rest, hv, max(hv, hm)) for p, hv, hm in prefixes]
-    size = nodes[SPLIT_DEPTH] * (degree - 1) ** rest
+    tasks, weights = _orbit_tasks(prefixes, rest, symmetries)
+    size = len(tasks) * (degree - 1) ** rest
     if not isinstance(state, _CompiledBall):
         size *= ORACLE_NODE_COST
-    if size < POOL_MIN_NODES:
+    if threads == 1 or size < POOL_MIN_NODES:
         results = [_extend(state, *task) for task in tasks]
     else:
         if not pools:
             pools.append(ProcessPoolExecutor(
                 max_workers=threads, initializer=_init_worker, initargs=(state,)))
-        # One chunk per worker.
-        chunksize = max(1, -(-len(tasks) // threads))
-        results = pools[0].map(_walk_task, tasks, chunksize=chunksize)
+        # One task at a time: orbits differ in size, and few tasks split
+        # into equal chunks can leave a worker idle.
+        results = pools[0].map(_walk_task, tasks, chunksize=1)
     hits += [0] * rest
     nodes += [0] * rest
-    for task_hits, task_nodes in results:
+    for weight, (task_hits, task_nodes) in zip(weights, results):
         for j in range(1, rest + 1):
-            hits[SPLIT_DEPTH + j] += task_hits[j]
-            nodes[SPLIT_DEPTH + j] += task_nodes[j]
+            hits[SPLIT_DEPTH + j] += weight * task_hits[j]
+            nodes[SPLIT_DEPTH + j] += weight * task_nodes[j]
     return hits, nodes
 
 
@@ -433,6 +724,7 @@ def _run_iterative(
     ball = _compile_ball(g, h, start, n_max)
     state: _WalkerState = (g, h) if ball is None else ball
     root = (start,) if ball is None else (0,)
+    symmetries = [] if ball is None or n_max <= SPLIT_DEPTH else _symmetries(g, ball, start)
     counts: Dict[int, int] = {0: 1}
     hits: List[int] = []  # the last real pass's tallies, to depth `tallied`
     nodes: List[int] = []
@@ -448,7 +740,7 @@ def _run_iterative(
                 break
             if depth > tallied:
                 tallied = _plan_depth(depth, n_max, nodes_used, last_pass_nodes, factor, budget)
-                hits, nodes = _real_pass(state, root, tallied, threads, degree, pools)
+                hits, nodes = _real_pass(state, root, tallied, threads, degree, pools, symmetries)
             counts[depth] = hits[depth]
             last_pass_nodes += nodes[depth]
             nodes_used += last_pass_nodes

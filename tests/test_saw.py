@@ -2,8 +2,12 @@
 
 import concurrent.futures
 import json
+import math
 import os
+import time
+from datetime import timedelta
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +15,13 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from sawlab import saw
 from sawlab.cli import resolve_height
-from sawlab.graphs import PGOracle, ball, periodic_graph_from_document, resolve_model
+from sawlab.graphs import (
+    PeriodicGraph,
+    PGOracle,
+    ball,
+    periodic_graph_from_document,
+    resolve_model,
+)
 from sawlab.heights import (
     CoordinateHeight,
     GammaHeight,
@@ -19,6 +29,7 @@ from sawlab.heights import (
     HeightError,
     HeightFunction,
     LevelHeight,
+    PeriodicHeight,
     height_table,
 )
 from sawlab.presentations import (
@@ -463,6 +474,264 @@ def test_pool_maps_once_per_real_pass(monkeypatch):
     assert _table_fields(t) == _table_fields(serial)
     assert len(starts) == 1
     assert 1 <= len(map_calls) <= len(targets)
+
+
+# ---------------------------------------------------------------------------
+# Certified symmetry reduction
+# ---------------------------------------------------------------------------
+
+
+def _unit(i, dim):
+    return [int(i == j) for j in range(dim)]
+
+
+@st.composite
+def labelled_covers(draw):
+    """A small connected voltage-graph cover and a random integer height.
+
+    A random spanning tree of voltage-0 edges joins the orbits, a unit
+    loop per lattice direction makes the cycle voltages span Z^d, and
+    random edges come on top. Each direction of an edge is labelled
+    automatically (e<i>), by a label of its own (l<k> forward, L<k>
+    back, which keeps whatever symmetry the graph has), or by a letter
+    of a two-pair alphabet, which may repeat within a row or pair
+    labels that are not inverse.
+    """
+    orbits = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 2))
+    edges = [(draw(st.integers(1, o - 1)), o, (0,) * dim) for o in range(2, orbits + 1)]
+    edges += [(1, 1, tuple(_unit(i, dim))) for i in range(dim)]
+    extra = st.tuples(st.integers(1, orbits), st.integers(1, orbits),
+                      st.tuples(*[st.integers(-1, 1)] * dim))
+    edges += draw(st.lists(extra, max_size=3))
+    scheme = draw(st.sampled_from(["auto", "own", "alphabet"]))
+    directed = {}
+    for k, (o1, o2, t) in enumerate(edges):
+        back = (o2, o1, tuple(-x for x in t))
+        if (o1 == o2 and not any(t)) or back in directed or (o1, o2, t) in directed:
+            continue
+        if scheme == "auto":
+            labels = (None, None)
+        elif scheme == "own":
+            labels = (f"l{k}", f"L{k}")
+        else:
+            labels = (draw(st.sampled_from("abAB")), draw(st.sampled_from("abAB")))
+        directed[(o1, o2, t)], directed[back] = labels
+    pg = PeriodicGraph(orbits, dim, tuple((*key, label) for key, label in directed.items()))
+    small = st.integers(-2, 2)
+    f = draw(st.lists(small, min_size=orbits, max_size=orbits))
+    lam = draw(st.lists(small, min_size=dim, max_size=dim))
+    return PGOracle(pg), PeriodicHeight(tuple(f), tuple(lam))
+
+
+@settings(max_examples=30, deadline=timedelta(seconds=10))
+@given(labelled_covers(), st.integers(4, 6))
+def test_reduced_counts_equal_unreduced_and_oracle_walker(cover, n):
+    g, height = cover
+    degree = g.degree_bound()
+    # No pool: the pool path of a reduced pass is covered on the catalog.
+    with mock.patch.object(saw, "POOL_MIN_NODES", 10**18):
+        for h in (None, height):
+            want = saw._real_pass((g, h), (g.root,), n, 1, degree, [], [])
+            ball = saw._compile_ball(g, h, g.root, n)
+            symmetries = saw._symmetries(g, ball, g.root)
+            for threads in (1, 2):
+                for generators in (symmetries, []):
+                    got = saw._real_pass(ball, (0,), n, threads, degree, [], generators)
+                    assert got == want, (h, threads, generators)
+            runs = [(threads, budget) for threads in (1, 2) for budget in (None, 300)]
+            reduced = [_table_fields(saw._run_iterative(g, n, None, t, b, h)) for t, b in runs]
+            with mock.patch.object(saw, "_symmetries", lambda *args: []):
+                unreduced = [_table_fields(saw._run_iterative(g, n, None, t, b, h))
+                             for t, b in runs]
+            with mock.patch.object(saw, "MAX_BALL_VERTICES", 0):
+                walker = [_table_fields(saw._run_iterative(g, n, None, t, b, h)) for t, b in runs]
+            assert reduced == unreduced == walker
+
+
+def _order(group):
+    return math.prod(len(level) for level in group.levels)
+
+
+def _closure(gens, n):
+    elements = {tuple(range(n))}
+    frontier = list(elements)
+    while frontier:
+        p = frontier.pop()
+        for s in gens:
+            q = saw._compose(p, s)
+            if q not in elements:
+                elements.add(q)
+                frontier.append(q)
+    return elements
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.permutations(range(n)).map(tuple), max_size=3),
+    st.permutations(range(n)).map(tuple),
+)))
+def test_perm_group_membership_equals_closure(case):
+    n, gens, probe = case
+    group = saw._PermGroup(n)
+    for g in gens:
+        if g not in group:
+            group.add(g)
+    elements = _closure(gens, n)
+    assert _order(group) == len(elements)
+    assert (probe in group) == (probe in elements)
+    assert all(p in group for p in elements)
+
+
+def _swap(*pairs):
+    move = {}
+    for a, b in pairs:
+        move[a], move[b] = b, a
+    return move
+
+
+def test_certificate_keeps_bridge_heights():
+    g = resolve_model("zd2")
+    bridge_ball = saw._compile_ball(g, X, g.root, 6)
+    # x <-> X negates the height, so the bridge ball has no image for
+    # the first step; y <-> Y keeps every height.
+    assert saw._certify(bridge_ball, _swap(("x", "X"))) is None
+    phi = saw._certify(bridge_ball, _swap(("y", "Y")))
+    assert sorted(phi) == list(range(len(bridge_ball.rows))) and phi != sorted(phi)
+    assert saw._certify(saw._compile_ball(g, None, g.root, 6), _swap(("x", "X"))) is not None
+    # A map that carries every row onto a row but not every height onto
+    # itself is refused.
+    rows, labels = [[1, 2], [3], [3]], [("a", "b"), ("c",), ("c",)]
+    level = saw._CompiledBall(rows, [0, 1, 1, 2], labels)
+    tilted = saw._CompiledBall(rows, [0, 1, 2, 3], labels)
+    assert saw._certify(level, _swap(("a", "b"))) == [0, 2, 1]
+    assert saw._certify(tilted, _swap(("a", "b"))) is None
+    # A row that repeats a label is refused, even by the identity.
+    doubled = saw._CompiledBall([[1, 1], [2]], [0, 1, 2], [("a", "a"), ("c",)])
+    assert saw._certify(doubled._replace(labels=[("a", "b"), ("c",)]), {}) == [0, 1]
+    assert saw._certify(doubled, {}) is None
+
+
+def test_symmetric_root_star_in_an_asymmetric_ball_is_refused():
+    # Orbit 1 has a loop x, edges a, c, e into orbit 2 with voltages 0, 1
+    # and 3 (no reflection of Z maps {0, 1, 3} onto itself) and an edge b
+    # into orbit 3, which has no other edge. The root's star is the same
+    # after a <-> b; the rows one step out are not.
+    pg = PeriodicGraph(3, 1, (
+        (1, 1, (1,), "x"), (1, 1, (-1,), "X"),
+        (1, 2, (0,), "a"), (2, 1, (0,), "A"),
+        (1, 2, (1,), "c"), (2, 1, (-1,), "C"),
+        (1, 2, (3,), "e"), (2, 1, (-3,), "E"),
+        (1, 3, (0,), "b"), (3, 1, (0,), "B"),
+    ))
+    g = PGOracle(pg)
+    star = saw._compile_ball(g, None, g.root, 1)
+    swap = _swap(("a", "b"), ("A", "B"))
+    assert saw._certify(star, swap) is not None
+    assert saw._symmetries(g, star, g.root)
+    for n in (2, 3, 6):
+        ball = saw._compile_ball(g, None, g.root, n)
+        assert saw._certify(ball, swap) is None
+        assert saw._symmetries(g, ball, g.root) == []
+
+
+def _root_label_perm(ball, phi, index):
+    """The label permutation that the ball automorphism phi induces on
+    the root's edges (n >= 2, so the root's row holds inner ids)."""
+    row, labels = ball.rows[0], ball.labels[0]
+    perm = list(range(len(index)))
+    for j, label in zip(row, labels):
+        perm[index[label]] = index[labels[row.index(phi[j])]]
+    return tuple(perm)
+
+
+def test_finder_work_is_polynomial_in_the_labels(monkeypatch):
+    # Z^6 as a user document: twelve distinct automatic labels, and a
+    # label group (the signed permutations of the axes) of 2^6 * 6!
+    # elements. The finder certifies at most one candidate per move, and
+    # there are O(|labels|^2) moves.
+    doc = {"orbits": 1, "dim": 6, "edges": [[1, 1, _unit(i, 6)] for i in range(6)]}
+    g = PGOracle(periodic_graph_from_document(doc))
+    ball = saw._compile_ball(g, None, g.root, 4)
+    names = sorted({label for labels in ball.labels for label in labels})
+    assert len(names) == 12
+    moves = saw._label_moves(g, g.root, names)
+    assert len(moves) <= len(names) ** 2
+    certified = []
+    certify = saw._certify
+    monkeypatch.setattr(saw, "_certify", lambda *args: certified.append(1) or certify(*args))
+    start = time.process_time()
+    generators = saw._symmetries(g, ball, g.root)
+    assert time.process_time() - start < 5
+    assert len(generators) <= len(certified) <= len(moves)
+    index = {label: k for k, label in enumerate(names)}
+    group = saw._PermGroup(len(names))
+    for phi in generators:
+        group.add(_root_label_perm(ball, phi, index))
+    assert _order(group) == 2**6 * 720
+
+
+def test_reduction_walks_one_prefix_per_orbit(monkeypatch):
+    lengths = []
+    walk, walk_ball = saw._walk, saw._walk_ball
+
+    def oracle_walker(g, h, path, *args):
+        lengths.append(len(path))
+        return walk(g, h, path, *args)
+
+    def ball_walker(ball, path, *args):
+        lengths.append(len(path))
+        return walk_ball(ball, path, *args)
+
+    monkeypatch.setattr(saw, "_walk", oracle_walker)
+    monkeypatch.setattr(saw, "_walk_ball", ball_walker)
+
+    def representatives(model, n, h=None):
+        """Per real pass, the number of prefixes extended after the walk
+        from the root."""
+        g = resolve_model(model)
+        lengths.clear()
+        saw._run_iterative(g, n, None, 1, None, h)
+        passes = []
+        for k in lengths:
+            if k == 1:
+                passes.append(0)
+            else:
+                assert k == saw.SPLIT_DEPTH + 1
+                passes[-1] += 1
+        return set(passes)
+
+    assert representatives("zd3", 8) == {6}
+    assert representatives("zd2", 12) == {5}
+    assert representatives("zd2", 12, X) == {4}
+    # No certified automorphism (grandparent), or no compiled ball at all
+    # (tree3 and lamplighter at n = 16): every pass is one DFS from the root.
+    for model, n in (("grandparent", 6), ("tree3", 16), ("lamplighter", 16)):
+        g = resolve_model(model)
+        for h in (None, resolve_height(g, None)):
+            assert representatives(model, n, h) == {0}, (model, h)
+    g = resolve_model("grandparent")
+    grandparent_ball = saw._compile_ball(g, None, g.root, 6)
+    assert saw._symmetries(g, grandparent_ball, g.root) == []
+    assert saw._compile_ball(resolve_model("lamplighter"), None, (frozenset(), 0), 16) is None
+
+
+# A001411 and A001412 (OEIS): self-avoiding walks on Z^2 and Z^3.
+OEIS_SIGMA = {
+    "zd2": [1, 4, 12, 36, 100, 284, 780, 2172, 5916, 16268, 44100, 120292, 324932,
+            881500, 2374444],
+    "zd3": [1, 6, 30, 150, 726, 3534, 16926, 81390, 387966, 1853886, 8809878],
+}
+
+
+@pytest.mark.parametrize("model", sorted(OEIS_SIGMA))
+def test_oeis_series_on_one_and_two_threads(model):
+    g = resolve_model(model)
+    n = len(OEIS_SIGMA[model]) - 1
+    serial = count_saws(g, n, threads=1)
+    assert serial.series() == OEIS_SIGMA[model] and not serial.partial
+    assert _table_fields(count_saws(g, n, threads=2)) == _table_fields(serial)
 
 
 # ---------------------------------------------------------------------------
