@@ -304,7 +304,13 @@ class PeriodicGraph:
 
 
 def periodic_graph_from_document(doc: str | dict) -> PeriodicGraph:
-    """Load a PeriodicGraph JSON document; reversal closure is applied."""
+    """Load a PeriodicGraph JSON document; reversal closure is applied.
+
+    Each edge entry is [o1, o2, t] or [o1, o2, t, label]: integer orbits,
+    a list of integer voltages and a string label. Repeated entries merge;
+    a direction takes the first label an entry gives it, and one that no
+    entry labels (say, the reversal of a labelled entry) is named `e<i>`.
+    """
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
@@ -313,25 +319,24 @@ def periodic_graph_from_document(doc: str | dict) -> PeriodicGraph:
     if not isinstance(doc, dict):
         raise GraphError("periodic graph document must be a JSON object")
     try:
-        m = int(doc["orbits"])
-        d = int(doc["dim"])
-        raw_edges = doc["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphError(f"malformed periodic graph document: {exc}") from exc
+        m, d, raw_edges = doc["orbits"], doc["dim"], doc["edges"]
+    except KeyError as exc:
+        raise GraphError(f"periodic graph document has no {exc} field") from exc
+    if not (type(m) is int and type(d) is int and isinstance(raw_edges, (list, tuple))):
+        raise GraphError("'orbits' and 'dim' must be integers and 'edges' a list")
     directed = {}
     for entry in raw_edges:
-        if len(entry) not in (3, 4):
+        if not (isinstance(entry, (list, tuple)) and len(entry) in (3, 4)):
             raise GraphError(f"edge entry must be [o1, o2, t] or [o1, o2, t, label]: {entry}")
-        o1, o2, t = int(entry[0]), int(entry[1]), tuple(int(x) for x in entry[2])
-        label = entry[3] if len(entry) == 4 else None
-        rt = tuple(-x for x in t)
-        directed.setdefault((o1, o2, t), label)
-        directed.setdefault((o2, o1, rt), None)
-    edges = tuple(
-        (o1, o2, t, label) for (o1, o2, t), label in sorted(
-            directed.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-        )
-    )
+        o1, o2, t, label = (*entry, None)[:4]
+        if not (isinstance(t, (list, tuple)) and all(type(x) is int for x in (o1, o2, *t))
+                and (label is None or isinstance(label, str))):
+            raise GraphError(f"edge entry needs integer fields and a string label: {entry}")
+        t = tuple(t)
+        if directed.get((o1, o2, t)) is None:
+            directed[o1, o2, t] = label
+        directed.setdefault((o2, o1, tuple(-x for x in t)), None)
+    edges = tuple((*key, label) for key, label in sorted(directed.items()))
     return PeriodicGraph(orbit_count=m, dim=d, edges=edges)
 
 

@@ -7,7 +7,9 @@ deg(o) * f(o) = sum over edges (o, o2, t) of (f(o2) + <lambda, t>),
 a finite rational linear system solved exactly. A basis of solutions
 can then be combined and scaled into an integer-valued height function
 that has a strictly lower and a strictly higher neighbor at every
-vertex.
+vertex: `increase_repair` takes the first signed basis solution, then
+the first combination on one moment curve, that does. A dimension-0 or
+degenerate document has none and raises `RepairExhausted`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -250,9 +252,6 @@ class HarmonicSolution:
     def value(self, o: int, x: Sequence[int]) -> Fraction:
         return self.f[o - 1] + sum(l * c for l, c in zip(self.lam, x))
 
-    def is_constant(self) -> bool:
-        return all(l == 0 for l in self.lam) and len(set(self.f)) == 1
-
 
 def harmonic_residuals(
     pg: PeriodicGraph, lam: Sequence[Fraction], f: Sequence[Fraction]
@@ -341,7 +340,8 @@ def harmonic_extension(
 
 
 class RepairExhausted(RuntimeError):
-    """No integer combination within the coefficient bound increases everywhere."""
+    """No harmonic height increases everywhere: the dimension is 0, or an
+    orbit's neighbor increments are 0 in every harmonic solution."""
 
 
 def _strictly_increasing_everywhere(
@@ -370,73 +370,55 @@ def _strictly_increasing_everywhere(
     return witnesses
 
 
-def _coefficient_candidates(count: int, max_coeff: int):
-    """Integer coefficient vectors by max-norm ring, then by number of
-    non-zero entries, then lexicographically descending. This tries
-    single basis solutions with +1 first. Lazy: the first candidates
-    come without listing a ring, which has (2 * ring + 1)^count vectors."""
-    for ring in range(1, max_coeff + 1):
-        for nonzero in range(1, count + 1):
-            for c in _descending_vectors(count, nonzero, ring):
-                if max(map(abs, c)) == ring:
-                    yield c
+def increase_repair(pg: PeriodicGraph, name: str = "repaired") -> PeriodicHeight:
+    """Integer-valued harmonic height function increasing everywhere: the
+    first combination sum c_i s_i of the b `solution_space` solutions that
+    passes `_strictly_increasing_everywhere`, scaled to clear denominators.
+    c runs over e_1, ..., e_b, -e_b, ..., -e_1, then the moment curve
+    c(t) = (1, t, ..., t^(b-1)) for t = 1, ..., M(b-1), M the orbit count.
 
-
-def _descending_vectors(count: int, nonzero: int, bound: int):
-    """Vectors of `count` integers in [-bound, bound] with exactly
-    `nonzero` non-zero entries, lexicographically descending."""
-    if count == 0:
-        if nonzero == 0:
-            yield ()
-        return
-    for first in range(bound, -bound - 1, -1):
-        rest = nonzero - (first != 0)
-        if 0 <= rest < count:
-            for tail in _descending_vectors(count - 1, rest, bound):
-                yield (first,) + tail
-
-
-def increase_repair(
-    pg: PeriodicGraph,
-    basis: Optional[Sequence[HarmonicSolution]] = None,
-    max_coeff: int = 8,
-    name: str = "repaired",
-) -> PeriodicHeight:
-    """Integer-valued harmonic height function increasing everywhere,
-    built as an integer combination of basis solutions scaled to clear
-    denominators. Deterministic search order over small coefficients."""
-    if basis is None:
-        basis = solution_space(pg)
-    basis = [s for s in basis if not s.is_constant()]
+    Proof that some c passes. Every combination is harmonic, so an orbit
+    lacks a strictly lower or higher neighbor only if all its neighbor
+    increments are 0. An increment is linear in c, and after the checks
+    below each orbit has one that is not 0 in some solution; on the curve
+    it is a nonzero polynomial in t of degree < b, with fewer than b
+    roots. So the M orbits rule out at most M(b-1) values of t, some t in
+    0..M(b-1) passes, and c(0) = e_1.
+    """
+    basis = solution_space(pg)
     if not basis:
-        raise RepairExhausted("basis has no non-constant solution")
+        raise RepairExhausted("dimension 0: every harmonic solution is constant")
     # An orbit whose increments are zero in every basis solution has them
     # zero in every combination, so every candidate would fail there.
     for o in range(1, pg.orbit_count + 1):
         if all(s.value(o2, t) == s.f[o - 1] for s in basis for o2, t, _ in pg.out_edges(o)):
             raise RepairExhausted(f"orbit {o} has no neighbor of another height in any solution")
-    for coeffs in _coefficient_candidates(len(basis), max_coeff):
+    b = len(basis)
+    units = [tuple(int(i == j) for j in range(b)) for i in range(b)]
+    candidates = itertools.chain(
+        units,
+        (tuple(-c for c in e) for e in reversed(units)),
+        (tuple(t**k for k in range(b)) for t in range(1, pg.orbit_count * (b - 1) + 1)),
+    )
+    for coeffs in candidates:
         lam = tuple(
-            sum(Fraction(c) * s.lam[i] for c, s in zip(coeffs, basis))
-            for i in range(pg.dim)
+            sum(c * s.lam[i] for c, s in zip(coeffs, basis)) for i in range(pg.dim)
         )
         f = tuple(
-            sum(Fraction(c) * s.f[o] for c, s in zip(coeffs, basis))
-            for o in range(pg.orbit_count)
+            sum(c * s.f[o] for c, s in zip(coeffs, basis)) for o in range(pg.orbit_count)
         )
         if _strictly_increasing_everywhere(pg, lam, f) is None:
             continue
-        denom = 1
-        for q in itertools.chain(lam, f):
-            denom = denom * q.denominator // gcd(denom, q.denominator)
+        scale = lcm(*(q.denominator for q in lam + f))
         return PeriodicHeight(
-            f=tuple(int(q * denom) for q in f),
-            lam=tuple(int(q * denom) for q in lam),
-            scale=denom,
+            f=tuple(int(q * scale) for q in f),
+            lam=tuple(int(q * scale) for q in lam),
+            scale=scale,
             height_name=name,
         )
-    raise RepairExhausted(
-        f"no increasing combination with coefficients bounded by {max_coeff}"
+    raise AssertionError(
+        "no candidate on the moment curve increases everywhere, against the "
+        "root count in increase_repair's proof"
     )
 
 
@@ -444,9 +426,7 @@ def repair_document(pg: PeriodicGraph, h: PeriodicHeight) -> dict:
     """Exportable description: exact fractions, scale, increase witnesses."""
     lam_frac = [Fraction(l, h.scale) for l in h.lam]
     f_frac = [Fraction(x, h.scale) for x in h.f]
-    wit = _strictly_increasing_everywhere(
-        pg, [Fraction(l) for l in h.lam], [Fraction(x) for x in h.f]
-    )
+    wit = _strictly_increasing_everywhere(pg, h.lam, h.f)
     return {
         "lambda": [str(q) for q in lam_frac],
         "f": [str(q) for q in f_frac],

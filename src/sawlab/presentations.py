@@ -125,32 +125,46 @@ def parse_presentation(text: str | dict) -> Presentation:
         doc = text
     if not isinstance(doc, dict) or "generators" not in doc:
         raise PresentationError("document must be an object with a 'generators' list")
-    gens = tuple(doc["generators"])
+
+    def listed(key: str) -> list:
+        value = doc.get(key, [])
+        if not isinstance(value, (list, tuple)):
+            raise PresentationError(f"{key!r} must be a list")
+        return value
+
+    gens = tuple(listed("generators"))
     for g in gens:
         if not isinstance(g, str) or not g:
             raise PresentationError("generators must be non-empty strings")
-    pairs = tuple((str(a), str(b)) for a, b in doc.get("inverse_pairs", []))
+    pairs = listed("inverse_pairs")
+    for pair in pairs:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(s, str) for s in pair)):
+            raise PresentationError(f"inverse pair must be two symbols: {pair!r}")
     relators = []
-    for w in doc.get("relators", []):
+    for w in listed("relators"):
         if not isinstance(w, str):
             raise PresentationError("relator words must be strings of space-separated symbols")
         relators.append(tuple(w.split()))
     families = []
     gindex = {s: i for i, s in enumerate(gens)}
-    for fam in doc.get("relator_families", []):
+    for fam in listed("relator_families"):
         u0 = [0] * len(gens)
         u1 = [0] * len(gens)
         for key, vec in (("u0", u0), ("u1", u1)):
-            for sym, cnt in fam.get(key, {}).items():
+            counts = fam.get(key, {}) if isinstance(fam, dict) else None
+            if not isinstance(counts, dict):
+                raise PresentationError("a relator family maps 'u0' and 'u1' to symbol counts")
+            for sym, cnt in counts.items():
                 if sym not in gindex:
                     raise PresentationError(f"family count names unknown symbol {sym!r}")
-                if not isinstance(cnt, int) or cnt < 0:
+                if not isinstance(cnt, int) or isinstance(cnt, bool) or cnt < 0:
                     raise PresentationError("family counts must be non-negative integers")
                 vec[gindex[sym]] = cnt
         families.append(ParamRelatorFamily(tuple(u0), tuple(u1)))
     return Presentation(
         generators=gens,
-        inverse_pairs=pairs,
+        inverse_pairs=tuple(map(tuple, pairs)),
         relators=tuple(relators),
         relator_families=tuple(families),
         name=doc.get("name"),

@@ -150,16 +150,37 @@ def test_harmonic_model_and_pg_file(capsys, tmp_path):
 
 def test_harmonic_exits_negative_at_once_without_increments(capsys, tmp_path):
     # Orbit 2 takes orbit 1's value in every harmonic solution of this
-    # d = 6 document, so no repaired height exists; the search over up to
-    # 17^6 candidates is not started.
+    # d = 6 document, and every solution of a dimension-0 document is
+    # constant, so neither has a repaired height.
     d = 6
     units = [[int(i == j) for j in range(d)] for i in range(d)]
-    doc = tmp_path / "pinned.json"
-    doc.write_text(json.dumps(
-        {"orbits": 2, "dim": d, "edges": [[1, 2, [0] * d]] + [[1, 1, e] for e in units]}))
-    code, _, err = run(capsys, "harmonic", "--input", str(doc))
-    assert code == EXIT_NEGATIVE
-    assert "orbit 2" in err
+    docs = [
+        ({"orbits": 2, "dim": d, "edges": [[1, 2, [0] * d]] + [[1, 1, e] for e in units]},
+         "orbit 2"),
+        ({"orbits": 2, "dim": 0, "edges": [[1, 2, []]]}, "dimension 0"),
+    ]
+    for doc, reason in docs:
+        path = tmp_path / "pinned.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "harmonic", "--input", str(path))
+        assert code == EXIT_NEGATIVE
+        assert reason in err
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("harmonic", {"orbits": 1, "dim": 1, "edges": 5}),
+    ("harmonic", {"orbits": 1, "dim": 1, "edges": [5]}),
+    ("harmonic", {"orbits": 1, "dim": 1, "edges": [[1, 1, 5]]}),
+    ("harmonic", {"orbits": 1, "dim": 1, "edges": [[1, 1, [1], ["x"]]]}),
+    ("ghf", {"generators": 5}),
+    ("ghf", {"generators": ["a", "A"], "relators": 5}),
+], ids=str)
+def test_wrong_typed_input_documents_exit_2(capsys, tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == EXIT_INPUT
+    assert out == "" and err.startswith("error: ")
 
 
 def test_ball_iso_stdout(capsys):

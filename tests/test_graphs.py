@@ -273,6 +273,38 @@ def test_pg_document_roundtrip():
     assert periodic_graph_from_document(json.dumps(half)) == pg3
 
 
+def test_pg_document_keeps_a_label_given_for_the_reverse_direction():
+    doc = {"orbits": 1, "dim": 1, "edges": [[1, 1, [1], "x"], [1, 1, [-1], "X"]]}
+    pg = periodic_graph_from_document(doc)
+    assert [label for _, _, label in pg.out_edges(1)] == ["X", "x"]
+    # In either order; a repeated entry merges, and the first label wins.
+    for edges in (doc["edges"][::-1], doc["edges"] + [[1, 1, [1]], [1, 1, [1], "y"]],
+                  [[1, 1, [1]], [1, 1, [-1], "X"], [1, 1, [1], "x"]]):
+        assert periodic_graph_from_document(dict(doc, edges=edges)) == pg, edges
+    # A direction no entry labels is named by its position.
+    one = periodic_graph_from_document(dict(doc, edges=[[1, 1, [1], "x"]]))
+    assert [label for _, _, label in one.out_edges(1)] == ["e0", "x"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"orbits": 1, "dim": 1},
+    {"orbits": "1", "dim": 1, "edges": []},
+    {"orbits": 1, "dim": 1.5, "edges": []},
+    {"orbits": 1, "dim": 1, "edges": 5},
+    {"orbits": 1, "dim": 1, "edges": [5]},
+    {"orbits": 1, "dim": 1, "edges": [[1, 1]]},
+    {"orbits": 1, "dim": 1, "edges": [[1, 1, 5]]},
+    {"orbits": 1, "dim": 1, "edges": [[1, 1, ["1"]]]},
+    {"orbits": 1, "dim": 1, "edges": [[1, 1, [True]]]},
+    {"orbits": 1, "dim": 1, "edges": [[1.0, 1, [1]]]},
+    {"orbits": 1, "dim": 1, "edges": [[1, 1, [1], ["x"]]]},
+    {"orbits": 1, "dim": 1, "edges": [[1, 1, [1], 7]]},
+], ids=str)
+def test_pg_document_with_wrong_typed_fields_is_a_graph_error(doc):
+    with pytest.raises(GraphError):
+        periodic_graph_from_document(doc)
+
+
 def test_pg_oracle_neighbor_order_and_labels():
     # Unlabelled edges are named e<i> by their position among the edges
     # leaving their orbit, labelled or not.

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import re
 import time
 from ast import literal_eval
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import oracles
 from sawlab._linalg import bareiss_rank
@@ -28,7 +30,6 @@ from sawlab.heights import (
     LevelHeight,
     PeriodicHeight,
     RepairExhausted,
-    _coefficient_candidates,
     compute_d,
     compute_r,
     harmonic_extension,
@@ -44,6 +45,7 @@ from sawlab.heights import (
     verify_on_one_ball,
 )
 from sawlab.presentations import choose_ghf, preset_presentation
+from test_saw import voltage_documents
 
 F = Fraction
 
@@ -181,28 +183,6 @@ def test_repair_is_integer_increasing_harmonic():
         assert hr.all_zero, name
 
 
-def _reference_candidates(count, max_coeff):
-    # Each max-norm ring listed in full, then sorted.
-    for ring in range(1, max_coeff + 1):
-        ring_vecs = [
-            c
-            for c in itertools.product(range(-ring, ring + 1), repeat=count)
-            if max(abs(x) for x in c) == ring
-        ]
-        ring_vecs.sort(key=lambda c: (sum(1 for x in c if x), tuple(-x for x in c)))
-        yield from ring_vecs
-
-
-def test_coefficient_candidates_order_and_laziness():
-    for count in (1, 2, 3, 4):
-        for max_coeff in (1, 2, 3):
-            assert list(_coefficient_candidates(count, max_coeff)) == list(
-                _reference_candidates(count, max_coeff)
-            ), (count, max_coeff)
-    # Ring 1 alone has 3^40 - 1 vectors; the first one comes at once.
-    assert next(_coefficient_candidates(40, 8)) == (1,) + (0,) * 39
-
-
 def test_default_heights_of_the_periodic_catalog():
     # (model, lambda, f, scale, name): the coordinate heights the
     # catalog used before its models became periodic covers.
@@ -240,11 +220,12 @@ def test_repair_document_fields():
         assert Fraction(wit["lower"]) < Fraction(wit["higher"])
 
 
-def test_repair_exhausted_on_constant_basis():
-    pg = periodic_preset("hexagonal")
-    const = HarmonicSolution(pg=pg, lam=(F(0), F(0)), f=(F(0), F(0)))
-    with pytest.raises(RepairExhausted):
-        increase_repair(pg, basis=[const])
+def test_repair_exhausted_in_dimension_0():
+    # Every harmonic solution of a dimension-0 document is constant.
+    pg = periodic_graph_from_document({"orbits": 2, "dim": 0, "edges": [[1, 2, []]]})
+    assert solution_space(pg) == []
+    with pytest.raises(RepairExhausted, match="dimension 0"):
+        increase_repair(pg)
 
 
 def pinned_orbit_document(d):
@@ -255,13 +236,60 @@ def pinned_orbit_document(d):
     return {"orbits": 2, "dim": d, "edges": [[1, 2, [0] * d]] + [[1, 1, e] for e in units]}
 
 
+def pairs_document(d):
+    """Hub orbit 1 has the unit loops; each pair i < j adds one orbit per
+    sign, joined to the hub by the voltages 0 and e_i -+ e_j. The orbit
+    of e_i - s e_j has no neighbor of another height under the
+    combinations with c_i = s c_j, so an increasing combination needs d
+    distinct |c_i|, and no signed basis solution is one once d >= 3."""
+    units = [[int(i == j) for j in range(d)] for i in range(d)]
+    edges = [[1, 1, e] for e in units]
+    orbit = 1
+    for i, j in itertools.combinations(range(d), 2):
+        for sign in (1, -1):
+            orbit += 1
+            t = [a - sign * b for a, b in zip(units[i], units[j])]
+            edges += [[1, orbit, [0] * d], [1, orbit, t]]
+    return {"orbits": orbit, "dim": d, "edges": edges}
+
+
 def test_repair_exhausted_at_once_on_an_orbit_without_increments():
     pg = periodic_graph_from_document(pinned_orbit_document(6))
     t0 = time.monotonic()
     with pytest.raises(RepairExhausted, match="orbit 2"):
         increase_repair(pg)
-    # The candidate search would try up to 17^6 combinations.
+    # The orbit is found before any candidate is tried.
     assert time.monotonic() - t0 < 1.0
+
+
+def test_repair_of_the_pairs_document_is_fast_and_verified():
+    pg = periodic_graph_from_document(pairs_document(5))
+    assert (pg.orbit_count, len(pg.edges)) == (21, 90)
+    t0 = time.monotonic()
+    h = increase_repair(pg)
+    # A search over coefficient vectors by max-norm ring reaches the
+    # first success, with five distinct |c_i|, only in ring 4.
+    assert time.monotonic() - t0 < 1.0
+    assert h.lam == (2, 4, 8, 16, 32) and h.scale == 2
+    check = verify_on_one_ball(PGOracle(pg), h, radius=2, d_radius=2)
+    assert check.axioms.ok, check.axioms.failures
+    assert check.harmonic.all_zero
+
+
+@settings(max_examples=60, deadline=5000)
+@given(voltage_documents())
+def test_repair_is_verified_or_names_an_orbit_without_increments(doc):
+    pg = periodic_graph_from_document(doc)
+    try:
+        h = increase_repair(pg)
+    except RepairExhausted as exc:
+        o = int(re.search(r"orbit (\d+)", str(exc)).group(1))
+        for s in solution_space(pg):
+            assert all(s.value(o2, t) == s.f[o - 1] for o2, t, _ in pg.out_edges(o))
+        return
+    check = verify_on_one_ball(PGOracle(pg), h, radius=2, d_radius=2)
+    assert check.axioms.ok, check.axioms.failures
+    assert check.harmonic.all_zero
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,27 @@ def test_parse_rejects_bad_documents():
         )
 
 
+@pytest.mark.parametrize("fields", [
+    {"generators": 5},
+    {"generators": "aA"},
+    {"generators": ["a", 5]},
+    {"inverse_pairs": 5},
+    {"inverse_pairs": [5]},
+    {"inverse_pairs": [["a", "A", "a"]]},
+    {"inverse_pairs": [["a", 1]]},
+    {"relators": 5},
+    {"relators": [["a", "A"]]},
+    {"relator_families": 5},
+    {"relator_families": [5]},
+    {"relator_families": [{"u0": 3}]},
+    {"relator_families": [{"u0": {"a": True}}]},
+], ids=str)
+def test_parse_rejects_wrong_typed_fields(fields):
+    doc = dict({"generators": ["a", "A"], "inverse_pairs": [["a", "A"]]}, **fields)
+    with pytest.raises(PresentationError):
+        parse_presentation(doc)
+
+
 def test_coefficient_matrix_counts_letters():
     p = preset_presentation("tree3")
     c = coefficient_matrix(p)
