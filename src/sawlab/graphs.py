@@ -70,9 +70,8 @@ class GraphOracle:
 # Cayley-graph models with exact normal forms
 # ---------------------------------------------------------------------------
 
-_TREE3_INVERSE = {"s1": "t", "t": "s1", "s2": "s2"}
-_TREE3_CHAR = {"s1": "a", "t": "A", "s2": "b"}
-_CHAR_INVERSE = {"a": "A", "A": "a", "b": "b"}
+# Tree3Oracle's letter of each base-4 digit; no word has a digit 0.
+_TREE3_LETTERS = " aAb"
 
 
 @dataclass(frozen=True)
@@ -81,6 +80,11 @@ class Tree3Oracle(GraphOracle):
 
     Letters: 'a' and its inverse 'A' generate the Z factor, 'b' the
     involution. A word is reduced when it has no 'aA'/'Aa'/'bb' factor.
+    A vertex is its word read as an int in base 4, first letter most
+    significant, with digit 1 = 'a', 2 = 'A' and 3 = 'b'; the empty word
+    is 0. So the last letter is v & 3, the parent (drop it) is v >> 2 and
+    the child by digit d is 4 * v + d. The canonical key is the repr of
+    the word.
     """
 
     name = "tree3"
@@ -88,17 +92,24 @@ class Tree3Oracle(GraphOracle):
 
     @property
     def root(self):
-        return ""
+        return 0
 
     def neighbors(self, v):
-        out = []
-        for label in ("s1", "s2", "t"):
-            ch = _TREE3_CHAR[label]
-            if v and v[-1] == _CHAR_INVERSE[ch]:
-                out.append((v[:-1], label))
-            else:
-                out.append((v + ch, label))
-        return tuple(out)
+        last = v & 3
+        up = v >> 2
+        down = v << 2
+        return (
+            (up if last == 2 else down | 1, "s1"),
+            (up if last == 3 else down | 3, "s2"),
+            (up if last == 1 else down | 2, "t"),
+        )
+
+    def canonical_key(self, v) -> bytes:
+        letters = []
+        while v:
+            letters.append(_TREE3_LETTERS[v & 3])
+            v >>= 2
+        return repr("".join(reversed(letters))).encode()
 
 
 @dataclass(frozen=True)
@@ -127,10 +138,13 @@ class HeisenbergOracle(GraphOracle):
 
 @dataclass(frozen=True)
 class LamplighterOracle(GraphOracle):
-    """Lamplighter group: configurations (lit lamp set, marker position).
+    """Lamplighter group: configurations (lit lamps, marker position).
 
     Generators: a toggles the lamp under the marker, t and u move the
-    marker right and left.
+    marker right and left. A vertex is (mask, pos): lamp p is bit 2p of
+    the int mask for p >= 0 and bit -2p - 1 for p < 0, so a toggle is
+    one xor. The canonical key prints the sorted list of lit lamps and
+    the position, as "[-1, 2]|0".
     """
 
     name = "lamplighter"
@@ -138,19 +152,26 @@ class LamplighterOracle(GraphOracle):
 
     @property
     def root(self):
-        return (frozenset(), 0)
+        return (0, 0)
 
     def neighbors(self, v):
-        lamps, pos = v
-        toggled = lamps ^ {pos}
+        mask, pos = v
+        lamp = 1 << (2 * pos if pos >= 0 else -2 * pos - 1)
         return (
-            ((frozenset(toggled), pos), "a"),
-            ((lamps, pos + 1), "t"),
-            ((lamps, pos - 1), "u"),
+            ((mask ^ lamp, pos), "a"),
+            ((mask, pos + 1), "t"),
+            ((mask, pos - 1), "u"),
         )
 
     def canonical_key(self, v) -> bytes:
-        lamps, pos = v
+        mask, pos = v
+        lamps = []
+        bit = 0
+        while mask:
+            if mask & 1:
+                lamps.append(-(bit + 1) // 2 if bit & 1 else bit // 2)
+            mask >>= 1
+            bit += 1
         return f"{sorted(lamps)}|{pos}".encode()
 
 

@@ -22,7 +22,15 @@ from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._linalg import solve_unique
-from .graphs import DEFAULT_BALL_BUDGET, Ball, GraphOracle, PeriodicGraph, PGOracle, ball
+from .graphs import (
+    DEFAULT_BALL_BUDGET,
+    Ball,
+    GraphOracle,
+    HeisenbergOracle,
+    PeriodicGraph,
+    PGOracle,
+    ball,
+)
 from .presentations import choose_ghf, preset_presentation
 
 
@@ -450,9 +458,10 @@ def resolve_height(g: GraphOracle, name: Optional[str] = None) -> HeightFunction
 
     On a periodic-graph cover the default height, and "repaired", is the
     integer harmonic height `increase_repair` finds, named `name`. Other
-    names: "x" and "y" (coordinates), "identity" (the coordinate of a
-    one-orbit line), "level" (grandparent) and "ghf" (the word-sum
-    height of the model's presentation preset).
+    names: "x" and "y" (coordinates, of a periodic-graph cover or a
+    Heisenberg element only), "identity" (the coordinate of a one-orbit
+    line), "level" (grandparent) and "ghf" (the word-sum height of the
+    model's presentation preset).
     """
     if name is None or name == "auto":
         name = g.default_height
@@ -460,10 +469,11 @@ def resolve_height(g: GraphOracle, name: Optional[str] = None) -> HeightFunction
             raise HeightError(f"no default height for model {g.name!r}")
     if isinstance(g, PGOracle) and name in (g.default_height, "repaired"):
         return increase_repair(g.pg, name=name)
-    if name == "x":
-        return CoordinateHeight(0, label="x")
-    if name == "y":
-        return CoordinateHeight(1, label="y")
+    if name in ("x", "y"):
+        if not isinstance(g, (PGOracle, HeisenbergOracle)):
+            raise HeightError(f"height {name!r} needs a model with coordinates, "
+                              f"and {g.name} has none")
+        return CoordinateHeight("xy".index(name), label=name)
     if name == "identity":
         if isinstance(g, PGOracle) and g.pg.orbit_count == g.pg.dim == 1:
             return CoordinateHeight(0, label="identity")

@@ -35,7 +35,7 @@ them, in a process pool if the pass is big enough to pay for starting one
 otherwise in this process. The pool's initializer gives each worker the
 walker state once (the compiled ball, or the oracle and height), so a
 task is only a prefix, the steps left and the prefix's heights; workers
-take the tasks one at a time.
+take the tasks in chunks of len(tasks) // (4 * threads), at least one.
 
 Symmetry: an automorphism of the compiled ball that fixes the start (and,
 for bridges, every height) maps the walks that extend a prefix
@@ -686,9 +686,11 @@ def _real_pass(state: _WalkerState, root: tuple, target: int, threads: int, degr
         if not pools:
             pools.append(ProcessPoolExecutor(
                 max_workers=threads, initializer=_init_worker, initargs=(state,)))
-        # One task at a time: orbits differ in size, and few tasks split
-        # into equal chunks can leave a worker idle.
-        results = pools[0].map(_walk_task, tasks, chunksize=1)
+        # About four chunks per worker: orbits differ in size, so a few
+        # big chunks can leave a worker idle, while one message per task
+        # costs more than a small task's walk. Results come in task order.
+        chunksize = max(1, len(tasks) // (4 * threads))
+        results = pools[0].map(_walk_task, tasks, chunksize=chunksize)
     hits += [0] * rest
     nodes += [0] * rest
     for weight, (task_hits, task_nodes) in zip(weights, results):

@@ -102,6 +102,49 @@ def voltage_cover_neighbors(doc: dict) -> Callable[[tuple], List[tuple]]:
 
 
 # ---------------------------------------------------------------------------
+# Labelled group oracles on plain vertices (reduced words, lamp sets)
+# ---------------------------------------------------------------------------
+
+
+class Tree3WordOracle:
+    """The 3-regular tree as reduced words in Z * Z/2, held as strings:
+    'a' and 'A' are inverse, 'b' is an involution; neighbors s1 (a), s2
+    (b), t (A), each cancelling the last letter if it is its inverse."""
+
+    name = "tree3"
+    root = ""
+
+    def neighbors(self, v: str) -> Tuple[Tuple[str, str], ...]:
+        out = []
+        for label, ch, inverse in (("s1", "a", "A"), ("s2", "b", "b"), ("t", "A", "a")):
+            out.append((v[:-1] if v.endswith(inverse) else v + ch, label))
+        return tuple(out)
+
+    def canonical_key(self, v: str) -> bytes:
+        return repr(v).encode()
+
+
+class LamplighterSetOracle:
+    """The lamplighter group as (frozenset of lit lamps, marker position):
+    a toggles the lamp under the marker, t and u move it right and left."""
+
+    name = "lamplighter"
+    root = (frozenset(), 0)
+
+    def neighbors(self, v: tuple) -> Tuple[Tuple[tuple, str], ...]:
+        lamps, pos = v
+        return (
+            ((lamps ^ {pos}, pos), "a"),
+            ((lamps, pos + 1), "t"),
+            ((lamps, pos - 1), "u"),
+        )
+
+    def canonical_key(self, v: tuple) -> bytes:
+        lamps, pos = v
+        return f"{sorted(lamps)}|{pos}".encode()
+
+
+# ---------------------------------------------------------------------------
 # Brute-force walk counting (path lists, no cleverness)
 # ---------------------------------------------------------------------------
 

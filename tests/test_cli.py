@@ -41,6 +41,15 @@ def test_exit_input_errors(capsys, tmp_path):
     assert run(capsys, "locality", "--model", "zd2", "--m-list", "4,x")[0] == EXIT_INPUT
 
 
+@pytest.mark.parametrize("model", ["grandparent", "lamplighter", "tree3"])
+@pytest.mark.parametrize("height", ["x", "y"])
+def test_coordinate_height_needs_a_model_with_coordinates(capsys, model, height):
+    for command in ("bridges", "verify"):
+        code, out, err = run(capsys, command, "--model", model, "--height", height)
+        assert code == EXIT_INPUT, (command, model)
+        assert out == "" and "needs a model with coordinates" in err
+
+
 def test_exit_budget(capsys):
     code, _, err = run(
         capsys, "count", "--model", "zd2", "--n-max", "10", "--budget", "200"

@@ -122,6 +122,33 @@ def test_periodic_catalog_keys_are_the_coordinate_models(model, reference, origi
         ), (model, v)
 
 
+@pytest.mark.parametrize("model,reference", [
+    ("tree3", oracles.Tree3WordOracle()),
+    ("lamplighter", oracles.LamplighterSetOracle()),
+])
+def test_int_vertex_oracles_match_the_reference_oracles(model, reference):
+    # The int encodings walk the reference oracle's labelled graph with
+    # its keys and neighbor order, so every ball order, witness and
+    # artifact reads as the reference's.
+    g = resolve_model(model)
+    image = {g.root: reference.root}
+    frontier = [g.root]
+    for _ in range(9):  # every vertex of the radius-8 ball
+        nxt = []
+        for v in frontier:
+            nbrs, ref_nbrs = g.neighbors(v), reference.neighbors(image[v])
+            assert [(g.canonical_key(w), label) for w, label in nbrs] == [
+                (reference.canonical_key(x), label) for x, label in ref_nbrs
+            ], (model, v)
+            for (w, _), (x, _) in zip(nbrs, ref_nbrs):
+                if w not in image:
+                    image[w] = x
+                    nxt.append(w)
+        frontier = nxt
+    got, want = ball(g, 8), ball(reference, 8)
+    assert (got.keys, got.distances, got.edges) == (want.keys, want.distances, want.edges)
+
+
 def test_periodic_catalog_parameter_errors():
     for name, bad in (("zd", 0), ("cylinder_zd", 2), ("ladder_dihedral", 2)):
         with pytest.raises(GraphError, match="requires"):

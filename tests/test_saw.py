@@ -714,7 +714,21 @@ def test_reduction_walks_one_prefix_per_orbit(monkeypatch):
     g = resolve_model("grandparent")
     grandparent_ball = saw._compile_ball(g, None, g.root, 6)
     assert saw._symmetries(g, grandparent_ball, g.root) == []
-    assert saw._compile_ball(resolve_model("lamplighter"), None, (frozenset(), 0), 16) is None
+    lamplighter = resolve_model("lamplighter")
+    assert saw._compile_ball(lamplighter, None, lamplighter.root, 16) is None
+
+
+@pytest.mark.parametrize("model,reference", [
+    ("tree3", oracles.Tree3WordOracle()),
+    ("lamplighter", oracles.LamplighterSetOracle()),
+])
+def test_int_vertex_walks_match_the_reference_oracles(model, reference):
+    # The oracle walker over int-encoded vertices enters the same nodes
+    # and counts the same walks at every depth as over words and lamp sets.
+    g = resolve_model(model)
+    for h in (None, resolve_height(g, "ghf")):
+        got = saw._walk(g, h, (g.root,), 12)
+        assert got == saw._walk(reference, h, (reference.root,), 12), (model, h)
 
 
 # A001411 and A001412 (OEIS): self-avoiding walks on Z^2 and Z^3.
