@@ -190,7 +190,10 @@ def cmd_harmonic(args) -> int:
         pg = graphs.periodic_graph_from_document(doc)
         label = args.input_path
     else:
-        pg = graphs.periodic_preset(args.model)
+        g = graphs.resolve_model(args.model)
+        if not isinstance(g, graphs.PGOracle):
+            raise GraphError(f"model {g.name} is not a periodic graph")
+        pg = g.pg
         label = args.model
     basis = heights.solution_space(pg)
     repaired = heights.increase_repair(pg)
@@ -387,29 +390,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PRESET_DOC = """presentation presets:
-  {pres}
-periodic-graph presets (usable as --pg documents):
-{pg}
-catalog models:
-  zd1 zd2 zd3 tree3 heisenberg lamplighter grandparent dihedral_line
-  hexagonal square_octagon cylinder_zd<m> (alias cylinder<m>)
-  ladder_dihedral<m>
-"""
-
-
 def print_presets() -> None:
-    pg_lines = "\n".join(
-        f"  {name}: {json.dumps(graphs.periodic_preset(name).to_document())}"
-        for name in sorted(graphs.PERIODIC_PRESETS)
-    )
-    print(
-        _PRESET_DOC.format(
-            pres=" ".join(sorted(presentations.PRESENTATION_PRESETS)),
-            pg=pg_lines,
-        ),
-        end="",
-    )
+    """Print the presentation presets, then each catalog family with its
+    parameter and aliases, then the --pg document of each periodic
+    model that takes no parameter."""
+    lines = [
+        "presentation presets:",
+        "  " + " ".join(sorted(presentations.PRESENTATION_PRESETS)),
+        "catalog models (--model):",
+    ]
+    documents = []
+    for family, (build, param) in graphs.MODELS.items():
+        suffix = f"<{param}>" if param else ""
+        spellings = ", ".join(
+            alias + suffix for alias, to in graphs.MODEL_ALIASES.items() if to == family)
+        lines.append(f"  {family}{suffix}" + (f" (alias {spellings})" if spellings else ""))
+        g = None if param else build()
+        if isinstance(g, graphs.PGOracle):
+            documents.append(f"  {family}: {json.dumps(g.pg.to_document())}")
+    lines.append("periodic-graph documents (usable as --pg documents):")
+    print("\n".join(lines + documents))
 
 
 # Each subcommand: its function, its help, the options it declares after
@@ -421,7 +421,8 @@ _COMMANDS = {
     "bridges": (cmd_bridges, "b_n table", "--model --n-max --budget --height", _REQUIRED),
     "bounds": (cmd_bounds, "mu bound sandwich",
                "--model --n-max --budget --height --precision", _REQUIRED),
-    "harmonic": (cmd_harmonic, "harmonic solutions and repair", "--model --input --pg", {}),
+    "harmonic": (cmd_harmonic, "harmonic solutions and repair", "--model --input --pg",
+                 {"help": "any periodic catalog model (see --preset-list)"}),
     "verify": (cmd_verify, "height axioms and harmonic defects",
                "--model --height --radius --budget", _REQUIRED),
     "ball-iso": (cmd_ball_iso, "locality radius K", "--a --b --bound --budget", {}),

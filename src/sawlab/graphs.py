@@ -2,12 +2,16 @@
 
 Each oracle exposes a root, deterministic labelled neighbor expansion,
 orbit labels, an injective canonical key per vertex and the name of its
-default height. Every Z^d-periodic model of the catalog is the cover of
+default height. The catalog is one table, MODELS: each family's oracle
+constructor and the parameter it takes, with its other spellings in
+MODEL_ALIASES; `resolve_model` reads a model string through it for
+every command. Every Z^d-periodic model of the catalog is the cover of
 a PeriodicGraph (a finite voltage graph), walked by one oracle, PGOracle:
 the integer lattices zd_d, the infinite dihedral line, the cylinders
 Z x C_m, the ladders (infinite dihedral) x C_m, and the hexagonal and
 square/octagon tilings. Their vertices are cover vertices (o, x), and a
-per-model key prints each as the model's own coordinates. Hand-written
+per-model key prints each as the model's own coordinates; the model's
+`pg` is the voltage graph `harmonic --model` solves. Hand-written
 oracles remain for the models that are not Z^d-periodic: the 3-regular
 tree, the discrete Heisenberg group, the lamplighter group and the
 grandparent graph. Generic Cayley graph generation from arbitrary
@@ -413,10 +417,6 @@ def zd_pg(d: int) -> PeriodicGraph:
     return _build_pg(1, d, edges)
 
 
-def zd2_pg() -> PeriodicGraph:
-    return zd_pg(2)
-
-
 def cylinder_pg(m: int) -> PeriodicGraph:
     """Z x C_m, the quotient of Z^2 by m in the second coordinate: orbit
     k+1 is cycle position k, with edges x, X along Z and y, Y around the
@@ -464,24 +464,6 @@ def dihedral_line_pg() -> PeriodicGraph:
         (2, 1, (1,), "s2"),
         (1, 2, (-1,), "s2"),
     ])
-
-
-PERIODIC_PRESETS: Dict[str, Callable[[], PeriodicGraph]] = {
-    "zd2": zd2_pg,
-    "dihedral_line": dihedral_line_pg,
-    "hexagonal": hexagonal_pg,
-    "square_octagon": square_octagon_pg,
-}
-
-
-def periodic_preset(name: str) -> PeriodicGraph:
-    try:
-        return PERIODIC_PRESETS[name]()
-    except KeyError:
-        raise GraphError(
-            f"unknown periodic-graph preset {name!r}; "
-            f"choices: {', '.join(sorted(PERIODIC_PRESETS))}"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -562,19 +544,6 @@ def cover_vertex(pg: PeriodicGraph, o: int, x: Sequence[int]):
 # Catalog and balls
 # ---------------------------------------------------------------------------
 
-CATALOG_NAMES = (
-    "zd",
-    "dihedral",
-    "tree3",
-    "heisenberg",
-    "lamplighter",
-    "hexagonal",
-    "square_octagon",
-    "cylinder_zd",
-    "ladder_dihedral",
-    "grandparent",
-)
-
 
 def _lattice_key(v) -> str:
     """zd_d: the lattice point x."""
@@ -597,68 +566,53 @@ def _line_key(v) -> str:
     return repr(2 * v[1][0] + v[0] - 1)
 
 
-def catalog(name: str, param: Optional[int] = None) -> GraphOracle:
-    """Build a preset oracle. `param` is d for zd, m for the quotient families."""
-    if name in ("zd", "cylinder_zd", "ladder_dihedral") and param is None:
-        what = "a dimension parameter" if name == "zd" else "the cycle length m"
-        raise GraphError(f"{name} needs {what}")
-    if name == "zd":
-        return PGOracle(zd_pg(param), f"zd{param}", _lattice_key, "x")
-    if name == "dihedral":
-        return PGOracle(dihedral_line_pg(), "dihedral", _line_key, "identity")
-    if name == "tree3":
-        return Tree3Oracle()
-    if name == "heisenberg":
-        return HeisenbergOracle()
-    if name == "lamplighter":
-        return LamplighterOracle()
-    if name == "hexagonal":
-        return PGOracle(hexagonal_pg(), "hexagonal")
-    if name == "square_octagon":
-        return PGOracle(square_octagon_pg(), "square_octagon")
-    if name == "cylinder_zd":
-        return PGOracle(cylinder_pg(param), f"cylinder_zd{param}", _cylinder_key, "x")
-    if name == "ladder_dihedral":
-        return PGOracle(
-            ladder_dihedral_pg(param), f"ladder_dihedral{param}", _ladder_key, "x"
-        )
-    if name == "grandparent":
-        return GrandparentOracle()
-    raise GraphError(f"unknown preset {name!r}")
-
+# The catalog: each family's oracle constructor, and the name of its
+# parameter (d for zd, m for the quotients) or None if it takes none. A
+# family with a parameter is spelled with it appended, as zd2 or
+# cylinder_zd8; its constructor checks the value.
+MODELS: Dict[str, Tuple[Callable[..., GraphOracle], Optional[str]]] = {
+    "zd": (lambda d: PGOracle(zd_pg(d), f"zd{d}", _lattice_key, "x"), "d"),
+    "dihedral": (lambda: PGOracle(dihedral_line_pg(), "dihedral", _line_key, "identity"), None),
+    "tree3": (Tree3Oracle, None),
+    "heisenberg": (HeisenbergOracle, None),
+    "lamplighter": (LamplighterOracle, None),
+    "hexagonal": (lambda: PGOracle(hexagonal_pg(), "hexagonal"), None),
+    "square_octagon": (lambda: PGOracle(square_octagon_pg(), "square_octagon"), None),
+    "cylinder_zd": (lambda m: PGOracle(cylinder_pg(m), f"cylinder_zd{m}", _cylinder_key, "x"), "m"),
+    "ladder_dihedral": (
+        lambda m: PGOracle(ladder_dihedral_pg(m), f"ladder_dihedral{m}", _ladder_key, "x"), "m"
+    ),
+    "grandparent": (GrandparentOracle, None),
+}
+# Other spellings of a family.
+MODEL_ALIASES = {"cylinder": "cylinder_zd", "ladder": "ladder_dihedral", "dihedral_line": "dihedral"}
 
 _MODEL_RE = re.compile(r"^([a-z_]+?)_?(\d+)?$")
 
 
 def resolve_model(spec: str) -> GraphOracle:
-    """Parse compact model strings like zd2, cylinder8, ladder_dihedral6."""
-    s = spec.strip().lower()
-    m = _MODEL_RE.match(s)
+    """Build the catalog model `spec` names: a family or an alias, then
+    its parameter if it takes one (zd2, cylinder8, ladder_dihedral_6).
+    Case, padding and an underscore before the digits are ignored; a
+    family whose name ends in digits (tree3) is matched first."""
+    m = _MODEL_RE.match(spec.strip().lower())
     if not m:
         raise GraphError(f"cannot parse model {spec!r}")
-    base, num = m.group(1), m.group(2)
+    base, num = m.groups()
     param = int(num) if num is not None else None
-    aliases = {
-        "cylinder": "cylinder_zd",
-        "cylinder_zd": "cylinder_zd",
-        "ladder": "ladder_dihedral",
-        "ladder_dihedral": "ladder_dihedral",
-        "dihedral_line": "dihedral",
-        "zd": "zd",
-    }
-    base = aliases.get(base, base)
-    if base == "tree" and param == 3:
-        return catalog("tree3")
-    if base in ("tree3", "square_octagon", "hexagonal", "dihedral", "heisenberg",
-                "lamplighter", "grandparent"):
-        if base == "tree3" or param is None:
-            return catalog(base)
-        raise GraphError(f"model {base} takes no numeric parameter")
-    if base in ("zd", "cylinder_zd", "ladder_dihedral"):
-        if param is None:
-            raise GraphError(f"model {base} needs a numeric parameter, e.g. {base}2")
-        return catalog(base, param)
-    raise GraphError(f"unknown model {spec!r}")
+    if param is not None and f"{base}{param}" in MODELS:
+        base, param = f"{base}{param}", None
+    base = MODEL_ALIASES.get(base, base)
+    if base not in MODELS:
+        raise GraphError(f"unknown model {spec!r}")
+    build, takes = MODELS[base]
+    if takes is None:
+        if param is not None:
+            raise GraphError(f"model {base} takes no numeric parameter")
+        return build()
+    if param is None:
+        raise GraphError(f"model {base} needs a numeric parameter, e.g. {base}2")
+    return build(param)
 
 
 DEFAULT_BALL_BUDGET = 2_000_000

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._linalg import solve_unique
 from .graphs import (
@@ -57,7 +57,6 @@ class HeightFunction:
     implements `across` and `origin` instead."""
 
     name: str = "height"
-    subgroup: str = ""
 
     def at(self, v) -> Optional[int]:
         return None
@@ -82,7 +81,6 @@ class CoordinateHeight(HeightFunction):
 
     index: int = 0
     label: str = "x"
-    subgroup: str = "coordinate translations"
 
     @property
     def name(self) -> str:
@@ -99,7 +97,6 @@ class CoordinateHeight(HeightFunction):
 class LevelHeight(HeightFunction):
     """Level toward the distinguished end of the grandparent graph."""
 
-    subgroup: str = "end-fixing automorphisms"
     name = "level"
 
     def at(self, v) -> int:
@@ -114,7 +111,6 @@ class GammaHeight(HeightFunction):
 
     gamma: Tuple[Tuple[str, int], ...]
     height_name: str = "ghf"
-    subgroup: str = "left multiplication"
 
     @property
     def name(self) -> str:
@@ -149,7 +145,6 @@ class PeriodicHeight(HeightFunction):
     lam: Tuple[int, ...]
     scale: int = 1
     height_name: str = "periodic"
-    subgroup: str = "Z^d translations"
 
     @property
     def name(self) -> str:
@@ -695,7 +690,6 @@ def compute_r(
     h: HeightFunction,
     orbit_reps: Optional[Sequence[object]] = None,
     bound: int = 8,
-    orbit_of: Optional[Callable[[object], int]] = None,
 ) -> Optional[int]:
     """Least r <= bound such that from each orbit representative u, every
     other orbit contains a vertex v' with h(u) < h(v') reachable by a
@@ -711,14 +705,12 @@ def compute_r(
 
     if orbit_reps is None:
         orbit_reps = g.orbit_reps()
-    if orbit_of is None:
-        orbit_of = g.orbit_label
     if len(orbit_reps) <= 1:
         return 0
     if bound < 1:
         raise HeightError("bound must be >= 1")
 
-    orbits = [orbit_of(u) for u in orbit_reps]
+    orbits = [g.orbit_label(u) for u in orbit_reps]
     best: Dict[Tuple[int, int], int] = {}
     for u, ou in zip(orbit_reps, orbits):
         missing = set(orbits) - {ou}
@@ -728,7 +720,7 @@ def compute_r(
             ends: list = []
             _walk(g, h, (u,), r, out=ends)
             for path, hw, top in ends:
-                ow = orbit_of(path[-1])
+                ow = g.orbit_label(path[-1])
                 # `top` is the running maximum before the last step.
                 if ow in missing and hw > top:
                     missing.discard(ow)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .graphs import DEFAULT_BALL_BUDGET, Ball, BallGrowth, GraphOracle, ball
-from .heights import HeightFunction, resolve_height
+from .heights import resolve_height
 from .saw import (
     BoundsReport, CountTable, count_bridges, count_saws, mu_bounds, render_json,
 )
@@ -370,7 +370,6 @@ def locality_scan(
     family: Union[str, Callable[[int], GraphOracle]],
     n_max: int,
     m_list: Sequence[int],
-    height: Optional[HeightFunction] = None,
     bound: Optional[int] = None,
     threads: int = 1,
     precision: int = 10,
@@ -384,8 +383,7 @@ def locality_scan(
     tables on both sides; verification that counts agree for every
     n <= K (zero discrepancies expected: an n-step walk from the root
     lies inside S_n); and the member's bound pair, which stabilizes to
-    the base one as m grows. Bridges use `height` on every model, or,
-    when it is None, each model's own default height.
+    the base one as m grows. Bridges use each model's own default height.
     """
     if isinstance(family, str):
         family_name = family
@@ -418,12 +416,9 @@ def locality_scan(
             "satisfied": rank < len(pres.generators) - 1,
         }
 
-    def height_on(model: GraphOracle) -> HeightFunction:
-        return resolve_height(model) if height is None else height
-
     base_sigma = count_saws(g, n_max, threads=threads, budget=budget)
     base_bridge = count_bridges(
-        g, height_on(g), n_max, threads=threads, budget=budget
+        g, resolve_height(g), n_max, threads=threads, budget=budget
     )
     base_bounds = mu_bounds(base_sigma, base_bridge, precision=precision)
     partial = base_sigma.partial or base_bridge.partial
@@ -434,7 +429,7 @@ def locality_scan(
         iso = iso_radius(g, member, bound, convention=convention)
         member_sigma = count_saws(member, n_max, threads=threads, budget=budget)
         member_bridge = count_bridges(
-            member, height_on(member), n_max, threads=threads, budget=budget
+            member, resolve_height(member), n_max, threads=threads, budget=budget
         )
         agree_up_to, discrepancies = count_agreement(
             base_sigma, base_bridge, member_sigma, member_bridge,

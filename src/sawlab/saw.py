@@ -626,10 +626,12 @@ def _orbit_tasks(prefixes: list, rest: int, symmetries: List[List[int]]):
 # deepest depth, weighted by the cost of a node, must be at least
 # POOL_MIN_NODES. A node of the oracle walker `_walk` costs about
 # ORACLE_NODE_COST nodes of the compiled-ball walker. Measured on a
-# 2-vCPU machine, a pool start costs about as much wall time as 100,000
-# compiled-ball nodes; both numbers are exact integers, so the choice is
-# the same on every run.
-POOL_MIN_NODES = 100_000
+# 2-vCPU machine (median of 7 fresh processes), two threads lost wall
+# time on grandparent's n = 6 pass, bounded at 129,654 nodes, and gained
+# on passes bounded at 196,608 (hexagonal n = 18, tree3 and lamplighter
+# n = 15); the threshold lies between. Both numbers are exact integers,
+# so the choice is the same on every run.
+POOL_MIN_NODES = 150_000
 ORACLE_NODE_COST = 4
 
 

@@ -2,14 +2,17 @@
 
 Everything here is deliberately primitive: explicit coordinate walks,
 full path lists, no pruning beyond the definitions themselves, and no
-imports from the package under test. The frozen tables below were
-produced by running this file directly (python tests/oracles.py) and
-are asserted against the fast implementations in the test suite.
+imports from the package under test (the reference model resolver is
+handed the graphs module, whose constructors it calls). The frozen
+tables below were produced by running this file directly (python
+tests/oracles.py) and are asserted against the fast implementations in
+the test suite.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from math import gcd
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -142,6 +145,75 @@ class LamplighterSetOracle:
     def canonical_key(self, v: tuple) -> bytes:
         lamps, pos = v
         return f"{sorted(lamps)}|{pos}".encode()
+
+
+# ---------------------------------------------------------------------------
+# Reference model resolver: the if-chain the catalog table replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_catalog(lib, name: str, param: Optional[int] = None):
+    """Build a catalog oracle by name. `param` is d for zd, m for the
+    quotient families. `lib` is the graphs module, whose oracle and
+    voltage-graph constructors this dispatch calls."""
+    if name in ("zd", "cylinder_zd", "ladder_dihedral") and param is None:
+        what = "a dimension parameter" if name == "zd" else "the cycle length m"
+        raise lib.GraphError(f"{name} needs {what}")
+    if name == "zd":
+        return lib.PGOracle(lib.zd_pg(param), f"zd{param}", lib._lattice_key, "x")
+    if name == "dihedral":
+        return lib.PGOracle(lib.dihedral_line_pg(), "dihedral", lib._line_key, "identity")
+    if name == "tree3":
+        return lib.Tree3Oracle()
+    if name == "heisenberg":
+        return lib.HeisenbergOracle()
+    if name == "lamplighter":
+        return lib.LamplighterOracle()
+    if name == "hexagonal":
+        return lib.PGOracle(lib.hexagonal_pg(), "hexagonal")
+    if name == "square_octagon":
+        return lib.PGOracle(lib.square_octagon_pg(), "square_octagon")
+    if name == "cylinder_zd":
+        return lib.PGOracle(lib.cylinder_pg(param), f"cylinder_zd{param}", lib._cylinder_key, "x")
+    if name == "ladder_dihedral":
+        return lib.PGOracle(
+            lib.ladder_dihedral_pg(param), f"ladder_dihedral{param}", lib._ladder_key, "x"
+        )
+    if name == "grandparent":
+        return lib.GrandparentOracle()
+    raise lib.GraphError(f"unknown preset {name!r}")
+
+
+def reference_resolve_model(lib, spec: str):
+    """Parse compact model strings like zd2, cylinder8, ladder_dihedral6
+    with fixed family tuples, and build them by `reference_catalog`."""
+    s = spec.strip().lower()
+    m = re.match(r"^([a-z_]+?)_?(\d+)?$", s)
+    if not m:
+        raise lib.GraphError(f"cannot parse model {spec!r}")
+    base, num = m.group(1), m.group(2)
+    param = int(num) if num is not None else None
+    aliases = {
+        "cylinder": "cylinder_zd",
+        "cylinder_zd": "cylinder_zd",
+        "ladder": "ladder_dihedral",
+        "ladder_dihedral": "ladder_dihedral",
+        "dihedral_line": "dihedral",
+        "zd": "zd",
+    }
+    base = aliases.get(base, base)
+    if base == "tree" and param == 3:
+        return reference_catalog(lib, "tree3")
+    if base in ("tree3", "square_octagon", "hexagonal", "dihedral", "heisenberg",
+                "lamplighter", "grandparent"):
+        if base == "tree3" or param is None:
+            return reference_catalog(lib, base)
+        raise lib.GraphError(f"model {base} takes no numeric parameter")
+    if base in ("zd", "cylinder_zd", "ladder_dihedral"):
+        if param is None:
+            raise lib.GraphError(f"model {base} needs a numeric parameter, e.g. {base}2")
+        return reference_catalog(lib, base, param)
+    raise lib.GraphError(f"unknown model {spec!r}")
 
 
 # ---------------------------------------------------------------------------

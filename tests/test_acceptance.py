@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 import oracles
-from sawlab.graphs import PGOracle, periodic_preset, resolve_model
+from sawlab.graphs import PGOracle, resolve_model
 from sawlab.heights import (
     CoordinateHeight,
     GammaHeight,
@@ -152,7 +152,7 @@ def test_criterion_5_bound_sandwich_tightens():
 
 def test_criterion_6_harmonic_extension_and_integer_repair():
     t0 = time.monotonic()
-    line_pg = periodic_preset("dihedral_line")
+    line_pg = resolve_model("dihedral_line").pg
     h_line = increase_repair(line_pg)
     # the repaired height enumerates the line: psi is the identity on Z
     for k in range(-50, 51):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from sawlab import cli
+from sawlab import cli, graphs
 from sawlab.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, main
 
 
@@ -157,6 +157,29 @@ def test_harmonic_model_and_pg_file(capsys, tmp_path):
     assert "lambda = (1), f = (0, 1/2)" in out2
 
 
+@pytest.mark.parametrize("model", ["zd1", "zd3", "cylinder5", "ladder_dihedral4", "dihedral"])
+def test_harmonic_model_is_its_document(capsys, tmp_path, model):
+    # Every periodic catalog model reaches harmonic, and solves as its
+    # voltage graph read from a document does.
+    doc = tmp_path / "pg.json"
+    doc.write_text(json.dumps(graphs.resolve_model(model).pg.to_document()))
+    artifacts = []
+    for source in (("--model", model), ("--input", str(doc))):
+        target = tmp_path / "out.json"
+        assert run(capsys, "harmonic", *source, "--output", str(target))[0] == EXIT_OK
+        artifact = json.loads(target.read_text())
+        assert artifact.pop("periodic_graph") == source[1]
+        artifacts.append(artifact)
+    assert artifacts[0] == artifacts[1]
+
+
+@pytest.mark.parametrize("model", ["tree3", "lamplighter", "heisenberg", "grandparent"])
+def test_harmonic_rejects_models_that_are_not_periodic(capsys, model):
+    code, out, err = run(capsys, "harmonic", "--model", model)
+    assert code == EXIT_INPUT
+    assert out == "" and "not a periodic graph" in err
+
+
 def test_harmonic_exits_negative_at_once_without_increments(capsys, tmp_path):
     # Orbit 2 takes orbit 1's value in every harmonic solution of this
     # d = 6 document, and every solution of a dimension-0 document is
@@ -217,6 +240,16 @@ def test_preset_list(capsys):
     assert code == EXIT_OK
     for name in ("zd2", "hexagonal", "square_octagon", "grandparent", "cylinder_zd"):
         assert name in out
+    lines = out.splitlines()
+    assert "  zd<d>" in lines and "  cylinder_zd<m> (alias cylinder<m>)" in lines
+    assert "  dihedral (alias dihedral_line)" in lines
+    documents = {
+        name: json.loads(doc)
+        for name, _, doc in (line.strip().partition(": ") for line in lines if "{" in line)
+    }
+    assert sorted(documents) == ["dihedral", "hexagonal", "square_octagon"]
+    for name, doc in documents.items():
+        assert doc == graphs.resolve_model(name).pg.to_document()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ from ast import literal_eval
 
 import pytest
 
+from sawlab import graphs
 from sawlab.graphs import (
+    MODEL_ALIASES,
+    MODELS,
     Ball,
     BudgetExceeded,
     GraphError,
@@ -17,15 +20,13 @@ from sawlab.graphs import (
     PGOracle,
     Tree3Oracle,
     ball,
-    catalog,
     cover_vertex,
     dihedral_line_pg,
     hexagonal_pg,
     periodic_graph_from_document,
-    periodic_preset,
     resolve_model,
     square_octagon_pg,
-    zd2_pg,
+    zd_pg,
 )
 from sawlab._linalg import lattice_index
 
@@ -86,12 +87,12 @@ def test_canonical_keys_injective_on_ball():
 
 
 def test_zd_degrees_and_labels():
-    g = catalog("zd", 2)
+    g = resolve_model("zd2")
     labels = dict((label, w[1]) for w, label in g.neighbors(g.root))
     assert labels == {"x": (1, 0), "X": (-1, 0), "y": (0, 1), "Y": (0, -1)}
-    assert catalog("zd", 3).degree_bound() == 6
+    assert resolve_model("zd3").degree_bound() == 6
     with pytest.raises(GraphError):
-        catalog("zd", 0)
+        resolve_model("zd0")
 
 
 ZD_LABELS = {1: "xX", 2: "xXyY", 3: "xXyYzZ",
@@ -152,7 +153,40 @@ def test_int_vertex_oracles_match_the_reference_oracles(model, reference):
 def test_periodic_catalog_parameter_errors():
     for name, bad in (("zd", 0), ("cylinder_zd", 2), ("ladder_dihedral", 2)):
         with pytest.raises(GraphError, match="requires"):
-            catalog(name, bad)
+            resolve_model(f"{name}{bad}")
+
+
+def _spellings():
+    """Every family and alias, and some near misses, with no parameter or
+    0/1/2/3/5, joined with and without `_`; each in three cases, padded,
+    and with junk around it."""
+    bases = sorted(set(MODELS) | set(MODEL_ALIASES)) + [
+        "tree", "zd_", "tree3_", "cylinder_zd_", "lattice", "", "_"]
+    for base in bases:
+        for sep in ("", "_"):
+            for param in ("", "0", "1", "2", "3", "5"):
+                s = base + (sep + param if param else sep)
+                yield from (s, s.upper(), s.title(), f"  {s}\t", f"{s}x", f"-{s}",
+                            s.replace("_", "-"), f"{s} 2")
+
+
+def _resolved(resolve, spec):
+    try:
+        g = resolve(spec)
+    except GraphError:
+        return None
+    return type(g), g.name, g.default_height, ball(g, 3).keys
+
+
+def test_model_table_resolves_as_the_reference_resolver():
+    # The table-driven resolver against the if-chain it replaced, copied
+    # into the oracles: the same model, or a GraphError from both.
+    accepted = 0
+    for spec in sorted(set(_spellings())):
+        want = _resolved(lambda s: oracles.reference_resolve_model(graphs, s), spec)
+        assert _resolved(resolve_model, spec) == want, repr(spec)
+        accepted += want is not None
+    assert accepted > 100
 
 
 def test_tree3_is_a_tree_with_involutions():
@@ -204,18 +238,18 @@ def test_dihedral_line_is_the_integer_line():
 
 
 def test_cylinder_wraps():
-    g = catalog("cylinder_zd", 4)
+    g = resolve_model("cylinder_zd4")
     assert ball(g, 1).vertex_count() == 5
     v = walk(g, ["y", "y", "y", "y"])
     assert v == g.root
     with pytest.raises(GraphError):
-        catalog("cylinder_zd", 2)
+        resolve_model("cylinder_zd2")
 
 
 def test_ladder_dihedral_is_same_graph_as_cylinder():
     for m in (3, 5, 8):
-        a = catalog("ladder_dihedral", m)
-        b = catalog("cylinder_zd", m)
+        a = resolve_model(f"ladder_dihedral{m}")
+        b = resolve_model(f"cylinder_zd{m}")
         for k in range(1, 5):
             assert oracles.rooted_isomorphic(
                 _as_triple(ball(a, k)), _as_triple(ball(b, k))
@@ -342,19 +376,19 @@ def test_pg_oracle_neighbor_order_and_labels():
     assert g.neighbors((1, (0,))) == (((2, (-1,)), "e0"), ((2, (0,)), "a"))
     assert g.neighbors((2, (3,))) == (((1, (3,)), "e0"), ((1, (4,)), "e1"))
     assert [label for _, _, label in pg.out_edges(2)] == ["e0", "e1"]
-    hexa = catalog("hexagonal")
+    hexa = resolve_model("hexagonal")
     assert hexa.neighbors((2, (0, 0))) == (
         ((1, (0, 0)), "s1"), ((1, (1, 0)), "s3"), ((1, (0, 1)), "s2")
     )
 
 
 def test_pg_preset_degrees():
-    assert all(zd2_pg().degree(o) == 4 for o in (1,))
+    assert all(zd_pg(2).degree(o) == 4 for o in (1,))
     assert all(hexagonal_pg().degree(o) == 3 for o in (1, 2))
     assert all(square_octagon_pg().degree(o) == 3 for o in (1, 2, 3, 4))
     assert all(dihedral_line_pg().degree(o) == 2 for o in (1, 2))
     with pytest.raises(GraphError):
-        periodic_preset("nope")
+        resolve_model("nope")
 
 
 def _as_triple(b: Ball):
@@ -362,7 +396,7 @@ def _as_triple(b: Ball):
 
 
 def test_hexagonal_cover_matches_brick_wall():
-    g = catalog("hexagonal")
+    g = resolve_model("hexagonal")
     for k in range(1, 5):
         mine = ball(g, k)
         ref = oracles.coordinate_ball(oracles.brick_wall_neighbors, (0, 0), k)
@@ -372,7 +406,7 @@ def test_hexagonal_cover_matches_brick_wall():
 
 
 def test_square_octagon_cover_matches_truncated_square():
-    g = catalog("square_octagon")
+    g = resolve_model("square_octagon")
     for k in range(1, 5):
         mine = ball(g, k)
         ref = oracles.coordinate_ball(
@@ -383,7 +417,7 @@ def test_square_octagon_cover_matches_truncated_square():
 
 def test_zd2_pg_cover_matches_lattice():
     g = resolve_model("zd2")
-    pg = PGOracle(zd2_pg(), "zd2_pg")
+    pg = PGOracle(zd_pg(2), "zd2_pg")
     for k in range(1, 4):
         assert oracles.rooted_isomorphic(
             _as_triple(ball(g, k)), _as_triple(ball(pg, k))

@@ -13,12 +13,9 @@ from hypothesis import given, settings
 import oracles
 from sawlab._linalg import bareiss_rank
 from sawlab.graphs import (
-    PERIODIC_PRESETS,
     PGOracle,
     ball,
-    catalog,
     periodic_graph_from_document,
-    periodic_preset,
     resolve_model,
 )
 from sawlab.heights import (
@@ -58,7 +55,7 @@ F = Fraction
 def test_solution_space_frozen_values():
     got = {
         name: [
-            (tuple(s.lam), tuple(s.f)) for s in solution_space(periodic_preset(name))
+            (tuple(s.lam), tuple(s.f)) for s in solution_space(resolve_model(name).pg)
         ]
         for name in ("zd2", "dihedral_line", "hexagonal", "square_octagon")
     }
@@ -76,14 +73,14 @@ def test_solution_space_frozen_values():
 
 def test_solutions_have_zero_residuals_and_f1_pinned():
     for name in ("zd2", "dihedral_line", "hexagonal", "square_octagon"):
-        pg = periodic_preset(name)
+        pg = resolve_model(name).pg
         for s in solution_space(pg):
             assert s.f[0] == 0
             assert all(r == 0 for r in harmonic_residuals(pg, s.lam, s.f))
 
 
 PINNED_LAPLACIAN_GRAPHS = (
-    [("preset", name) for name in sorted(PERIODIC_PRESETS)]
+    [("preset", name) for name in ("dihedral_line", "hexagonal", "square_octagon", "zd2")]
     + [("model", f"zd{d}") for d in range(1, 5)]
     + [("model", f"{family}{m}") for family in ("cylinder", "ladder_dihedral")
        for m in range(3, 10)]
@@ -96,7 +93,7 @@ def test_pinned_quotient_laplacian_has_full_rank(source, name):
     # solution_space relies on this: the quotient Laplacian with orbit 1's
     # row and column removed is nonsingular, so no lambda = 0 solution
     # other than the constants exists and every extension is unique.
-    pg = periodic_preset(name) if source == "preset" else resolve_model(name).pg
+    pg = resolve_model(name).pg
     m = pg.orbit_count
     rows = [[0] * (m - 1) for _ in range(m - 1)]
     for o in range(2, m + 1):
@@ -111,14 +108,14 @@ def test_pinned_quotient_laplacian_has_full_rank(source, name):
 
 
 def test_solution_constructor_rejects_non_harmonic():
-    pg = periodic_preset("hexagonal")
+    pg = resolve_model("hexagonal").pg
     with pytest.raises(HeightError):
         HarmonicSolution(pg=pg, lam=(F(1), F(0)), f=(F(0), F(1)))
 
 
 def test_uniqueness_perturbation_breaks_harmonicity():
     for name in ("dihedral_line", "hexagonal", "square_octagon"):
-        pg = periodic_preset(name)
+        pg = resolve_model(name).pg
         for s in solution_space(pg):
             for o in range(pg.orbit_count):
                 f = list(s.f)
@@ -130,7 +127,7 @@ def test_uniqueness_perturbation_breaks_harmonicity():
 
 
 def test_harmonic_extension_matches_solution_space():
-    pg = periodic_preset("square_octagon")
+    pg = resolve_model("square_octagon").pg
     ext = harmonic_extension(pg, base_orbit=1, lam=(1, 0), offset=0)
     assert ext.f == (F(0), F(-1, 4), F(-1, 2), F(-1, 4))
     # pinning a different orbit shifts the solution by a constant
@@ -146,7 +143,7 @@ def test_harmonic_extension_matches_solution_space():
 
 
 def test_extension_on_dihedral_line_is_identity():
-    pg = periodic_preset("dihedral_line")
+    pg = resolve_model("dihedral_line").pg
     ext = harmonic_extension(pg, base_orbit=1, lam=(2,), offset=0)
     assert ext.f == (F(0), F(1))
     h = increase_repair(pg)
@@ -167,13 +164,13 @@ def test_increase_repair_frozen_outputs():
         "square_octagon": ((4, 0), (0, -1, -2, -1), 4),
     }
     for name, (lam, f, scale) in expected.items():
-        h = increase_repair(periodic_preset(name))
+        h = increase_repair(resolve_model(name).pg)
         assert (h.lam, h.f, h.scale) == (lam, f, scale), name
 
 
 def test_repair_is_integer_increasing_harmonic():
     for name in ("zd2", "dihedral_line", "hexagonal", "square_octagon"):
-        pg = periodic_preset(name)
+        pg = resolve_model(name).pg
         h = increase_repair(pg)
         g = PGOracle(pg, name)
         assert all(isinstance(x, int) for x in h.f + h.lam)
@@ -209,7 +206,7 @@ def test_default_heights_of_the_periodic_catalog():
 
 
 def test_repair_document_fields():
-    pg = periodic_preset("square_octagon")
+    pg = resolve_model("square_octagon").pg
     h = increase_repair(pg)
     doc = repair_document(pg, h)
     assert doc["scale"] == 4
@@ -441,7 +438,7 @@ def test_transport_of_ghf_heights_equals_height_table(model):
 
 
 def test_grandparent_level():
-    g = catalog("grandparent")
+    g = resolve_model("grandparent")
     h = LevelHeight()
     report = verify_height_axioms(g, h, radius=4)
     assert report.ok
@@ -462,9 +459,9 @@ def test_compute_d_values():
     assert compute_d(resolve_model("zd2"), CoordinateHeight(0, label="x")) == 1
     gd = resolve_model("dihedral_line")
     assert compute_d(gd, resolve_height(gd, "identity")) == 1
-    so = catalog("square_octagon")
+    so = resolve_model("square_octagon")
     assert compute_d(so, increase_repair(so.pg)) == 2
-    hx = catalog("hexagonal")
+    hx = resolve_model("hexagonal")
     spec = choose_ghf(preset_presentation("hexagonal"))
     assert compute_d(hx, GammaHeight.from_spec(spec)) == 1
     assert compute_d(hx, increase_repair(hx.pg)) == 2
@@ -480,22 +477,21 @@ def test_compute_r_values():
             gd,
             resolve_height(gd, "identity"),
             orbit_reps=[(1, (0,)), (2, (0,))],
-            orbit_of=lambda v: v[0] - 1,
         )
         == 1
     )
 
-    so = catalog("square_octagon")
+    so = resolve_model("square_octagon")
     h = increase_repair(so.pg)
     assert compute_r(so, h, bound=8) == 3
     assert compute_r(so, h, bound=2) is None
 
-    hx = catalog("hexagonal")
+    hx = resolve_model("hexagonal")
     assert compute_r(hx, increase_repair(hx.pg), bound=8) == 1
 
 
 def test_compute_r_matches_brute_force_at_any_representative():
-    hx = catalog("hexagonal")
+    hx = resolve_model("hexagonal")
     spec = choose_ghf(preset_presentation("hexagonal"))
     gamma = spec.gamma_by_symbol()
     ghf = GammaHeight.from_spec(spec)
@@ -532,7 +528,7 @@ def _delta_sum(s, walk):
 def test_closed_walk_increments_sum_to_zero():
     rng = random.Random(7)
     for name in ("zd2", "dihedral_line", "hexagonal", "square_octagon"):
-        pg = periodic_preset(name)
+        pg = resolve_model(name).pg
         g = PGOracle(pg, name)
         for s in solution_space(pg):
             for _ in range(20):
@@ -548,7 +544,7 @@ def test_fundamental_cycle_increments_sum_to_zero():
     # non-tree ball edges close genuine cycles (hexagon/octagon faces
     # included), not just out-and-back retracings
     for name in ("zd2", "dihedral_line", "hexagonal", "square_octagon"):
-        pg = periodic_preset(name)
+        pg = resolve_model(name).pg
         g = PGOracle(pg, name)
         b = ball(g, 3)
         parent = {0: None}

@@ -476,6 +476,21 @@ def test_pool_maps_once_per_real_pass(monkeypatch):
     assert 1 <= len(map_calls) <= len(targets)
 
 
+def test_pool_threshold_lies_between_grandparent_and_tree3(monkeypatch):
+    # grandparent's n = 6 pass is bounded at 378 * 7^3 = 129,654 nodes, too
+    # few to pay for a pool; tree3's n = 16 pass, 12 * 2^13 oracle nodes
+    # at ORACLE_NODE_COST each (393,216), is worth one.
+    monkeypatch.delenv("SAWLAB_BUDGET", raising=False)
+    for model, n, pools in (("grandparent", 6, 0), ("tree3", 16, 1)):
+        g = resolve_model(model)
+        serial = count_saws(g, n, threads=1)
+        starts, map_calls = [], []
+        monkeypatch.setattr(saw, "ProcessPoolExecutor", _counting_pool(starts, map_calls, [0]))
+        t = count_saws(g, n, threads=2)
+        assert _table_fields(t) == _table_fields(serial), model
+        assert len(starts) == len(map_calls) == pools, model
+
+
 # ---------------------------------------------------------------------------
 # Certified symmetry reduction
 # ---------------------------------------------------------------------------
