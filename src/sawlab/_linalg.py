@@ -2,10 +2,14 @@
 
 Everything here operates on plain Python ints and fractions.Fraction;
 no floating point enters any decision. Matrices are lists of row
-tuples/lists. These routines back the rank/kernel computations on
-coefficient matrices, the harmonic linear systems and the lattice-span
-check of periodic graphs, all of which are small (at most a few dozen
-rows), so clarity beats asymptotics.
+tuples/lists. `rref` is the one rational elimination: the rank of a
+matrix is its pivot count, `integer_kernel` reads the null space from
+its free columns, and `solve_unique` reduces a system once for all its
+right-hand sides. These back the kernel of a presentation's coefficient
+matrix and the pinned orbit systems of harmonic heights; the
+lattice-span check of periodic graphs is an integer reduction
+(`lattice_index`). All of them are small (at most a few dozen rows), so
+clarity beats asymptotics.
 """
 
 from __future__ import annotations
@@ -13,41 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from typing import List, Sequence, Tuple
-
-
-def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix, by fraction-free Bareiss elimination.
-
-    All intermediate values stay integers; divisions are exact.
-    """
-    m = [list(map(int, r)) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev_pivot = 1
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        pivot_row = None
-        for r in range(row, nrows):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        pivot = m[row][col]
-        for r in range(row + 1, nrows):
-            for c in range(col + 1, ncols):
-                # Bareiss update: division by the previous pivot is exact.
-                m[r][c] = (m[r][c] * pivot - m[r][col] * m[row][c]) // prev_pivot
-            m[r][col] = 0
-        prev_pivot = pivot
-        rank += 1
-        row += 1
-    return rank
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
@@ -108,9 +77,7 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[int,
     """
     if ncols == 0:
         return []
-    if not rows:
-        rows = []
-    reduced, pivots = rref([[Fraction(x) for x in r] for r in rows])
+    reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis: List[Tuple[int, ...]] = []
@@ -163,25 +130,25 @@ class InconsistentSystem(ValueError):
     """Raised when a linear system A x = b has no solution."""
 
 
-def solve_unique(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> List[Fraction]:
-    """Solve A x = b over Q, requiring a unique solution.
+def solve_unique(
+    a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
+) -> List[List[Fraction]]:
+    """Solve A X = B over Q, requiring a unique solution.
 
-    Raises InconsistentSystem if no solution exists, ValueError if the
-    solution is not unique (the harmonic systems we feed in are pinned
-    to full column rank, so non-uniqueness signals a caller bug).
+    B holds one row of right-hand sides per row of A, and X one row per
+    column of A: column k of X solves A x = column k of B. One reduction
+    of [A | B] serves every right-hand side. Raises InconsistentSystem if
+    some column has no solution, ValueError if the solution is not unique
+    (the harmonic systems we feed in are pinned to full column rank, so
+    non-uniqueness signals a caller bug).
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    reduced, pivots = rref(aug)
-    if ncols in pivots:
+    ncols = len(a[0]) if a else 0
+    reduced, pivots = rref([list(row) + list(rhs) for row, rhs in zip(a, b)])
+    if pivots and pivots[-1] >= ncols:
         raise InconsistentSystem("no solution")
     if len(pivots) < ncols:
         raise ValueError("solution not unique")
-    x = [Fraction(0)] * ncols
-    for prow, pcol in zip(reduced, pivots):
-        x[pcol] = prow[-1]
-    return x
+    return [prow[ncols:] for prow in reduced[:ncols]]
 
 
 def iroot_floor(value: int, n: int) -> int:

@@ -112,16 +112,16 @@ def cmd_ghf(args) -> int:
         pres = presentations.preset_presentation(args.model)
         label = args.model
     c = presentations.coefficient_matrix(pres)
-    rank = presentations.rank_exact(c)
     basis = presentations.integer_kernel_basis(c)
-    spec = presentations.choose_ghf(pres)
+    spec = basis.ghf()
     exists = spec is not None
+    rank = len(c.symbols) - len(basis.vectors)
     doc = {
         "presentation": label,
         "generators": len(pres.generators),
         "relators": len(c.rows),
         "rank": rank,
-        "betti": len(pres.generators) - rank,
+        "betti": len(basis.vectors),
         "exists": exists,
         "symbols": list(c.symbols),
         "kernel_basis": [list(v) for v in basis.vectors],
@@ -196,7 +196,7 @@ def cmd_harmonic(args) -> int:
         pg = g.pg
         label = args.model
     basis = heights.solution_space(pg)
-    repaired = heights.increase_repair(pg)
+    repaired = heights._repair(pg, basis)
     doc = {
         "periodic_graph": label,
         "orbits": pg.orbit_count,
@@ -355,7 +355,7 @@ _OPTIONS = {
     ),
     "--precision": dict(type=_at_least(1), default=10, help="digits of the root bounds"),
     "--radius": dict(type=int, default=4, help="radius of the checked ball"),
-    "--bound": dict(type=int, default=6, help="largest radius compared"),
+    "--bound": dict(type=_at_least(0), default=6, help="largest radius compared"),
     "--a": dict(required=True, help="first model"),
     "--b": dict(required=True, help="second model"),
     "--family": dict(default="cylinder_zd", help="quotient family of the scan"),

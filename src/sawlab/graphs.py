@@ -590,9 +590,8 @@ MODEL_ALIASES = {"cylinder": "cylinder_zd", "ladder": "ladder_dihedral", "dihedr
 _MODEL_RE = re.compile(r"^([a-z_]+?)_?(\d+)?$")
 
 
-def resolve_model(spec: str) -> GraphOracle:
-    """Build the catalog model `spec` names: a family or an alias, then
-    its parameter if it takes one (zd2, cylinder8, ladder_dihedral_6).
+def _parse_model(spec: str) -> Tuple[str, Optional[int]]:
+    """The family (an alias replaced) and the parameter `spec` spells.
     Case, padding and an underscore before the digits are ignored; a
     family whose name ends in digits (tree3) is matched first."""
     m = _MODEL_RE.match(spec.strip().lower())
@@ -602,7 +601,25 @@ def resolve_model(spec: str) -> GraphOracle:
     param = int(num) if num is not None else None
     if param is not None and f"{base}{param}" in MODELS:
         base, param = f"{base}{param}", None
-    base = MODEL_ALIASES.get(base, base)
+    return MODEL_ALIASES.get(base, base), param
+
+
+def model_name(spec: str) -> str:
+    """The canonical spelling of `spec` under `resolve_model`'s rules
+    (ZD_2 is zd2, dihedral_line is dihedral); a spelling they cannot
+    parse, such as sl2z, is only lower-cased and stripped."""
+    try:
+        base, param = _parse_model(spec)
+    except GraphError:
+        return spec.strip().lower()
+    return base if param is None else f"{base}{param}"
+
+
+def resolve_model(spec: str) -> GraphOracle:
+    """Build the catalog model `spec` names: a family or an alias, then
+    its parameter if it takes one (zd2, cylinder8, ladder_dihedral_6),
+    spelled as `_parse_model` reads it."""
+    base, param = _parse_model(spec)
     if base not in MODELS:
         raise GraphError(f"unknown model {spec!r}")
     build, takes = MODELS[base]

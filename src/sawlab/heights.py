@@ -4,7 +4,9 @@ repair to increase-everywhere height functions, and axiom verification.
 A difference-invariant function on the cover of a PeriodicGraph is
 affine: value(o, x) = f(o) + <lambda, x>. Harmonicity at each orbit is
 deg(o) * f(o) = sum over edges (o, o2, t) of (f(o2) + <lambda, t>),
-a finite rational linear system solved exactly. A basis of solutions
+a finite rational linear system solved exactly. `solution_space` pins
+orbit 1 and reduces that system once, with one right-hand side per
+lattice direction, for a basis of its solutions. The basis
 can then be combined and scaled into an integer-valued height function
 that has a strictly lower and a strictly higher neighbor at every
 vertex: `increase_repair` takes the first signed basis solution, then
@@ -256,62 +258,58 @@ class HarmonicSolution:
         return self.f[o - 1] + sum(l * c for l, c in zip(self.lam, x))
 
 
+def _neighbor_values(
+    pg: PeriodicGraph, lam: Sequence[Fraction], f: Sequence[Fraction], o: int
+) -> List[Fraction]:
+    """f(o2) + <lam, t> over the edges (o, o2, t) leaving orbit o: the
+    values at the neighbors of (o, 0)."""
+    return [f[o2 - 1] + sum(Fraction(l) * c for l, c in zip(lam, t))
+            for o2, t, _label in pg.out_edges(o)]
+
+
 def harmonic_residuals(
     pg: PeriodicGraph, lam: Sequence[Fraction], f: Sequence[Fraction]
 ) -> List[Fraction]:
     """Per-orbit residual deg(o) f(o) - sum(f(o2) + <lam, t>); zero iff harmonic."""
-    out = []
-    for o in range(1, pg.orbit_count + 1):
-        total = Fraction(0)
-        for o2, t, _label in pg.out_edges(o):
-            total += f[o2 - 1] + sum(
-                Fraction(l) * c for l, c in zip(lam, t)
-            )
-        out.append(pg.degree(o) * f[o - 1] - total)
-    return out
+    return [pg.degree(o) * f[o - 1] - sum(_neighbor_values(pg, lam, f, o))
+            for o in range(1, pg.orbit_count + 1)]
 
 
-def _solve_for_lambda(
-    pg: PeriodicGraph, lam: Sequence[Fraction], pinned_orbit: int, pinned_value: Fraction
-) -> Tuple[Fraction, ...]:
-    """Solve the orbit harmonicity system with one orbit's value pinned.
+def _orbit_system(
+    pg: PeriodicGraph, pinned: int, lams: Sequence[Sequence[Fraction]], offset: Fraction
+) -> List[Tuple[Fraction, ...]]:
+    """f of the harmonic extension of each lambda in `lams` with f(pinned)
+    = offset: the orbit system, pinned once and reduced once with one
+    right-hand side per lambda.
 
     The equation of the pinned orbit is dropped; for a connected quotient
-    the remaining system is uniquely solvable and the dropped equation
-    follows because all equations sum to zero.
+    the remaining system is uniquely solvable (see `solution_space`), and
+    the dropped equation follows because all equations sum to zero.
     """
-    m = pg.orbit_count
-    unknowns = [o for o in range(1, m + 1) if o != pinned_orbit]
+    unknowns = [o for o in range(1, pg.orbit_count + 1) if o != pinned]
     col = {o: i for i, o in enumerate(unknowns)}
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
+    f0 = [Fraction(0)] * pg.orbit_count
+    f0[pinned - 1] = offset
+    rows, rhs = [], []
     for o in unknowns:
-        row = [Fraction(0)] * len(unknowns)
+        row = [0] * len(unknowns)
         row[col[o]] += pg.degree(o)
-        b = Fraction(0)
-        for o2, t, _label in pg.out_edges(o):
-            b += sum(Fraction(l) * c for l, c in zip(lam, t))
-            if o2 == pinned_orbit:
-                b += pinned_value
-            else:
+        for o2, _t, _label in pg.out_edges(o):
+            if o2 != pinned:
                 row[col[o2]] -= 1
         rows.append(row)
-        rhs.append(b)
-    if unknowns:
-        sol = solve_unique(rows, rhs)
-    else:
-        sol = []
-    f = [Fraction(0)] * m
-    f[pinned_orbit - 1] = Fraction(pinned_value)
-    for o, i in col.items():
-        f[o - 1] = sol[i]
-    return tuple(f)
+        # With every unknown at 0, the neighbor values are the constant terms.
+        rhs.append([sum(_neighbor_values(pg, lam, f0, o)) for lam in lams])
+    # Row o - 1 of x holds f(o) for every lambda once the pinned row is in.
+    x = solve_unique(rows, rhs)
+    x.insert(pinned - 1, [f0[pinned - 1]] * len(lams))
+    return [tuple(f) for f in zip(*x)]
 
 
 def solution_space(pg: PeriodicGraph) -> List[HarmonicSolution]:
     """Q-basis of harmonic difference-invariant functions with f(1) = 0:
     the harmonic extension of lambda = e_i from orbit 1, one per lattice
-    direction.
+    direction, all from one reduction of the pinned orbit system.
 
     A PeriodicGraph is connected, so by the matrix-tree theorem its
     quotient Laplacian with orbit 1's row and column removed has a
@@ -319,10 +317,9 @@ def solution_space(pg: PeriodicGraph) -> List[HarmonicSolution]:
     therefore exists and is unique, and no solution with lambda = 0 other
     than the constants exists.
     """
-    return [
-        harmonic_extension(pg, 1, [int(j == i) for j in range(pg.dim)])
-        for i in range(pg.dim)
-    ]
+    units = [tuple(Fraction(int(j == i)) for j in range(pg.dim)) for i in range(pg.dim)]
+    fs = _orbit_system(pg, 1, units, Fraction(0))
+    return [HarmonicSolution(pg=pg, lam=lam, f=f) for lam, f in zip(units, fs)]
 
 
 def harmonic_extension(
@@ -338,7 +335,7 @@ def harmonic_extension(
     lam_f = tuple(Fraction(l) for l in lam)
     if len(lam_f) != pg.dim:
         raise HeightError("lambda length does not match the lattice dimension")
-    f = _solve_for_lambda(pg, lam_f, pinned_orbit=base_orbit, pinned_value=Fraction(offset))
+    (f,) = _orbit_system(pg, base_orbit, [lam_f], Fraction(offset))
     return HarmonicSolution(pg=pg, lam=lam_f, f=f)
 
 
@@ -352,22 +349,16 @@ def _strictly_increasing_everywhere(
 ) -> Optional[List[Tuple[int, Fraction, Fraction]]]:
     """Check every orbit has a strictly lower and higher neighbor value.
 
-    Returns per-orbit witnesses (orbit, lower value, higher value) on
+    Returns per-orbit witnesses (orbit, lowest value, highest value) on
     success, None on failure. Checking one representative per orbit
     suffices: values are affine in x, so the neighbor pattern repeats.
     """
     witnesses = []
     for o in range(1, pg.orbit_count + 1):
         here = f[o - 1]
-        lower = None
-        higher = None
-        for o2, t, _label in pg.out_edges(o):
-            val = f[o2 - 1] + sum(Fraction(l) * c for l, c in zip(lam, t))
-            if val < here and (lower is None or val < lower):
-                lower = val
-            if val > here and (higher is None or val > higher):
-                higher = val
-        if lower is None or higher is None:
+        values = _neighbor_values(pg, lam, f, o)
+        lower, higher = min(values, default=here), max(values, default=here)
+        if not lower < here < higher:
             return None
         witnesses.append((o, lower, higher))
     return witnesses
@@ -388,13 +379,19 @@ def increase_repair(pg: PeriodicGraph, name: str = "repaired") -> PeriodicHeight
     roots. So the M orbits rule out at most M(b-1) values of t, some t in
     0..M(b-1) passes, and c(0) = e_1.
     """
-    basis = solution_space(pg)
+    return _repair(pg, solution_space(pg), name)
+
+
+def _repair(
+    pg: PeriodicGraph, basis: List[HarmonicSolution], name: str = "repaired"
+) -> PeriodicHeight:
+    """`increase_repair` on `basis`, the `solution_space` of `pg`."""
     if not basis:
         raise RepairExhausted("dimension 0: every harmonic solution is constant")
     # An orbit whose increments are zero in every basis solution has them
     # zero in every combination, so every candidate would fail there.
     for o in range(1, pg.orbit_count + 1):
-        if all(s.value(o2, t) == s.f[o - 1] for s in basis for o2, t, _ in pg.out_edges(o)):
+        if all(v == s.f[o - 1] for s in basis for v in _neighbor_values(pg, s.lam, s.f, o)):
             raise RepairExhausted(f"orbit {o} has no neighbor of another height in any solution")
     b = len(basis)
     units = [tuple(int(i == j) for j in range(b)) for i in range(b)]

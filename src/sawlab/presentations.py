@@ -15,7 +15,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._linalg import bareiss_rank, integer_kernel
+from ._linalg import integer_kernel
+from .graphs import model_name
 
 
 class PresentationError(ValueError):
@@ -93,8 +94,17 @@ class CoefficientMatrix:
 
 @dataclass(frozen=True)
 class KernelBasis:
+    """The primitive integer kernel basis of a coefficient matrix C. Its
+    length is the Betti number |S| - rank(C)."""
+
     vectors: Tuple[Tuple[int, ...], ...]
     symbols: Tuple[str, ...]
+
+    def ghf(self) -> Optional[GroupHeightSpec]:
+        """The first basis vector as a height, None for a trivial kernel."""
+        if not self.vectors:
+            return None
+        return GroupHeightSpec(gamma=self.vectors[0], symbols=self.symbols)
 
 
 @dataclass(frozen=True)
@@ -185,18 +195,19 @@ def coefficient_matrix(p: Presentation) -> CoefficientMatrix:
     return CoefficientMatrix(rows=tuple(rows), symbols=p.generators)
 
 
-def rank_exact(c: CoefficientMatrix) -> int:
-    return bareiss_rank(c.rows)
-
-
 def integer_kernel_basis(c: CoefficientMatrix) -> KernelBasis:
+    """The kernel of C, from one reduction; rank, Betti number and the
+    chosen height are all read from it."""
     vectors = integer_kernel(c.rows, len(c.symbols))
     return KernelBasis(vectors=tuple(vectors), symbols=c.symbols)
 
 
+def rank_exact(c: CoefficientMatrix) -> int:
+    return len(c.symbols) - len(integer_kernel_basis(c).vectors)
+
+
 def betti(p: Presentation) -> int:
-    c = coefficient_matrix(p)
-    return len(c.symbols) - rank_exact(c)
+    return len(integer_kernel_basis(coefficient_matrix(p)).vectors)
 
 
 def ghf_exists(p: Presentation) -> bool:
@@ -205,10 +216,7 @@ def ghf_exists(p: Presentation) -> bool:
 
 def choose_ghf(p: Presentation) -> Optional[GroupHeightSpec]:
     """First primitive kernel basis vector, or None when the kernel is trivial."""
-    basis = integer_kernel_basis(coefficient_matrix(p))
-    if not basis.vectors:
-        return None
-    return GroupHeightSpec(gamma=basis.vectors[0], symbols=basis.symbols)
+    return integer_kernel_basis(coefficient_matrix(p)).ghf()
 
 
 def evaluate_ghf(spec: GroupHeightSpec, word: Sequence[str]) -> int:
@@ -282,7 +290,8 @@ def verify_well_defined(
 
 
 def d_of_ghf(spec: GroupHeightSpec) -> int:
-    return max(spec.gamma)
+    """max |h(u) - h(v)| over the edges of the Cayley graph: max |gamma|."""
+    return max(map(abs, spec.gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +380,9 @@ PRESENTATION_PRESETS: Dict[str, dict] = {
 
 
 def preset_presentation(name: str) -> Presentation:
-    key = {"dihedral_line": "dihedral"}.get(name, name)
+    """The preset `name`, spelled as `graphs.resolve_model` spells models
+    (ZD2, zd_2 and " zd2 " are zd2; dihedral_line is dihedral)."""
+    key = model_name(name)
     if key not in PRESENTATION_PRESETS:
         raise PresentationError(f"unknown presentation preset {name!r}")
     return parse_presentation(PRESENTATION_PRESETS[key])

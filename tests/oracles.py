@@ -3,7 +3,8 @@
 Everything here is deliberately primitive: explicit coordinate walks,
 full path lists, no pruning beyond the definitions themselves, and no
 imports from the package under test (the reference model resolver is
-handed the graphs module, whose constructors it calls). The frozen
+handed the graphs module, whose constructors it calls, and the
+reference repair a voltage graph, whose edges it reads). The frozen
 tables below were produced by running this file directly (python
 tests/oracles.py) and are asserted against the fast implementations in
 the test suite.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -214,6 +216,78 @@ def reference_resolve_model(lib, spec: str):
             raise lib.GraphError(f"model {base} needs a numeric parameter, e.g. {base}2")
         return reference_catalog(lib, base, param)
     raise lib.GraphError(f"unknown model {spec!r}")
+
+
+# ---------------------------------------------------------------------------
+# Reference harmonic repair: one solve per lattice direction
+# ---------------------------------------------------------------------------
+
+
+def _solve_nonsingular(rows: List[List[int]], rhs: List[Fraction]) -> List[Fraction]:
+    """x with rows x = rhs, by Gauss-Jordan elimination over Q."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if m[r][c] != 0)
+        m[c], m[p] = m[p], [x / m[p][c] for x in m[p]]
+        for r in range(n):
+            factor = m[r][c]
+            if r != c and factor:
+                m[r] = [a - factor * b for a, b in zip(m[r], m[c])]
+    return [row[n] for row in m]
+
+
+def reference_increase_repair(pg) -> Optional[Tuple[tuple, tuple, int]]:
+    """(f, lam, scale) of the repaired height of the voltage graph `pg`
+    (read through its orbit_count, dim, degree and out_edges), or None when
+    no harmonic height increases everywhere.
+
+    Basis solution i has lam = e_i and f(1) = 0, and solves the orbit
+    system with orbit 1's equation dropped, on its own. The candidates are
+    e_1..e_b, -e_b..-e_1, then (1, t, ..., t^(b-1)) for t = 1..M(b-1); the
+    first whose every orbit has a strictly lower and a strictly higher
+    neighbor wins, scaled to integers.
+    """
+    m, d = pg.orbit_count, pg.dim
+    basis = []
+    for i in range(d):
+        lam = [int(j == i) for j in range(d)]
+        rows, rhs = [], []
+        for o in range(2, m + 1):
+            row = [0] * (m - 1)
+            row[o - 2] += pg.degree(o)
+            b = Fraction(0)
+            for o2, t, _label in pg.out_edges(o):
+                b += sum(l * c for l, c in zip(lam, t))
+                if o2 != 1:
+                    row[o2 - 2] -= 1
+            rows.append(row)
+            rhs.append(b)
+        basis.append((lam, [Fraction(0)] + _solve_nonsingular(rows, rhs)))
+
+    def increments(lam, f, o):
+        return [f[o2 - 1] + sum(l * c for l, c in zip(lam, t)) - f[o - 1]
+                for o2, t, _label in pg.out_edges(o)]
+
+    orbits = range(1, m + 1)
+    if not basis or any(
+        all(x == 0 for lam, f in basis for x in increments(lam, f, o)) for o in orbits
+    ):
+        return None
+    b = len(basis)
+    units = [[int(i == j) for j in range(b)] for i in range(b)]
+    curve = [[t**k for k in range(b)] for t in range(1, m * (b - 1) + 1)]
+    for coeffs in units + [[-c for c in e] for e in reversed(units)] + curve:
+        lam = [sum(c * s[0][i] for c, s in zip(coeffs, basis)) for i in range(d)]
+        f = [sum(c * s[1][o] for c, s in zip(coeffs, basis)) for o in range(m)]
+        steps = [increments(lam, f, o) for o in orbits]
+        if all(any(x < 0 for x in xs) and any(x > 0 for x in xs) for xs in steps):
+            scale = 1
+            for q in lam + f:
+                scale = scale * q.denominator // gcd(scale, q.denominator)
+            return (tuple(int(q * scale) for q in f), tuple(int(q * scale) for q in lam),
+                    scale)
+    raise AssertionError("no candidate increases everywhere")
 
 
 # ---------------------------------------------------------------------------

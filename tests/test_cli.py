@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from sawlab import cli, graphs
+from sawlab import _linalg, cli, graphs, heights, locality
 from sawlab.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, main
 
 
@@ -565,3 +565,60 @@ def test_locality_artifact_for_every_model_spelling(capsys, canonical, alias):
     code, got, err = run(capsys, "locality", "--model", alias, *argv)
     assert code == EXIT_OK, err
     assert got == want
+
+
+@pytest.mark.parametrize("canonical,spelling", [
+    ("zd2", "ZD2"), ("zd2", " zd2 "), ("zd2", "zd_2"), ("zd3", "Zd_3"),
+    ("dihedral", "dihedral_line"), ("tree3", "Tree_3"), ("higman", "HIGMAN"),
+    ("sl2z", "SL2Z"), ("square_octagon", "Square_Octagon"),
+])
+def test_ghf_model_accepts_every_spelling(capsys, tmp_path, canonical, spelling):
+    docs = {}
+    for name in (canonical, spelling):
+        target = tmp_path / "ghf.json"
+        code, _, err = run(capsys, "ghf", "--model", name, "--output", str(target))
+        assert code in (EXIT_OK, EXIT_NEGATIVE), err
+        docs[name] = (code, json.loads(target.read_text()))
+    code, got = docs[spelling]
+    assert got["presentation"] == spelling
+    assert (code, {**got, "presentation": canonical}) == docs[canonical]
+
+
+def test_ghf_d_is_the_largest_absolute_increment(capsys, tmp_path):
+    doc = tmp_path / "presentation.json"
+    doc.write_text(json.dumps({"generators": ["a", "b"], "relators": ["a a a b"]}))
+    code, out, _ = run(capsys, "ghf", "--input", str(doc))
+    assert code == EXIT_OK
+    assert "height exists: gamma = (a:1, b:-3), d = 3" in out
+
+
+def test_ghf_reduces_its_coefficient_matrix_once(capsys, monkeypatch):
+    reductions = []
+    rref = _linalg.rref
+    monkeypatch.setattr(_linalg, "rref", lambda rows: reductions.append(rows) or rref(rows))
+    code, out, _ = run(capsys, "ghf", "--model", "hexagonal")
+    assert code == EXIT_OK and "rank(C) = 2, Betti = 1" in out
+    assert len(reductions) == 1
+
+
+def test_harmonic_forms_and_reduces_its_orbit_system_once(capsys, monkeypatch):
+    systems, reductions = [], []
+    build, rref = heights._orbit_system, _linalg.rref
+    monkeypatch.setattr(heights, "_orbit_system", lambda *a: systems.append(a) or build(*a))
+    monkeypatch.setattr(_linalg, "rref", lambda rows: reductions.append(rows) or rref(rows))
+    assert run(capsys, "harmonic", "--model", "square_octagon")[0] == EXIT_OK
+    assert len(systems) == 1 and len(reductions) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("locality", "--bound", "-1", "--n-max", "11", "--m-list", "4", "--threads", "1"),
+    ("ball-iso", "--a", "zd2", "--b", "zd2", "--bound", "-1"),
+], ids=" ".join)
+def test_negative_bound_is_a_usage_error_before_any_work(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --bound was checked")
+
+    monkeypatch.setattr(graphs, "resolve_model", refuse)
+    monkeypatch.setattr(locality, "count_saws", refuse)
+    assert _exit_code(argv) == 2
+    assert "--bound" in capsys.readouterr().err

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from sawlab._linalg import bareiss_rank
+from sawlab._linalg import rref
 from sawlab.graphs import (
     PGOracle,
     ball,
@@ -101,7 +101,7 @@ def test_pinned_quotient_laplacian_has_full_rank(source, name):
         for o2, _t, _label in pg.out_edges(o):
             if o2 != 1:
                 rows[o - 2][o2 - 2] -= 1
-    assert bareiss_rank(rows) == m - 1
+    assert len(rref(rows)[1]) == m - 1
     assert [s.lam for s in solution_space(pg)] == [
         tuple(F(int(i == j)) for j in range(pg.dim)) for i in range(pg.dim)
     ]
@@ -287,6 +287,24 @@ def test_repair_is_verified_or_names_an_orbit_without_increments(doc):
     check = verify_on_one_ball(PGOracle(pg), h, radius=2, d_radius=2)
     assert check.axioms.ok, check.axioms.failures
     assert check.harmonic.all_zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(voltage_documents())
+def test_one_reduction_equals_one_extension_per_direction(doc):
+    # solution_space solves every lattice direction in one reduction; each
+    # solution is the extension of that direction alone, and the repair
+    # equals a reference that solves each direction on its own.
+    pg = periodic_graph_from_document(doc)
+    units = [[int(i == j) for j in range(pg.dim)] for i in range(pg.dim)]
+    assert solution_space(pg) == [harmonic_extension(pg, 1, e) for e in units]
+    want = oracles.reference_increase_repair(pg)
+    if want is None:
+        with pytest.raises(RepairExhausted):
+            increase_repair(pg)
+    else:
+        h = increase_repair(pg)
+        assert (h.f, h.lam, h.scale) == want
 
 
 # ---------------------------------------------------------------------------

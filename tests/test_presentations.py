@@ -166,6 +166,13 @@ def test_choose_ghf_and_d():
     assert choose_ghf(preset_presentation("higman")) is None
 
 
+def test_d_is_the_largest_absolute_increment():
+    # No inverse symbols: the kernel vector (1, -3) steps down by 3 on b.
+    spec = choose_ghf(parse_presentation({"generators": ["a", "b"], "relators": ["a a a b"]}))
+    assert spec.gamma == (1, -3)
+    assert d_of_ghf(spec) == 3
+
+
 def test_ghf_kernel_rows_annihilated():
     for name in VERDICTS:
         p = preset_presentation(name)
