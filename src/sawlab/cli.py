@@ -227,9 +227,7 @@ def cmd_harmonic(args) -> int:
 def cmd_verify(args) -> int:
     g = graphs.resolve_model(args.model)
     h = resolve_height(g, args.height)
-    axioms, harmonic, d = heights.verify_on_one_ball(
-        g, h, args.radius, max(2, min(args.radius, 4)), _ball_budget(args)
-    )
+    axioms, harmonic, d = heights.verify(g, h, args.radius, _ball_budget(args))
     print(f"model {args.model}, height {h.name}, radius {args.radius}")
     print(
         f"axioms: {'pass' if axioms.ok else 'FAIL'} "
@@ -354,7 +352,7 @@ _OPTIONS = {
         help="node budget of a count, or vertex cap of a ball in verify and ball-iso",
     ),
     "--precision": dict(type=_at_least(1), default=10, help="digits of the root bounds"),
-    "--radius": dict(type=int, default=4, help="radius of the checked ball"),
+    "--radius": dict(type=_at_least(0), default=4, help="radius of the checked ball"),
     "--bound": dict(type=_at_least(0), default=6, help="largest radius compared"),
     "--a": dict(required=True, help="first model"),
     "--b": dict(required=True, help="second model"),

@@ -664,11 +664,6 @@ class Ball:
     distances: List[int]
     edges: List[Tuple[int, int]]
     convention: str = "induced"
-    index: Dict[object, int] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self.index:
-            self.index = {v: i for i, v in enumerate(self.vertices)}
 
     def adjacency(self) -> List[List[int]]:
         adj: List[List[int]] = [[] for _ in self.vertices]
@@ -692,7 +687,7 @@ class Ball:
 
         Vertices sort by (distance, key), so the radius-r ball's vertices
         are a prefix of these, and the result has the same vertices,
-        keys, distances, sorted edges and index as
+        keys, distances and sorted edges as
         `ball(g, r, convention=convention)`.
         """
         self._check_restrict(r, convention)
@@ -802,7 +797,6 @@ class BallGrowth:
             distances=[dist[v] for v in verts],
             edges=sorted(edges),
             convention=convention,
-            index=index,
         )
 
 

@@ -12,11 +12,15 @@ that has a strictly lower and a strictly higher neighbor at every
 vertex: `increase_repair` takes the first signed basis solution, then
 the first combination on one moment curve, that does. A dimension-0 or
 degenerate document has none and raises `RepairExhausted`.
+
+`verify` checks a height on a ball around the root: the axioms, the
+harmonic defects and the increment bound d, in one pass.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -499,89 +503,6 @@ class AxiomReport:
         return self.ok
 
 
-def _check_radius(radius: int) -> None:
-    if radius < 0:
-        raise HeightError("radius must be >= 0")
-
-
-def verify_height_axioms(
-    g: GraphOracle,
-    h: HeightFunction,
-    radius: int,
-    max_vertices: int = DEFAULT_BALL_BUDGET,
-) -> AxiomReport:
-    """Check h(root) = 0, difference-invariance, and that every vertex of
-    the radius-`radius` ball has a strictly lower and higher neighbor."""
-    _check_radius(radius)
-    b = ball(g, radius + 1, max_vertices=max_vertices)
-    return _axioms(g, h, radius, b, height_table(g, h, b))
-
-
-def _axioms(
-    g: GraphOracle, h: HeightFunction, radius: int, b: Ball, values: List[int]
-) -> AxiomReport:
-    """`verify_height_axioms` on the radius+1 ball `b` and its heights."""
-    failures: List[str] = []
-    root_idx = b.index[g.root]
-    root_value = values[root_idx]
-    if root_value != 0:
-        failures.append(f"h(root) = {root_value}, expected 0")
-
-    adj = b.adjacency()
-    checked = 0
-    for i, v in enumerate(b.vertices):
-        if b.distances[i] > radius:
-            continue
-        hv = values[i]
-        lower = any(values[j] < hv for j in adj[i])
-        higher = any(values[j] > hv for j in adj[i])
-        if not lower or not higher:
-            missing = "lower" if not lower else "higher"
-            failures.append(
-                f"no strictly {missing} neighbor at {g.canonical_key(v).decode()} "
-                f"(h = {hv})"
-            )
-        checked += 1
-
-    # Difference-invariance. A periodic height is affine in the lattice
-    # coordinate on each orbit, h(o, x) = c_o + <m_o, x>, so it is
-    # invariant exactly when m_o = lam, that is when each unit translation
-    # of the orbit's base point raises h by lam_i: d checks per orbit
-    # decide it. Coordinate heights are checked by sampling; word-sum and
-    # level heights are invariant structurally (additivity under left
-    # multiplication / end-preserving maps).
-    if isinstance(h, PeriodicHeight) and isinstance(g, PGOracle):
-        d = g.pg.dim
-        units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-        bad = 0
-        for o in range(1, g.pg.orbit_count + 1):
-            v = (o, (0,) * d)
-            for lam_i, t in zip(h.lam, units):
-                if h.at(g.translate(v, t)) - h.at(v) != lam_i:
-                    bad += 1
-        if bad:
-            failures.append(f"difference-invariance violated at {bad} translates")
-        note = "exact (all orbits x translation window)"
-    elif isinstance(h, CoordinateHeight):
-        deltas = set()
-        for i, v in enumerate(b.vertices):
-            for j in adj[i]:
-                deltas.add(values[j] - values[i])
-        if not deltas <= {-1, 0, 1}:
-            failures.append(f"unexpected edge increments {sorted(deltas)}")
-        note = "sampled edge increments on the ball"
-    else:
-        note = "structural (invariant by construction)"
-
-    return AxiomReport(
-        ok=not failures,
-        failures=failures,
-        root_value=root_value,
-        increase_checked=checked,
-        invariance_note=note,
-    )
-
-
 @dataclass
 class HarmonicReport:
     all_zero: bool
@@ -594,91 +515,113 @@ class HarmonicReport:
         return self.all_zero
 
 
-def verify_harmonic(
-    g: GraphOracle,
-    h: HeightFunction,
-    radius: int,
-    max_vertices: int = DEFAULT_BALL_BUDGET,
-) -> HarmonicReport:
-    """Exact per-vertex harmonic defect h(v) - mean(neighbor heights) over
-    the radius-`radius` ball (neighbors live in the radius+1 ball)."""
-    _check_radius(radius)
-    b = ball(g, radius + 1, max_vertices=max_vertices)
-    return _harmonic(g, radius, b, height_table(g, h, b))
-
-
-def _harmonic(g: GraphOracle, radius: int, b: Ball, values: List[int]) -> HarmonicReport:
-    """`verify_harmonic` on the radius+1 ball `b` and its heights."""
-    adj = b.adjacency()
-    defects: Dict[Fraction, int] = {}
-    worst: Optional[Tuple[str, Fraction]] = None
-    checked = 0
-    for i, v in enumerate(b.vertices):
-        if b.distances[i] > radius:
-            continue
-        neigh = adj[i]
-        # Interior vertices of the (radius+1)-ball see all their G-neighbors.
-        defect = Fraction(values[i]) - Fraction(sum(values[j] for j in neigh), len(neigh))
-        defects[defect] = defects.get(defect, 0) + 1
-        if worst is None or abs(defect) > abs(worst[1]):
-            worst = (g.canonical_key(v).decode(), defect)
-        checked += 1
-    vals = sorted(defects)
-    return HarmonicReport(
-        all_zero=vals == [Fraction(0)],
-        vertices_checked=checked,
-        defect_values=vals,
-        uniform_defect=vals[0] if len(vals) == 1 else None,
-        worst=worst,
-    )
-
-
-def compute_d(g: GraphOracle, h: HeightFunction, radius: int = 2) -> int:
-    """Maximum |h(u) - h(v)| over the edges of the radius-`radius` ball.
-
-    For the catalog models every edge type appears within radius 2 of the
-    root, so the ball maximum equals the global maximum.
-    """
-    b = ball(g, radius)
-    return _max_increment(b, height_table(g, h, b))
-
-
-def _max_increment(b: Ball, values: List[int]) -> int:
-    return max(abs(values[i] - values[j]) for i, j in b.edges)
-
-
 class Verification(NamedTuple):
     axioms: AxiomReport
     harmonic: HarmonicReport
     d: int
 
 
-def verify_on_one_ball(
+def _check_radius(radius: int) -> None:
+    if radius < 0:
+        raise HeightError("radius must be >= 0")
+
+
+def verify(
     g: GraphOracle,
     h: HeightFunction,
     radius: int,
-    d_radius: int,
     max_vertices: int = DEFAULT_BALL_BUDGET,
 ) -> Verification:
-    """`verify_height_axioms` and `verify_harmonic` at `radius`, and
-    `compute_d` at `d_radius`, read from one ball and one height table.
+    """Check `h` on the radius-`radius` ball of `g`, in one pass over one
+    ball and one height table.
 
-    The ball has radius max(radius + 1, d_radius); each check reads the
-    prefix (`Ball.restrict`) of the radius it would have built, so the
-    reports equal those of the three separate calls.
+    - axioms: h(root) = 0, difference-invariance, and a strictly lower
+      and a strictly higher neighbor at every vertex within `radius`;
+    - harmonic: the exact defect h(v) - mean(neighbor heights) at every
+      vertex within `radius`;
+    - d: the largest |h(u) - h(v)| over the edges of the radius
+      max(2, min(radius, 4)) ball. Every edge type of the catalog models
+      appears within radius 2 of the root, so this is the global maximum.
+
+    The ball has radius max(radius + 1, d's radius) and at most
+    `max_vertices` vertices (BudgetExceeded past that).
     """
     _check_radius(radius)
+    d_radius = max(2, min(radius, 4))
     b = ball(g, max(radius + 1, d_radius), max_vertices=max_vertices)
     values = height_table(g, h, b)
+    # Vertices sort by distance: the root is vertex 0, and the vertices
+    # within each radius are a prefix. The checked vertices have all
+    # their neighbors in the radius + 1 prefix, whose adjacency is `adj`.
+    adj = b.restrict(radius + 1).adjacency()
+    checked, d_count = (bisect_right(b.distances, r) for r in (radius, d_radius))
+    d = max(abs(values[i] - values[j]) for i, j in b.edges if j < d_count)
 
-    def prefix(r: int) -> Tuple[Ball, List[int]]:
-        sub = b.restrict(r)
-        return sub, values[:sub.vertex_count()]
+    failures: List[str] = []
+    root_value = values[0]
+    if root_value != 0:
+        failures.append(f"h(root) = {root_value}, expected 0")
+    defects = set()
+    worst: Optional[Tuple[str, Fraction]] = None
+    for i in range(checked):
+        hv = values[i]
+        neigh = [values[j] for j in adj[i]]
+        lower = any(hw < hv for hw in neigh)
+        higher = any(hw > hv for hw in neigh)
+        if not lower or not higher:
+            missing = "lower" if not lower else "higher"
+            failures.append(
+                f"no strictly {missing} neighbor at {b.keys[i].decode()} (h = {hv})"
+            )
+        defect = Fraction(hv) - Fraction(sum(neigh), len(neigh))
+        defects.add(defect)
+        if worst is None or abs(defect) > abs(worst[1]):
+            worst = (b.keys[i].decode(), defect)
 
+    # Difference-invariance. A periodic height is affine in the lattice
+    # coordinate on each orbit, h(o, x) = c_o + <m_o, x>, so it is
+    # invariant exactly when m_o = lam, that is when each unit translation
+    # of the orbit's base point raises h by lam_i: d checks per orbit
+    # decide it. Coordinate heights are checked by sampling; word-sum and
+    # level heights are invariant structurally (additivity under left
+    # multiplication / end-preserving maps).
+    if isinstance(h, PeriodicHeight) and isinstance(g, PGOracle):
+        dim = g.pg.dim
+        units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        bad = 0
+        for o in range(1, g.pg.orbit_count + 1):
+            v = (o, (0,) * dim)
+            for lam_i, t in zip(h.lam, units):
+                if h.at(g.translate(v, t)) - h.at(v) != lam_i:
+                    bad += 1
+        if bad:
+            failures.append(f"difference-invariance violated at {bad} translates")
+        note = "exact (all orbits x translation window)"
+    elif isinstance(h, CoordinateHeight):
+        deltas = {values[j] - values[i] for i, row in enumerate(adj) for j in row}
+        if not deltas <= {-1, 0, 1}:
+            failures.append(f"unexpected edge increments {sorted(deltas)}")
+        note = "sampled edge increments on the ball"
+    else:
+        note = "structural (invariant by construction)"
+
+    vals = sorted(defects)
     return Verification(
-        axioms=_axioms(g, h, radius, *prefix(radius + 1)),
-        harmonic=_harmonic(g, radius, *prefix(radius + 1)),
-        d=_max_increment(*prefix(d_radius)),
+        axioms=AxiomReport(
+            ok=not failures,
+            failures=failures,
+            root_value=root_value,
+            increase_checked=checked,
+            invariance_note=note,
+        ),
+        harmonic=HarmonicReport(
+            all_zero=vals == [Fraction(0)],
+            vertices_checked=checked,
+            defect_values=vals,
+            uniform_defect=vals[0] if len(vals) == 1 else None,
+            worst=worst,
+        ),
+        d=d,
     )
 
 

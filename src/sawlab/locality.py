@@ -25,9 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .graphs import DEFAULT_BALL_BUDGET, Ball, BallGrowth, GraphOracle, ball
 from .heights import resolve_height
-from .saw import (
-    BoundsReport, CountTable, count_bridges, count_saws, mu_bounds, render_json,
-)
+from .saw import CountTable, count_bridges, count_saws, mu_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +460,3 @@ def locality_scan(
         records=records,
         partial=partial,
     )
-
-
-def scan_to_json(report: ScanReport, timestamp: Optional[str] = None) -> str:
-    return render_json(report.to_json_dict(), timestamp)

@@ -996,7 +996,3 @@ def render_json(doc: dict, timestamp: Optional[str] = None) -> str:
     if timestamp is not None:
         doc = {**doc, "generated_at": timestamp}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def table_to_json(table: CountTable, timestamp: Optional[str] = None) -> str:
-    return render_json(table.to_json_dict(), timestamp)

@@ -463,6 +463,72 @@ def word_sum_heights(
     return heights
 
 
+def reference_verify(
+    neighbors: Callable[[object], Iterable[Tuple[object, str]]],
+    root,
+    height: Callable[[object], int],
+    radius: int,
+    key: Callable[[object], bytes],
+    coordinate: bool = False,
+) -> dict:
+    """The checks of `heights.verify` by their definitions, on dicts.
+
+    The neighbors of v are the distinct vertices other than v that
+    `neighbors(v)` lists (the simple graph a ball induces), and vertices
+    are visited in (distance, key) order. Checked are the vertices within
+    `radius`: each needs a strictly lower and a strictly higher neighbor,
+    and its defect is h(v) minus the mean of its neighbors' heights. d is
+    the largest |h(v) - h(w)| over the edges within distance d_radius =
+    max(2, min(radius, 4)). With `coordinate`, every edge within distance
+    radius + 1 must change h by -1, 0 or 1. Returns the fields of the
+    `AxiomReport`, of the `HarmonicReport` and d; the invariance note, and
+    the exact invariance check of a periodic height, are left out.
+    """
+    d_radius = max(2, min(radius, 4))
+    dist = {root: 0}
+    frontier = [root]
+    for depth in range(1, max(radius + 1, d_radius) + 1):
+        nxt = []
+        for v in frontier:
+            for w, _label in neighbors(v):
+                if w not in dist:
+                    dist[w] = depth
+                    nxt.append(w)
+        frontier = nxt
+    order = sorted(dist, key=lambda v: (dist[v], key(v)))
+    h = {v: height(v) for v in order}
+    near = {v: {w for w, _label in neighbors(v) if w != v and w in dist} for v in order}
+
+    failures = [] if h[root] == 0 else [f"h(root) = {h[root]}, expected 0"]
+    defects = []
+    worst = None
+    checked = [v for v in order if dist[v] <= radius]
+    for v in checked:
+        around = [h[w] for w in near[v]]
+        for missing, found in (("lower", min(around) < h[v]), ("higher", max(around) > h[v])):
+            if not found:
+                failures.append(f"no strictly {missing} neighbor at "
+                                f"{key(v).decode()} (h = {h[v]})")
+                break
+        defect = h[v] - Fraction(sum(around), len(around))
+        defects.append(defect)
+        if worst is None or abs(defect) > abs(worst[1]):
+            worst = (key(v).decode(), defect)
+    if coordinate:
+        steps = {h[w] - h[v] for v in order if dist[v] <= radius + 1
+                 for w in near[v] if dist[w] <= radius + 1}
+        if not steps <= {-1, 0, 1}:
+            failures.append(f"unexpected edge increments {sorted(steps)}")
+    d = max(abs(h[w] - h[v]) for v in order if dist[v] <= d_radius
+            for w in near[v] if dist[w] <= d_radius)
+    values = sorted(set(defects))
+    return dict(
+        ok=not failures, failures=failures, root_value=h[root], increase_checked=len(checked),
+        all_zero=values == [0], vertices_checked=len(checked), defect_values=values,
+        uniform_defect=values[0] if len(values) == 1 else None, worst=worst, d=d,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Lattice index by minors
 # ---------------------------------------------------------------------------

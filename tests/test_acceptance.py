@@ -14,10 +14,8 @@ from sawlab.heights import (
     CoordinateHeight,
     GammaHeight,
     LevelHeight,
-    compute_d,
     increase_repair,
-    verify_harmonic,
-    verify_height_axioms,
+    verify,
 )
 from sawlab.locality import locality_scan
 from sawlab.presentations import (
@@ -35,7 +33,7 @@ from sawlab.saw import (
     count_saws,
     doubling_monotone,
     mu_bounds,
-    table_to_json,
+    render_json,
 )
 
 F = Fraction
@@ -91,7 +89,7 @@ def test_criterion_2_emitted_ghfs_well_defined_and_harmonic():
         g = resolve_model(name)
         wd = verify_well_defined(spec, p, depth=4, oracle=g)
         assert wd.ok, (name, wd.witness_detail)
-        hr = verify_harmonic(g, GammaHeight.from_spec(spec), radius=4)
+        hr = verify(g, GammaHeight.from_spec(spec), radius=4).harmonic
         assert hr.all_zero and hr.uniform_defect == 0, name
         assert hr.vertices_checked > 0
     assert time.monotonic() - t0 < 5.0
@@ -158,14 +156,13 @@ def test_criterion_6_harmonic_extension_and_integer_repair():
     for k in range(-50, 51):
         assert h_line.at((1, (k,))) == 2 * k
         assert h_line.at((2, (k,))) == 2 * k + 1
-    assert verify_height_axioms(PGOracle(line_pg, "dihedral_line"), h_line, radius=4).ok
+    assert verify(PGOracle(line_pg, "dihedral_line"), h_line, radius=4).axioms.ok
 
     so = resolve_model("square_octagon")
     h_so = increase_repair(so.pg)
     assert all(isinstance(x, int) for x in h_so.f + h_so.lam)
-    ax = verify_height_axioms(so, h_so, radius=4)
+    ax, hr, _ = verify(so, h_so, radius=4)
     assert ax.ok, ax.failures
-    hr = verify_harmonic(so, h_so, radius=4)
     assert hr.all_zero and hr.uniform_defect == 0
     assert time.monotonic() - t0 < 5.0
 
@@ -174,13 +171,12 @@ def test_criterion_7_grandparent_defect_seven_eighths():
     t0 = time.monotonic()
     g = resolve_model("grandparent")
     h = LevelHeight()
-    ax = verify_height_axioms(g, h, radius=4)
+    ax, hr, _ = verify(g, h, radius=4)
     assert ax.ok, ax.failures
-    hr = verify_harmonic(g, h, radius=4)
     assert hr.uniform_defect == F(7, 8)
     assert set(hr.defect_values) == {F(7, 8)}
     assert hr.vertices_checked > 500
-    assert compute_d(g, h) == 2
+    assert verify(g, h, radius=2).d == 2
     assert time.monotonic() - t0 < 5.0
 
 
@@ -234,6 +230,6 @@ def test_criterion_9_thread_count_does_not_change_tables():
             one = count_bridges(g, height, n_max, threads=1)
             eight = count_bridges(g, height, n_max, threads=8)
         assert one.to_csv() == eight.to_csv(), model
-        assert table_to_json(one) == table_to_json(eight), model
+        assert render_json(one.to_json_dict()) == render_json(eight.to_json_dict()), model
         assert one.nodes_used == eight.nodes_used, model
     assert time.monotonic() - t0 < 600.0

@@ -354,16 +354,27 @@ def test_locality_json_artifact(capsys, tmp_path):
 
 
 def test_verify_exit_negative_on_failing_height(capsys):
-    # level height only makes sense on the grandparent tree; on zd2 the
-    # constant level has no strictly increasing neighbors
-    code, out, _ = run(capsys, "verify", "--model", "zd2", "--height", "level")
-    assert code in (EXIT_NEGATIVE, EXIT_INPUT)
+    # x is not a height of the hexagonal cover: the root has no strictly
+    # higher neighbor. The level height is defined on grandparent only.
+    code, out, _ = run(capsys, "verify", "--model", "hexagonal", "--height", "x",
+                       "--radius", "2")
+    assert code == EXIT_NEGATIVE
+    assert "axioms: FAIL" in out
+    assert "no strictly higher neighbor at (1, (0, 0)) (h = 0)" in out
+    code, out, err = run(capsys, "verify", "--model", "zd2", "--height", "level")
+    assert code == EXIT_INPUT and "level height" in err
 
 
-def test_verify_rejects_negative_radius(capsys):
-    code, out, err = run(capsys, "verify", "--model", "zd2", "--radius", "-1")
-    assert code == EXIT_INPUT
-    assert out == "" and "radius" in err
+def test_verify_rejects_negative_radius_before_any_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --radius was checked")
+
+    monkeypatch.setattr(graphs, "resolve_model", refuse)
+    monkeypatch.setattr(heights, "increase_repair", refuse)
+    for model in ("zd2", "square_octagon"):
+        assert _exit_code(["verify", "--model", model, "--radius", "-1"]) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert out.out == "" and "--radius" in out.err
 
 
 def test_verify_budget_caps_its_ball(capsys):

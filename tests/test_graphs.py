@@ -502,7 +502,7 @@ CATALOG_MODELS = ("zd1", "zd2", "zd3", "tree3", "heisenberg", "lamplighter",
 
 def _fields(b):
     return (b.center_key, b.radius, b.vertices, b.keys, b.distances, b.edges,
-            b.convention, b.index)
+            b.convention)
 
 
 @pytest.mark.parametrize("name", CATALOG_MODELS)

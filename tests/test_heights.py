@@ -8,7 +8,7 @@ from ast import literal_eval
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from sawlab._linalg import rref
@@ -19,15 +19,17 @@ from sawlab.graphs import (
     resolve_model,
 )
 from sawlab.heights import (
+    AxiomReport,
     CoordinateHeight,
     GammaHeight,
+    HarmonicReport,
     HarmonicSolution,
     HeightError,
     HeightFunction,
     LevelHeight,
     PeriodicHeight,
     RepairExhausted,
-    compute_d,
+    Verification,
     compute_r,
     harmonic_extension,
     harmonic_residuals,
@@ -37,11 +39,10 @@ from sawlab.heights import (
     resolve_height,
     solution_space,
     transport,
-    verify_harmonic,
-    verify_height_axioms,
-    verify_on_one_ball,
+    verify,
 )
 from sawlab.presentations import choose_ghf, preset_presentation
+from sawlab.saw import _walk
 from test_saw import voltage_documents
 
 F = Fraction
@@ -174,9 +175,8 @@ def test_repair_is_integer_increasing_harmonic():
         h = increase_repair(pg)
         g = PGOracle(pg, name)
         assert all(isinstance(x, int) for x in h.f + h.lam)
-        ax = verify_height_axioms(g, h, radius=4)
+        ax, hr, _ = verify(g, h, radius=4)
         assert ax.ok, (name, ax.failures)
-        hr = verify_harmonic(g, h, radius=4)
         assert hr.all_zero, name
 
 
@@ -268,7 +268,7 @@ def test_repair_of_the_pairs_document_is_fast_and_verified():
     # first success, with five distinct |c_i|, only in ring 4.
     assert time.monotonic() - t0 < 1.0
     assert h.lam == (2, 4, 8, 16, 32) and h.scale == 2
-    check = verify_on_one_ball(PGOracle(pg), h, radius=2, d_radius=2)
+    check = verify(PGOracle(pg), h, radius=2)
     assert check.axioms.ok, check.axioms.failures
     assert check.harmonic.all_zero
 
@@ -284,7 +284,7 @@ def test_repair_is_verified_or_names_an_orbit_without_increments(doc):
         for s in solution_space(pg):
             assert all(s.value(o2, t) == s.f[o - 1] for o2, t, _ in pg.out_edges(o))
         return
-    check = verify_on_one_ball(PGOracle(pg), h, radius=2, d_radius=2)
+    check = verify(PGOracle(pg), h, radius=2)
     assert check.axioms.ok, check.axioms.failures
     assert check.harmonic.all_zero
 
@@ -340,7 +340,7 @@ CANONICAL = [
 def test_axioms_pass_for_canonical_heights():
     for model, h in CANONICAL:
         g = resolve_model(model)
-        report = verify_height_axioms(g, h, radius=3)
+        report = verify(g, h, radius=3).axioms
         assert report.ok, (model, report.failures)
         assert report.root_value == 0
 
@@ -350,48 +350,96 @@ def test_axioms_pass_for_ghf_heights():
         g = resolve_model(name)
         spec = choose_ghf(preset_presentation(name))
         h = GammaHeight.from_spec(spec)
-        report = verify_height_axioms(g, h, radius=3)
+        report, hr, _ = verify(g, h, radius=3)
         assert report.ok, (name, report.failures)
-        hr = verify_harmonic(g, h, radius=3)
         assert hr.all_zero and hr.uniform_defect == 0, name
 
 
 def test_axioms_fail_without_lower_neighbor():
-    report = verify_height_axioms(resolve_model("zd1"), AbsHeight(), radius=2)
+    report = verify(resolve_model("zd1"), AbsHeight(), radius=2).axioms
     assert not report.ok
     assert any("lower" in f for f in report.failures)
 
 
 def test_axioms_fail_for_shifted_root():
-    report = verify_height_axioms(resolve_model("zd1"), ShiftedHeight(), radius=2)
+    report = verify(resolve_model("zd1"), ShiftedHeight(), radius=2).axioms
     assert not report.ok
     assert any("h(root) = 3" in f for f in report.failures)
 
 
-def test_verify_on_one_ball_equals_the_three_checks():
-    cases = CANONICAL + [
-        (name, GammaHeight.from_spec(choose_ghf(preset_presentation(name))))
-        for name in ("tree3", "heisenberg", "lamplighter")
-    ] + [("zd1", AbsHeight()), ("zd1", ShiftedHeight()),
-         ("hexagonal", resolve_height(resolve_model("hexagonal")))]
-    for model, h in cases:
+def reference_verification(g, h, radius):
+    """`oracles.reference_verify` on `g` as a `Verification`. The cases
+    given to it have affine periodic heights, so the exact invariance
+    check adds no failure; the note is the one of the height's kind."""
+    if isinstance(h, GammaHeight):
+        at = oracles.word_sum_heights(g.neighbors, g.root, dict(h.gamma), radius + 2).get
+    else:
+        at = h.at
+    want = oracles.reference_verify(g.neighbors, g.root, at, radius, g.canonical_key,
+                                    coordinate=isinstance(h, CoordinateHeight))
+    if isinstance(h, PeriodicHeight):
+        note = "exact (all orbits x translation window)"
+    elif isinstance(h, CoordinateHeight):
+        note = "sampled edge increments on the ball"
+    else:
+        note = "structural (invariant by construction)"
+    axioms = {k: want[k] for k in ("ok", "failures", "root_value", "increase_checked")}
+    harmonic = {k: want[k] for k in ("all_zero", "vertices_checked", "defect_values",
+                                     "uniform_defect", "worst")}
+    return Verification(AxiomReport(**axioms, invariance_note=note),
+                        HarmonicReport(**harmonic), want["d"])
+
+
+class CubeHeight(HeightFunction):
+    """x^3 on a line: increasing, with increments that grow outward."""
+
+    name = "cube"
+
+    def at(self, v):
+        return v[1][0] ** 3
+
+
+# Three orbits on Z. The edges within distance 1 of the root change x by
+# at most 1, but the orbit-3 loop joins (3, -1) and (3, 1), two vertices
+# at distance 2: x fails as a coordinate height from radius 1 on.
+COORDINATE_JUMP = {"orbits": 3, "dim": 1, "edges": [
+    [1, 1, [1]], [1, 2, [0]], [2, 3, [-1]], [2, 3, [1]], [3, 3, [2]]]}
+
+VERIFY_CASES = CANONICAL + [
+    (name, GammaHeight.from_spec(choose_ghf(preset_presentation(name))))
+    for name in ("tree3", "heisenberg", "lamplighter")
+] + [("zd1", AbsHeight()), ("zd1", ShiftedHeight()), ("zd1", CubeHeight()),
+     ("hexagonal", resolve_height(resolve_model("hexagonal"))),
+     ("coordinate_jump", CoordinateHeight(0, label="x"))]
+
+
+@pytest.mark.parametrize("model,h", VERIFY_CASES,
+                         ids=[f"{model}-{h.name}" for model, h in VERIFY_CASES])
+def test_verify_equals_reference_verify(model, h):
+    if model == "coordinate_jump":
+        g = PGOracle(periodic_graph_from_document(COORDINATE_JUMP), model)
+    else:
         g = resolve_model(model)
-        for radius in range(5):
-            d_radius = max(2, min(radius, 4))
-            got = verify_on_one_ball(g, h, radius, d_radius)
-            assert got.axioms == verify_height_axioms(g, h, radius), (model, radius)
-            assert got.harmonic == verify_harmonic(g, h, radius), (model, radius)
-            assert got.d == compute_d(g, h, d_radius), (model, radius)
+    for radius in range(5):
+        assert verify(g, h, radius) == reference_verification(g, h, radius), radius
+
+
+@settings(max_examples=30, deadline=5000)
+@given(voltage_documents())
+def test_verify_equals_reference_verify_on_repaired_covers(doc):
+    pg = periodic_graph_from_document(doc)
+    try:
+        h = increase_repair(pg)
+    except RepairExhausted:
+        return
+    g = PGOracle(pg)
+    for radius in range(5):
+        assert verify(g, h, radius) == reference_verification(g, h, radius), radius
 
 
 def test_verification_rejects_negative_radius():
-    g = resolve_model("zd2")
-    h = CoordinateHeight(0, label="x")
-    for check in (verify_height_axioms, verify_harmonic):
-        with pytest.raises(HeightError):
-            check(g, h, -1)
     with pytest.raises(HeightError):
-        verify_on_one_ball(g, h, -1, 2)
+        verify(resolve_model("zd2"), CoordinateHeight(0, label="x"), -1)
 
 
 class _BentPeriodicHeight(PeriodicHeight):
@@ -404,10 +452,10 @@ class _BentPeriodicHeight(PeriodicHeight):
 
 def test_axioms_fail_for_non_affine_periodic_height():
     g = resolve_model("zd2")
-    report = verify_height_axioms(g, _BentPeriodicHeight(f=(0,), lam=(3, 0)), radius=2)
+    report = verify(g, _BentPeriodicHeight(f=(0,), lam=(3, 0)), radius=2).axioms
     assert report.failures == ["difference-invariance violated at 1 translates"]
     assert report.invariance_note == "exact (all orbits x translation window)"
-    affine = verify_height_axioms(g, PeriodicHeight(f=(0,), lam=(3, 0)), radius=2)
+    affine = verify(g, PeriodicHeight(f=(0,), lam=(3, 0)), radius=2).axioms
     assert affine.ok and affine.invariance_note == report.invariance_note
 
 
@@ -438,7 +486,7 @@ def test_transport_equals_direct_evaluation(model, h):
             continue
         # The walk convention keeps the vertices inside the shell, and
         # carries a height along every edge into the shell.
-        inner = {v: hv for v, hv in direct.items() if b.distances[b.index[v]] < radius}
+        inner = {v: direct[v] for v, dist in zip(b.vertices, b.distances) if dist < radius}
         into_shell = sorted(h.at(w) for v in inner for w, _ in g.neighbors(v) if w not in inner)
         kept, carried = transported(g, h, radius, "walk")
         assert (kept, sorted(carried)) == (inner, into_shell), radius
@@ -455,34 +503,75 @@ def test_transport_of_ghf_heights_equals_height_table(model):
     assert got == oracles.word_sum_heights(g.neighbors, g.root, spec.gamma_by_symbol(), 4)
 
 
+def assert_walk_carries_transported_heights(g, h, n):
+    """Every bridge end of `saw._walk` of length 1..n has the height
+    `transport(above=True)` gives it on the radius-n ball above the root,
+    and the running maximum of its path; and those ends are the ball's
+    vertices other than the root."""
+    ids, values = {}, []
+    for _ in transport(g, h, g.root, n, ids, values, above=True, convention="induced"):
+        pass
+    relative = {v: values[i] - values[0] for v, i in ids.items()}
+    reached = set()
+    for length in range(1, n + 1):
+        ends = []
+        _walk(g, h, (g.root,), length, out=ends)
+        for path, hw, top in ends:
+            assert hw == relative[path[-1]], path
+            assert top == max(relative[v] for v in path[:-1]), path
+            reached.add(path[-1])
+    assert reached == set(ids) - {g.root}
+
+
+@pytest.mark.parametrize("model", ["tree3", "heisenberg", "lamplighter"])
+def test_walk_carries_word_sum_heights_as_transport_does(model):
+    g = resolve_model(model)
+    h = GammaHeight.from_spec(choose_ghf(preset_presentation(model)))
+    assert_walk_carries_transported_heights(g, h, 6)
+
+
+@settings(max_examples=40, deadline=5000)
+@given(voltage_documents(), st.integers(1, 5))
+def test_walk_carries_repaired_heights_as_transport_does(doc, n):
+    pg = periodic_graph_from_document(doc)
+    try:
+        h = increase_repair(pg)
+    except RepairExhausted:
+        return
+    assert_walk_carries_transported_heights(PGOracle(pg), h, n)
+
+
 def test_grandparent_level():
     g = resolve_model("grandparent")
     h = LevelHeight()
-    report = verify_height_axioms(g, h, radius=4)
+    report, hr, _ = verify(g, h, radius=4)
     assert report.ok
-    hr = verify_harmonic(g, h, radius=4)
     assert not hr.all_zero
     assert hr.uniform_defect == F(7, 8)
     assert hr.vertices_checked > 500
-    assert compute_d(g, h) == 2
+    assert verify(g, h, radius=2).d == 2
 
 
 def test_verify_harmonic_flags_defects():
-    hr = verify_harmonic(resolve_model("zd1"), AbsHeight(), radius=2)
+    hr = verify(resolve_model("zd1"), AbsHeight(), radius=2).harmonic
     assert not hr.all_zero
     assert F(0) in hr.defect_values and F(-1) in hr.defect_values
 
 
-def test_compute_d_values():
-    assert compute_d(resolve_model("zd2"), CoordinateHeight(0, label="x")) == 1
+def test_d_values():
+    # d is read on the radius-2 ball for every radius <= 2.
+    def d(g, h):
+        return verify(g, h, radius=2).d
+
+    assert d(resolve_model("zd2"), CoordinateHeight(0, label="x")) == 1
     gd = resolve_model("dihedral_line")
-    assert compute_d(gd, resolve_height(gd, "identity")) == 1
+    assert d(gd, resolve_height(gd, "identity")) == 1
     so = resolve_model("square_octagon")
-    assert compute_d(so, increase_repair(so.pg)) == 2
+    assert d(so, increase_repair(so.pg)) == 2
     hx = resolve_model("hexagonal")
     spec = choose_ghf(preset_presentation("hexagonal"))
-    assert compute_d(hx, GammaHeight.from_spec(spec)) == 1
-    assert compute_d(hx, increase_repair(hx.pg)) == 2
+    assert d(hx, GammaHeight.from_spec(spec)) == 1
+    assert d(hx, increase_repair(hx.pg)) == 2
 
 
 def test_compute_r_values():

@@ -1,8 +1,10 @@
 """Rooted ball isomorphism and quotient-family locality scans."""
 
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 import oracles
 from sawlab.graphs import PGOracle, ball, periodic_graph_from_document, resolve_model
@@ -11,10 +13,10 @@ from sawlab.locality import (
     count_agreement,
     iso_radius,
     locality_scan,
-    scan_to_json,
 )
-from sawlab.saw import count_bridges, count_saws
+from sawlab.saw import count_bridges, count_saws, render_json
 from sawlab.heights import CoordinateHeight
+from test_saw import voltage_documents
 
 X = CoordinateHeight(0, label="x")
 
@@ -203,12 +205,12 @@ def test_scan_serialization():
     csv = rep.to_csv().splitlines()
     assert csv[0] == "m,K,agree_up_to,lower_bound,upper_bound,table_digest"
     assert len(csv) == 3 and csv[1].startswith("4,1,3,")
-    doc = json.loads(scan_to_json(rep))
+    doc = json.loads(render_json(rep.to_json_dict()))
     assert doc["base_model"] == "zd2" and doc["family"] == "cylinder"
     assert doc["rank_precondition"] is None
     assert [r["K"] for r in doc["records"]] == [1, 3]
     assert "generated_at" not in doc
-    stamped = json.loads(scan_to_json(rep, timestamp="T"))
+    stamped = json.loads(render_json(rep.to_json_dict(), timestamp="T"))
     assert stamped["generated_at"] == "T"
 
 
@@ -341,3 +343,26 @@ def test_iso_radius_stops_growing_at_a_size_mismatch():
     # the bound (3 * 2**19 vertices at radius 20).
     res = iso_radius(resolve_model("zd2"), resolve_model("tree3"), 20, max_vertices=50)
     assert res.k == 0 and res.verdicts == {0: True, 1: False} and not res.budget_hit
+
+
+@settings(max_examples=100, deadline=5000)
+@given(voltage_documents(), voltage_documents(), st.integers(0, 5),
+       st.sampled_from(["induced", "walk"]))
+# Random pairs rarely agree in size past the radius where they stop
+# being isomorphic; these two always bisect.
+@example(SAME_SIZES["same_sizes_k1_a"], SAME_SIZES["same_sizes_k1_b"], 5, "induced")
+@example(SAME_SIZES["same_sizes_k2_a"], SAME_SIZES["same_sizes_k2_b"], 5, "walk")
+def test_iso_radius_matches_ascending_loop_on_random_covers(doc_a, doc_b, bound, convention):
+    from sawlab import locality
+    from sawlab.graphs import BudgetExceeded
+
+    g_a, g_b = (PGOracle(periodic_graph_from_document(doc)) for doc in (doc_a, doc_b))
+    want = oracles.iso_radius_reference(
+        ball_iso, BudgetExceeded, g_a, g_b, bound, convention=convention)
+    with mock.patch.object(locality, "_iso_balls", wraps=locality._iso_balls) as checks:
+        res = iso_radius(g_a, g_b, bound, convention=convention)
+    # One check is the candidate radius; more are the bisection below it.
+    event("bisected" if checks.call_count > 1 else "no bisection")
+    got = dict(k=res.k, at_least=res.at_least, verdicts=res.verdicts,
+               witness=res.witness, budget_hit=res.budget_hit)
+    assert got == want

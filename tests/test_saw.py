@@ -48,7 +48,7 @@ from sawlab.saw import (
     doubling_indices,
     doubling_monotone,
     mu_bounds,
-    table_to_json,
+    render_json,
 )
 
 X = CoordinateHeight(0, label="x")
@@ -181,7 +181,7 @@ def test_parallel_matches_sequential_byte_for_byte():
     seq = count_saws(g, 9, threads=1)
     par = count_saws(g, 9, threads=8)
     assert seq.to_csv() == par.to_csv()
-    assert table_to_json(seq) == table_to_json(par)
+    assert render_json(seq.to_json_dict()) == render_json(par.to_json_dict())
     assert seq.nodes_used == par.nodes_used
 
     bseq = count_bridges(g, X, 9, threads=1)
@@ -198,7 +198,7 @@ def test_parallel_matches_sequential_byte_for_byte():
         bseq = count_bridges(g, h, n, threads=1)
         bpar = count_bridges(g, h, n, threads=8)
         assert bseq.to_csv() == bpar.to_csv(), model
-        assert table_to_json(bseq) == table_to_json(bpar), model
+        assert render_json(bseq.to_json_dict()) == render_json(bpar.to_json_dict()), model
         assert bseq.nodes_used == bpar.nodes_used, model
     g = resolve_model("grandparent")
     prefixes = []
@@ -826,11 +826,11 @@ def test_bounds_csv_and_json_shape():
     csv = rep.to_csv().splitlines()
     assert csv[0] == "n,sigma_n,b_n,lower_root,upper_root"
     assert len(csv) == 5
-    doc = json.loads(table_to_json(count_saws(g, 3)))
+    doc = json.loads(render_json(count_saws(g, 3).to_json_dict()))
     assert doc["counts"] == {"0": 1, "1": 4, "2": 12, "3": 36}
     assert doc["kind"] == "saw" and doc["model"] == "zd2"
     assert "generated_at" not in doc
-    stamped = json.loads(table_to_json(count_saws(g, 3), timestamp="T"))
+    stamped = json.loads(render_json(count_saws(g, 3).to_json_dict(), timestamp="T"))
     assert stamped["generated_at"] == "T"
 
 
