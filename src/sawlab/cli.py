@@ -290,9 +290,6 @@ def cmd_locality(args) -> int:
     if not m_list:
         raise GraphError("empty --m-list")
     n_max = args.n_max if args.n_max is not None else 10
-    presentation_name = (
-        base.name if base.name in presentations.PRESENTATION_PRESETS else None
-    )
     report = locality.locality_scan(
         base,
         args.family,
@@ -302,7 +299,6 @@ def cmd_locality(args) -> int:
         threads=args.threads,
         precision=args.precision,
         budget=args.budget,
-        presentation_name=presentation_name,
     )
     _emit(args, report)
     return EXIT_BUDGET if report.partial else EXIT_OK
@@ -338,7 +334,8 @@ _OPTIONS = {
     ),
     "--threads": dict(
         type=_at_least(1), default=os.cpu_count() or 1,
-        help="worker processes of the walk counts (default: the CPU count); "
+        help="worker processes of the walk counts, at most the CPU count "
+        "(default: the CPU count); "
         "ghf, harmonic, verify and ball-iso ignore it",
     ),
     "--model": dict(help="catalog model or preset name"),

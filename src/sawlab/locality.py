@@ -23,8 +23,14 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .graphs import DEFAULT_BALL_BUDGET, Ball, BallGrowth, GraphOracle, ball
+from .graphs import DEFAULT_BALL_BUDGET, Ball, BallGrowth, GraphOracle, ball, resolve_model
 from .heights import resolve_height
+from .presentations import (
+    PRESENTATION_PRESETS,
+    coefficient_matrix,
+    preset_presentation,
+    rank_exact,
+)
 from .saw import CountTable, count_bridges, count_saws, mu_bounds
 
 
@@ -372,7 +378,6 @@ def locality_scan(
     threads: int = 1,
     precision: int = 10,
     budget: Optional[int] = None,
-    presentation_name: Optional[str] = None,
     convention: str = "induced",
 ) -> ScanReport:
     """Per-m locality report for a quotient family.
@@ -382,10 +387,11 @@ def locality_scan(
     n <= K (zero discrepancies expected: an n-step walk from the root
     lies inside S_n); and the member's bound pair, which stabilizes to
     the base one as m grows. Bridges use each model's own default height.
+    A base model named after a presentation preset also gets the rank
+    precondition of that presentation.
     """
     if isinstance(family, str):
         family_name = family
-        from .graphs import resolve_model
 
         def family_fn(m: int) -> GraphOracle:
             return resolve_model(f"{family}{m}")
@@ -397,17 +403,11 @@ def locality_scan(
         bound = n_max
 
     rank_precondition = None
-    if presentation_name is not None:
-        from .presentations import (
-            coefficient_matrix,
-            preset_presentation,
-            rank_exact,
-        )
-
-        pres = preset_presentation(presentation_name)
+    if g.name in PRESENTATION_PRESETS:
+        pres = preset_presentation(g.name)
         rank = rank_exact(coefficient_matrix(pres))
         rank_precondition = {
-            "presentation": presentation_name,
+            "presentation": g.name,
             "rank": rank,
             "generators": len(pres.generators),
             "required": f"rank < {len(pres.generators) - 1}",

@@ -28,23 +28,27 @@ one vertex is not well defined: the count raises HeightConflict, as
 `heights.height_table` does. A ball with more than MAX_BALL_VERTICES
 inner vertices is not compiled; such a count runs `_walk`, the same DFS
 over the oracle's vertex objects, which carries the height along each
-walk unchecked. With more than one thread, or with a symmetry (below), a
-real pass lists the feasible prefixes of length SPLIT_DEPTH and extends
-them, in a process pool if the pass is big enough to pay for starting one
-(POOL_MIN_NODES, decided from exact node bounds, never from a clock) and
-otherwise in this process. The pool's initializer gives each worker the
-walker state once (the compiled ball, or the oracle and height), so a
-task is only a prefix, the steps left and the prefix's heights; workers
-take the tasks in chunks of len(tasks) // (4 * threads), at least one.
+walk unchecked. With more than one thread, or on a compiled ball with
+candidate symmetries (below), a real pass lists the feasible prefixes of
+length SPLIT_DEPTH and extends them, in a process pool if the pass is big
+enough to pay for starting one (POOL_MIN_NODES, decided from exact node
+bounds, never from a clock) and otherwise in this process. The pool has
+one worker per thread, at most one per CPU: the tables are the same at
+any thread count. Its initializer gives each worker the walker state
+once (the compiled ball, or the oracle and height), so a task is only a
+prefix, the steps left and the prefix's heights; workers take the tasks
+in chunks of len(tasks) // (4 * workers), at least one.
 
 Symmetry: an automorphism of the compiled ball that fixes the start (and,
 for bridges, every height) maps the walks that extend a prefix
-bijectively onto the walks that extend its image. So each count looks for
-label permutations that act as such automorphisms (`_symmetries`): a
-candidate is accepted only when a BFS over the ball the count walks
-certifies it (`_certify`), and no symmetry is assumed from a model's
-name. A real pass then merges the listed prefixes into orbits under the
-accepted ones, extends one prefix per orbit and counts its tallies once
+bijectively onto the walks that extend its image. So the first pass of a
+count that lists the prefixes also merges them into orbits
+(`_prefix_orbits`), and later passes reuse them. Each candidate label
+permutation (`_label_moves`) that maps the label words of the listed
+prefixes onto listed prefixes and would merge two orbits is certified
+by a BFS over the ball the count walks (`_certify`); only then are the
+orbits merged, by union-find. No symmetry is assumed from a model's
+name. A pass extends one prefix per orbit and counts its tallies once
 for every prefix of the orbit, at any thread count. The tallies, and so
 the counts, `nodes_used`, `high_water` and `partial`, are those of the
 full DFS; `nodes_used` still counts every node of the unreduced schedule.
@@ -52,10 +56,10 @@ Of the catalog, zd_d, heisenberg, hexagonal, square_octagon, the
 cylinders, the ladders and the dihedral line are reduced, though not
 every bridge count is (hexagonal's repaired height keeps no certified
 symmetry). The grandparent graph has no label permutation that is an
-automorphism, so its counts run unreduced. tree3 and lamplighter are
-reduced only while their ball is compiled (SAWs to n = 10 and 12);
-beyond that their balls pass MAX_BALL_VERTICES and they walk the oracle
-unreduced, as a certificate needs the ball.
+automorphism, so each of its prefixes is an orbit of its own. tree3 and
+lamplighter are reduced only while their ball is compiled (SAWs to n =
+10 and 12); beyond that their balls pass MAX_BALL_VERTICES and they walk
+the oracle unreduced, as a certificate needs the ball.
 
 Bridges follow the height inequalities h(start) < h(pi_i) <= h(pi_n):
 every vertex after the start is strictly higher than the start, and the
@@ -69,6 +73,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -226,7 +231,7 @@ class _CompiledBall(NamedTuple):
     strictly above the start are kept, and distance is measured along
     them. `labels[i]` holds the oracle's labels of the edges in
     `rows[i]`, entry for entry; rows with the same labels share one
-    tuple. The symmetry finder reads them (`_symmetries`).
+    tuple. The orbit finder reads them (`_prefix_orbits`).
     """
 
     rows: List[List[int]]
@@ -323,6 +328,10 @@ def _walk_ball(
         nodes[depth] += entered
 
     extend(path[-1], hmax, 1)
+    # `extend` refers to itself; emptying that reference frees `visited`
+    # on return rather than at the next garbage collection, which matters
+    # when a pass extends hundreds of prefixes.
+    del extend
     return hits, nodes
 
 
@@ -362,94 +371,6 @@ def _walk_task(task) -> Tuple[List[int], List[int]]:
 # ---------------------------------------------------------------------------
 # Certified symmetry of a compiled ball
 # ---------------------------------------------------------------------------
-
-
-def _compose(p: tuple, q: tuple) -> tuple:
-    """The permutation p, then q (tuples of images)."""
-    return tuple(q[x] for x in p)
-
-
-def _inverse(p: tuple) -> tuple:
-    inverse = [0] * len(p)
-    for x, y in enumerate(p):
-        inverse[y] = x
-    return tuple(inverse)
-
-
-class _PermGroup:
-    """The group generated by permutations of range(n), held as a base
-    and strong generating set (deterministic Schreier-Sims), so that a
-    membership test costs time polynomial in n however large the group
-    is."""
-
-    def __init__(self, n: int):
-        self.identity = tuple(range(n))
-        self.base: List[int] = []
-        self.gens: List[tuple] = []  # strong generators
-        # Per base point b_i: orbit point -> an element of the stabilizer
-        # of b_0 .. b_(i-1) that maps b_i to it.
-        self.levels: List[Dict[int, tuple]] = []
-
-    def _strip(self, g: tuple, start: int = 0) -> Tuple[tuple, int]:
-        """Sift g from level `start`: (residue, level it stopped at)."""
-        for i in range(start, len(self.base)):
-            u = self.levels[i].get(g[self.base[i]])
-            if u is None:
-                return g, i
-            g = _compose(g, _inverse(u))
-        return g, len(self.base)
-
-    def __contains__(self, g: tuple) -> bool:
-        return self._strip(g)[0] == self.identity
-
-    def _level_gens(self, i: int) -> List[tuple]:
-        fixed = self.base[:i]
-        return [s for s in self.gens if all(s[b] == b for b in fixed)]
-
-    def _orbit(self, i: int) -> None:
-        gens = self._level_gens(i)
-        level = {self.base[i]: self.identity}
-        queue = [self.base[i]]
-        for gamma in queue:
-            for s in gens:
-                delta = s[gamma]
-                if delta not in level:
-                    level[delta] = _compose(level[gamma], s)
-                    queue.append(delta)
-        self.levels[i] = level
-
-    def _new_base_point(self, g: tuple) -> None:
-        self.base.append(next(x for x, y in enumerate(g) if x != y))
-        self.levels.append({})
-
-    def add(self, g: tuple) -> None:
-        """Add the generator g, which is not in the group yet."""
-        self.gens.append(g)
-        if all(g[b] == b for b in self.base):
-            self._new_base_point(g)
-        for i in range(len(self.base)):
-            self._orbit(i)
-        # The levels after i hold a complete chain: sift the Schreier
-        # generators of level i through them, and add what does not sift.
-        i = len(self.base) - 1
-        while i >= 0:
-            i = self._check_level(i)
-
-    def _check_level(self, i: int) -> int:
-        """The next level to check after level i."""
-        level = self.levels[i]
-        gens = self._level_gens(i)
-        for gamma, u in level.items():
-            for s in gens:
-                h, j = self._strip(_compose(_compose(u, s), _inverse(level[s[gamma]])), i + 1)
-                if h != self.identity:
-                    self.gens.append(h)
-                    if j == len(self.base):
-                        self._new_base_point(h)
-                    for k in range(i + 1, j + 1):
-                        self._orbit(k)
-                    return j
-        return i - 1
 
 
 def _label_positions(ball: _CompiledBall) -> List[Dict[str, int]]:
@@ -567,54 +488,61 @@ def _label_moves(g: GraphOracle, start, names: List[str]) -> List[Dict[str, str]
     return moves
 
 
-def _symmetries(g: GraphOracle, ball: _CompiledBall, start) -> List[List[int]]:
-    """Generators of the group of certified label automorphisms of `ball`
-    (see `_certify`), each a map of inner ids; [] if there is none, as
-    when a row repeats a label.
+def _prefix_orbits(ball: _WalkerState, moves: List[Dict[str, str]],
+                   prefixes: list) -> Dict[int, int]:
+    """The orbits of the listed prefixes under the certified `moves`, as
+    {index of each orbit's first prefix: number of listed prefixes in
+    it}, in listing order. `ball` is read only if there are moves, which
+    needs it to be a compiled ball.
 
-    Each candidate of `_label_moves` that is not yet in the group the
-    accepted ones generate is certified on the ball; group membership is
-    decided exactly on the label permutations (`_PermGroup`), which
-    determine the automorphisms.
+    Each prefix is read as the word of labels along it. A candidate move
+    is certified (`_certify`) only if it maps every word onto the word of
+    a listed prefix, as an automorphism must, and would merge two orbits;
+    a certified move then merges the orbits of each prefix and its image
+    (union-find, the root of a class its smallest index). The classes
+    only get coarser, so a move that merges nothing when it is read
+    merges nothing later: they end as the orbits of the group that all
+    certifiable moves generate. Listed copies of one path of ids (along
+    parallel edges) have the same extensions and share an orbit. A ball
+    with a row that repeats a label leaves the orbits single.
     """
-    names = list(dict.fromkeys(chain.from_iterable(ball.labels)))
-    index = {label: k for k, label in enumerate(names)}
-    group = _PermGroup(len(names))
-    where = _label_positions(ball)
-    generators = []
-    for move in _label_moves(g, start, names):
-        perm = tuple(index[move.get(label, label)] for label in names)
-        if perm in group:
-            continue
-        phi = _certify(ball, move, where)
-        if phi is not None:
-            group.add(perm)
-            generators.append(phi)
-    return generators
+    parent: List[int] = []
+    first: Dict[tuple, int] = {}  # the first index of each listed path
+    for i, (path, _, _) in enumerate(prefixes):
+        parent.append(first.setdefault(path, i))
 
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-def _orbit_tasks(prefixes: list, rest: int, symmetries: List[List[int]]):
-    """One task (path, rest, hv, hmax) per orbit of the listed prefixes
-    under the generators `symmetries`, for its first prefix in listing
-    order, and the number of listed prefixes in each orbit."""
-    orbit_of: Dict[tuple, int] = {}
-    tasks: list = []
-    weights: List[int] = []
-    for path, hv, hm in prefixes:
-        k = orbit_of.get(path)
-        if k is None:
-            k = orbit_of[path] = len(tasks)
-            tasks.append((path, rest, hv, max(hv, hm)))
-            weights.append(0)
-            orbit = [path]
-            for p in orbit:
-                for phi in symmetries:
-                    image = tuple(phi[i] for i in p)
-                    if image not in orbit_of:
-                        orbit_of[image] = k
-                        orbit.append(image)
-        weights[k] += 1
-    return tasks, weights
+    if moves and all(len(set(labels)) == len(labels) for labels in set(ball.labels)):
+        rows, labels = ball.rows, ball.labels
+        where = _label_positions(ball)
+        words = [[labels[v][rows[v].index(w)] for v, w in zip(path, path[1:])]
+                 for path in first]
+        for move in moves:
+            pairs = []
+            for i, word in zip(first.values(), words):
+                v, image = 0, [0]
+                for label in word:
+                    k = where[v].get(move.get(label, label))
+                    if k is None:
+                        break  # the image stops short: it is not listed
+                    v = rows[v][k]
+                    image.append(v)
+                j = first.get(tuple(image))
+                if j is None:
+                    break
+                pairs.append((i, j))
+            else:
+                if (any(find(i) != find(j) for i, j in pairs)
+                        and _certify(ball, move, where) is not None):
+                    for i, j in pairs:
+                        a, b = find(i), find(j)
+                        parent[max(a, b)] = min(a, b)
+    return Counter(find(i) for i in range(len(parent)))
 
 
 # ---------------------------------------------------------------------------
@@ -659,43 +587,54 @@ def _plan_depth(depth: int, n_max: int, nodes_used: int, last: int, factor: int,
 
 
 def _real_pass(state: _WalkerState, root: tuple, target: int, threads: int, degree: int,
-               pools: list, symmetries: List[List[int]]) -> Tuple[List[int], List[int]]:
+               pools: list, moves: List[Dict[str, str]],
+               orbits: Dict[int, int]) -> Tuple[List[int], List[int]]:
     """Tally hits and nodes at every depth up to `target` in one DFS.
 
-    With more than one thread, or with `symmetries` (generators from
-    `_symmetries`), the prefixes of length SPLIT_DEPTH are listed first
-    and merged into orbits under the generators. One prefix per orbit is
-    extended, and its tallies count once for every prefix of the orbit.
-    A self-avoiding walk has at most `degree` - 1 ways to go on, so the
-    number of extended prefixes bounds the nodes at depth `target`; if
-    that bound is large enough (POOL_MIN_NODES) and there is more than
-    one thread, they are extended in a process pool, started on first
-    use and kept in `pools`, and otherwise here. Either way the tallies
-    are those of the full DFS, for any thread count.
+    With more than one thread, or with candidate label `moves` (from
+    `_label_moves`), the prefixes of length SPLIT_DEPTH are listed first
+    and merged into orbits (`_prefix_orbits`). The first such pass of a
+    count fills `orbits`, and later passes, which list the same prefixes,
+    reuse it. One prefix per orbit is extended, and its tallies count
+    once for every prefix of the orbit. A self-avoiding walk has at most
+    `degree` - 1 ways to go on, so the number of extended prefixes bounds
+    the nodes at depth `target`; if that bound is large enough
+    (POOL_MIN_NODES) and there is more than one thread, they are extended
+    in a process pool of at most one worker per CPU, started on first use
+    and kept in `pools`, and otherwise here. Either way the tallies are
+    those of the full DFS, for any thread count.
     """
-    if target <= SPLIT_DEPTH or (threads == 1 and not symmetries):
+    if target <= SPLIT_DEPTH or (threads == 1 and not moves):
         return _extend(state, root, target)
     prefixes: list = []
     hits, nodes = _extend(state, root, SPLIT_DEPTH, out=prefixes)
     rest = target - SPLIT_DEPTH
-    tasks, weights = _orbit_tasks(prefixes, rest, symmetries)
+    if not orbits:
+        orbits.update(_prefix_orbits(state, moves, prefixes))
+    tasks = []
+    for i in orbits:
+        path, hv, hm = prefixes[i]
+        tasks.append((path, rest, hv, max(hv, hm)))
     size = len(tasks) * (degree - 1) ** rest
     if not isinstance(state, _CompiledBall):
         size *= ORACLE_NODE_COST
     if threads == 1 or size < POOL_MIN_NODES:
         results = [_extend(state, *task) for task in tasks]
     else:
+        # Tables are the same at any thread count, so more workers than
+        # CPUs would only cost processes.
+        workers = min(threads, os.cpu_count() or 1)
         if not pools:
             pools.append(ProcessPoolExecutor(
-                max_workers=threads, initializer=_init_worker, initargs=(state,)))
+                max_workers=workers, initializer=_init_worker, initargs=(state,)))
         # About four chunks per worker: orbits differ in size, so a few
         # big chunks can leave a worker idle, while one message per task
         # costs more than a small task's walk. Results come in task order.
-        chunksize = max(1, len(tasks) // (4 * threads))
+        chunksize = max(1, len(tasks) // (4 * workers))
         results = pools[0].map(_walk_task, tasks, chunksize=chunksize)
     hits += [0] * rest
     nodes += [0] * rest
-    for weight, (task_hits, task_nodes) in zip(weights, results):
+    for weight, (task_hits, task_nodes) in zip(orbits.values(), results):
         for j in range(1, rest + 1):
             hits[SPLIT_DEPTH + j] += weight * task_hits[j]
             nodes[SPLIT_DEPTH + j] += weight * task_nodes[j]
@@ -728,7 +667,9 @@ def _run_iterative(
     ball = _compile_ball(g, h, start, n_max)
     state: _WalkerState = (g, h) if ball is None else ball
     root = (start,) if ball is None else (0,)
-    symmetries = [] if ball is None or n_max <= SPLIT_DEPTH else _symmetries(g, ball, start)
+    moves = [] if ball is None or n_max <= SPLIT_DEPTH else _label_moves(
+        g, start, list(dict.fromkeys(chain.from_iterable(ball.labels))))
+    orbits: Dict[int, int] = {}  # filled by the first pass that lists prefixes
     counts: Dict[int, int] = {0: 1}
     hits: List[int] = []  # the last real pass's tallies, to depth `tallied`
     nodes: List[int] = []
@@ -744,7 +685,8 @@ def _run_iterative(
                 break
             if depth > tallied:
                 tallied = _plan_depth(depth, n_max, nodes_used, last_pass_nodes, factor, budget)
-                hits, nodes = _real_pass(state, root, tallied, threads, degree, pools, symmetries)
+                hits, nodes = _real_pass(state, root, tallied, threads, degree, pools, moves,
+                                         orbits)
             counts[depth] = hits[depth]
             last_pass_nodes += nodes[depth]
             nodes_used += last_pass_nodes

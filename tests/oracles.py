@@ -397,6 +397,30 @@ def iterative_reference(
     return counts, nodes_used, high_water, False
 
 
+def closure_orbits(paths: Sequence[tuple], maps: Sequence[Sequence[int]]) -> List[Tuple[tuple, int]]:
+    """The orbits of the listed `paths` (tuples of vertex ids) under the
+    vertex maps `maps`, found by closing each new path under every map
+    until nothing new appears: [(first listed path of each orbit, number
+    of listed paths in it)], in listing order. A path listed twice counts
+    twice."""
+    orbit_of: Dict[tuple, int] = {}
+    orbits: List[List] = []
+    for path in paths:
+        if path not in orbit_of:
+            orbit_of[path] = len(orbits)
+            orbits.append([path, 0])
+            frontier = [path]
+            while frontier:
+                p = frontier.pop()
+                for phi in maps:
+                    image = tuple(phi[i] for i in p)
+                    if image not in orbit_of:
+                        orbit_of[image] = orbit_of[path]
+                        frontier.append(image)
+        orbits[orbit_of[path]][1] += 1
+    return [tuple(orbit) for orbit in orbits]
+
+
 def brute_compute_r(
     neighbors: Callable[[object], Iterable[Tuple[object, str]]],
     reps: Sequence,

@@ -187,7 +187,6 @@ def test_criterion_8_locality_radius_and_count_agreement():
         "cylinder",
         n_max=10,
         m_list=[4, 5, 6, 7, 8, 9],
-        presentation_name="zd2",
         convention="walk",
     )
     assert scan.rank_precondition is not None

@@ -168,7 +168,6 @@ def test_locality_scan_structure():
         "cylinder",
         n_max=6,
         m_list=[4, 6, 8],
-        presentation_name="zd2",
     )
     assert rep.rank_precondition == {
         "presentation": "zd2",
@@ -207,7 +206,14 @@ def test_scan_serialization():
     assert len(csv) == 3 and csv[1].startswith("4,1,3,")
     doc = json.loads(render_json(rep.to_json_dict()))
     assert doc["base_model"] == "zd2" and doc["family"] == "cylinder"
-    assert doc["rank_precondition"] is None
+    # zd2 is a presentation preset, so the scan carries its precondition.
+    assert doc["rank_precondition"] == {
+        "presentation": "zd2",
+        "rank": 2,
+        "generators": 4,
+        "required": "rank < 3",
+        "satisfied": True,
+    }
     assert [r["K"] for r in doc["records"]] == [1, 3]
     assert "generated_at" not in doc
     stamped = json.loads(render_json(rep.to_json_dict(), timestamp="T"))
@@ -218,6 +224,9 @@ def test_scan_accepts_callable_family():
     fam = lambda m: resolve_model(f"cylinder{m}")
     rep = locality_scan(resolve_model("zd2"), fam, n_max=3, m_list=[5])
     assert rep.records[0].k == 1
+    # A base model that is no presentation preset has no precondition.
+    rep = locality_scan(resolve_model("cylinder9"), fam, n_max=3, m_list=[5])
+    assert rep.rank_precondition is None
 
 
 def test_ball_iso_budget():

@@ -2,11 +2,11 @@
 
 import concurrent.futures
 import json
-import math
 import os
 import time
 from datetime import timedelta
 from fractions import Fraction
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -476,6 +476,40 @@ def test_pool_maps_once_per_real_pass(monkeypatch):
     assert 1 <= len(map_calls) <= len(targets)
 
 
+def test_pool_has_at_most_one_worker_per_cpu(monkeypatch):
+    # A stand-in pool that starts no process: it records the workers and
+    # chunk size it is given and runs the tasks here.
+    workers, chunks, tasks = [], [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            workers.append(max_workers)
+            initializer(*initargs)
+
+        def map(self, fn, iterable, chunksize):
+            iterable = list(iterable)
+            chunks.append(chunksize)
+            tasks.append(len(iterable))
+            return map(fn, iterable)
+
+        def shutdown(self):
+            pass
+
+    # grandparent's 378 prefixes are orbits of their own: many tasks.
+    g = resolve_model("grandparent")
+    serial = count_saws(g, 5, threads=1)
+    monkeypatch.setattr(saw, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(saw, "_worker_state", None)
+    monkeypatch.setattr(saw, "POOL_MIN_NODES", 0)
+    for cpus, threads, want in ((3, 5000, 3), (None, 5000, 1), (3, 2, 2)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        workers.clear(), chunks.clear(), tasks.clear()
+        t = count_saws(g, 5, threads=threads)
+        assert _table_fields(t) == _table_fields(serial)
+        assert workers == [want]
+        assert tasks == [378] and chunks == [378 // (4 * want)]
+
+
 def test_pool_threshold_lies_between_grandparent_and_tree3(monkeypatch):
     # grandparent's n = 6 pass is bounded at 378 * 7^3 = 129,654 nodes, too
     # few to pay for a pool; tree3's n = 16 pass, 12 * 2^13 oracle nodes
@@ -539,6 +573,28 @@ def labelled_covers(draw):
     return PGOracle(pg), PeriodicHeight(tuple(f), tuple(lam))
 
 
+def _candidate_moves(g, ball):
+    return saw._label_moves(g, g.root, list(dict.fromkeys(chain.from_iterable(ball.labels))))
+
+
+def _listed_prefixes(ball):
+    prefixes = []
+    saw._walk_ball(ball, (0,), saw.SPLIT_DEPTH, out=prefixes)
+    return prefixes
+
+
+def _assert_orbits_equal_the_closure(g, ball):
+    """`_prefix_orbits` against the closure of the listed prefixes under
+    every candidate move that `_certify` accepts, with nothing skipped."""
+    prefixes = _listed_prefixes(ball)
+    moves = _candidate_moves(g, ball)
+    got = saw._prefix_orbits(ball, moves, prefixes)
+    maps = [phi for phi in (saw._certify(ball, move) for move in moves) if phi is not None]
+    want = oracles.closure_orbits([path for path, _, _ in prefixes], maps)
+    assert [(prefixes[i][0], weight) for i, weight in got.items()] == want
+    return want
+
+
 @settings(max_examples=30, deadline=timedelta(seconds=10))
 @given(labelled_covers(), st.integers(4, 6))
 def test_reduced_counts_equal_unreduced_and_oracle_walker(cover, n):
@@ -547,16 +603,17 @@ def test_reduced_counts_equal_unreduced_and_oracle_walker(cover, n):
     # No pool: the pool path of a reduced pass is covered on the catalog.
     with mock.patch.object(saw, "POOL_MIN_NODES", 10**18):
         for h in (None, height):
-            want = saw._real_pass((g, h), (g.root,), n, 1, degree, [], [])
+            want = saw._real_pass((g, h), (g.root,), n, 1, degree, [], [], {})
             ball = saw._compile_ball(g, h, g.root, n)
-            symmetries = saw._symmetries(g, ball, g.root)
+            _assert_orbits_equal_the_closure(g, ball)
+            moves = _candidate_moves(g, ball)
             for threads in (1, 2):
-                for generators in (symmetries, []):
-                    got = saw._real_pass(ball, (0,), n, threads, degree, [], generators)
-                    assert got == want, (h, threads, generators)
+                for candidates in (moves, []):
+                    got = saw._real_pass(ball, (0,), n, threads, degree, [], candidates, {})
+                    assert got == want, (h, threads, candidates)
             runs = [(threads, budget) for threads in (1, 2) for budget in (None, 300)]
             reduced = [_table_fields(saw._run_iterative(g, n, None, t, b, h)) for t, b in runs]
-            with mock.patch.object(saw, "_symmetries", lambda *args: []):
+            with mock.patch.object(saw, "_label_moves", lambda *args: []):
                 unreduced = [_table_fields(saw._run_iterative(g, n, None, t, b, h))
                              for t, b in runs]
             with mock.patch.object(saw, "MAX_BALL_VERTICES", 0):
@@ -564,39 +621,13 @@ def test_reduced_counts_equal_unreduced_and_oracle_walker(cover, n):
             assert reduced == unreduced == walker
 
 
-def _order(group):
-    return math.prod(len(level) for level in group.levels)
-
-
-def _closure(gens, n):
-    elements = {tuple(range(n))}
-    frontier = list(elements)
-    while frontier:
-        p = frontier.pop()
-        for s in gens:
-            q = saw._compose(p, s)
-            if q not in elements:
-                elements.add(q)
-                frontier.append(q)
-    return elements
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-    st.just(n),
-    st.lists(st.permutations(range(n)).map(tuple), max_size=3),
-    st.permutations(range(n)).map(tuple),
-)))
-def test_perm_group_membership_equals_closure(case):
-    n, gens, probe = case
-    group = saw._PermGroup(n)
-    for g in gens:
-        if g not in group:
-            group.add(g)
-    elements = _closure(gens, n)
-    assert _order(group) == len(elements)
-    assert (probe in group) == (probe in elements)
-    assert all(p in group for p in elements)
+@pytest.mark.parametrize("model", ["zd1", "zd2", "zd3", "heisenberg", "hexagonal",
+                                   "square_octagon", "cylinder5", "ladder_dihedral5",
+                                   "dihedral_line", "grandparent", "tree3", "lamplighter"])
+def test_catalog_prefix_orbits_equal_the_closure(model):
+    g = resolve_model(model)
+    for h in (None, resolve_height(g, None)):
+        _assert_orbits_equal_the_closure(g, saw._compile_ball(g, h, g.root, 6))
 
 
 def _swap(*pairs):
@@ -628,7 +659,7 @@ def test_certificate_keeps_bridge_heights():
     assert saw._certify(doubled, {}) is None
 
 
-def test_symmetric_root_star_in_an_asymmetric_ball_is_refused():
+def test_symmetric_root_star_in_an_asymmetric_ball_is_refused(monkeypatch):
     # Orbit 1 has a loop x, edges a, c, e into orbit 2 with voltages 0, 1
     # and 3 (no reflection of Z maps {0, 1, 3} onto itself) and an edge b
     # into orbit 3, which has no other edge. The root's star is the same
@@ -644,28 +675,27 @@ def test_symmetric_root_star_in_an_asymmetric_ball_is_refused():
     star = saw._compile_ball(g, None, g.root, 1)
     swap = _swap(("a", "b"), ("A", "B"))
     assert saw._certify(star, swap) is not None
-    assert saw._symmetries(g, star, g.root)
+    found = []
+    prefix_orbits = saw._prefix_orbits
+    monkeypatch.setattr(saw, "_prefix_orbits",
+                        lambda *args: found.append(prefix_orbits(*args)) or found[-1])
     for n in (2, 3, 6):
         ball = saw._compile_ball(g, None, g.root, n)
         assert saw._certify(ball, swap) is None
-        assert saw._symmetries(g, ball, g.root) == []
-
-
-def _root_label_perm(ball, phi, index):
-    """The label permutation that the ball automorphism phi induces on
-    the root's edges (n >= 2, so the root's row holds inner ids)."""
-    row, labels = ball.rows[0], ball.labels[0]
-    perm = list(range(len(index)))
-    for j, label in zip(row, labels):
-        perm[index[label]] = index[labels[row.index(phi[j])]]
-    return tuple(perm)
+        assert all(saw._certify(ball, move) is None for move in _candidate_moves(g, ball))
+        # Every prefix a count lists is an orbit of its own (n = 2 and 3
+        # list none: each pass is one DFS from the root).
+        found.clear()
+        count_saws(g, n)
+        assert all(set(orbits.values()) == {1} for orbits in found)
+        assert len(found) == (n > saw.SPLIT_DEPTH)
 
 
 def test_finder_work_is_polynomial_in_the_labels(monkeypatch):
     # Z^6 as a user document: twelve distinct automatic labels, and a
     # label group (the signed permutations of the axes) of 2^6 * 6!
-    # elements. The finder certifies at most one candidate per move, and
-    # there are O(|labels|^2) moves.
+    # elements. The orbit finder certifies at most one candidate per move,
+    # and there are O(|labels|^2) moves.
     doc = {"orbits": 1, "dim": 6, "edges": [[1, 1, _unit(i, 6)] for i in range(6)]}
     g = PGOracle(periodic_graph_from_document(doc))
     ball = saw._compile_ball(g, None, g.root, 4)
@@ -673,18 +703,18 @@ def test_finder_work_is_polynomial_in_the_labels(monkeypatch):
     assert len(names) == 12
     moves = saw._label_moves(g, g.root, names)
     assert len(moves) <= len(names) ** 2
+    prefixes = _listed_prefixes(ball)
     certified = []
     certify = saw._certify
     monkeypatch.setattr(saw, "_certify", lambda *args: certified.append(1) or certify(*args))
     start = time.process_time()
-    generators = saw._symmetries(g, ball, g.root)
+    saw._prefix_orbits(ball, moves, prefixes)
     assert time.process_time() - start < 5
-    assert len(generators) <= len(certified) <= len(moves)
-    index = {label: k for k, label in enumerate(names)}
-    group = saw._PermGroup(len(names))
-    for phi in generators:
-        group.add(_root_label_perm(ball, phi, index))
-    assert _order(group) == 2**6 * 720
+    assert len(certified) <= len(moves)
+    monkeypatch.setattr(saw, "_certify", certify)
+    # The whole label group acts: the 3-step walks of Z^6 fall into the
+    # same six shapes as those of Z^3 (xxx, xxy, xyx, xyy, xyX, xyz).
+    assert len(_assert_orbits_equal_the_closure(g, ball)) == 6
 
 
 def test_reduction_walks_one_prefix_per_orbit(monkeypatch):
@@ -720,15 +750,23 @@ def test_reduction_walks_one_prefix_per_orbit(monkeypatch):
     assert representatives("zd3", 8) == {6}
     assert representatives("zd2", 12) == {5}
     assert representatives("zd2", 12, X) == {4}
-    # No certified automorphism (grandparent), or no compiled ball at all
-    # (tree3 and lamplighter at n = 16): every pass is one DFS from the root.
-    for model, n in (("grandparent", 6), ("tree3", 16), ("lamplighter", 16)):
+    # heisenberg's 150 prefixes form 20 orbits.
+    assert count_saws(resolve_model("heisenberg"), 3)[3] == 150
+    assert representatives("heisenberg", 8) == {20}
+    # No certified automorphism (grandparent): every listed prefix, 378
+    # walks and 26 bridges, is its own orbit.
+    g = resolve_model("grandparent")
+    assert representatives("grandparent", 6) == {378}
+    assert representatives("grandparent", 6, resolve_height(g, None)) == {26}
+    grandparent_ball = saw._compile_ball(g, None, g.root, 6)
+    assert all(saw._certify(grandparent_ball, move) is None
+               for move in _candidate_moves(g, grandparent_ball))
+    # No compiled ball at all (tree3 and lamplighter at n = 16): every
+    # pass is one DFS from the root.
+    for model in ("tree3", "lamplighter"):
         g = resolve_model(model)
         for h in (None, resolve_height(g, None)):
-            assert representatives(model, n, h) == {0}, (model, h)
-    g = resolve_model("grandparent")
-    grandparent_ball = saw._compile_ball(g, None, g.root, 6)
-    assert saw._symmetries(g, grandparent_ball, g.root) == []
+            assert representatives(model, 16, h) == {0}, (model, h)
     lamplighter = resolve_model("lamplighter")
     assert saw._compile_ball(lamplighter, None, lamplighter.root, 16) is None
 
