@@ -44,11 +44,17 @@ class GraphOracle:
     """Interface: subclasses fix `name` and implement the four methods.
 
     `default_height` names the height a count or a check uses when none
-    is given (see `heights.resolve_height`).
+    is given (see `heights.resolve_height`). `cayley` states that the
+    oracle is a Cayley graph: every vertex has the same labels, and the
+    edge labelled l from v goes to v * l for a generator l, so whether a
+    label word closes does not depend on where it starts. A SAW count
+    without a compiled ball certifies its symmetries only on such an
+    oracle (see `saw`).
     """
 
     name: str = "oracle"
     default_height: Optional[str] = None
+    cayley: bool = False
 
     @property
     def root(self):
@@ -93,6 +99,7 @@ class Tree3Oracle(GraphOracle):
 
     name = "tree3"
     default_height = "ghf"
+    cayley = True
 
     @property
     def root(self):
@@ -123,6 +130,7 @@ class HeisenbergOracle(GraphOracle):
 
     name = "heisenberg"
     default_height = "ghf"
+    cayley = True
 
     @property
     def root(self):
@@ -153,6 +161,7 @@ class LamplighterOracle(GraphOracle):
 
     name = "lamplighter"
     default_height = "ghf"
+    cayley = True
 
     @property
     def root(self):

@@ -28,9 +28,9 @@ one vertex is not well defined: the count raises HeightConflict, as
 `heights.height_table` does. A ball with more than MAX_BALL_VERTICES
 inner vertices is not compiled; such a count runs `_walk`, the same DFS
 over the oracle's vertex objects, which carries the height along each
-walk unchecked. With more than one thread, or on a compiled ball with
-candidate symmetries (below), a real pass lists the feasible prefixes of
-length SPLIT_DEPTH and extends them, in a process pool if the pass is big
+walk unchecked. With more than one thread, or with candidate
+symmetries (below), a real pass lists the feasible prefixes of length
+SPLIT_DEPTH and extends them, in a process pool if the pass is big
 enough to pay for starting one (POOL_MIN_NODES, decided from exact node
 bounds, never from a clock) and otherwise in this process. The pool has
 one worker per thread, at most one per CPU: the tables are the same at
@@ -47,19 +47,26 @@ count that lists the prefixes also merges them into orbits
 permutation (`_label_moves`) that maps the label words of the listed
 prefixes onto listed prefixes and would merge two orbits is certified
 by a BFS over the ball the count walks (`_certify`); only then are the
-orbits merged, by union-find. No symmetry is assumed from a model's
-name. A pass extends one prefix per orbit and counts its tallies once
-for every prefix of the orbit, at any thread count. The tallies, and so
-the counts, `nodes_used`, `high_water` and `partial`, are those of the
-full DFS; `nodes_used` still counts every node of the unreduced schedule.
-Of the catalog, zd_d, heisenberg, hexagonal, square_octagon, the
-cylinders, the ladders and the dihedral line are reduced, though not
-every bridge count is (hexagonal's repaired height keeps no certified
-symmetry). The grandparent graph has no label permutation that is an
-automorphism, so each of its prefixes is an orbit of its own. tree3 and
-lamplighter are reduced only while their ball is compiled (SAWs to n =
-10 and 12); beyond that their balls pass MAX_BALL_VERTICES and they walk
-the oracle unreduced, as a certificate needs the ball.
+orbits merged, by union-find. A SAW count that walks the oracle, for
+want of a compiled ball, certifies on the ball of radius
+max(n // 2, SPLIT_DEPTH) + 1 instead (`_cayley_ball`), but only if the
+oracle states that it is a Cayley graph (`GraphOracle.cayley`): there
+whether a label word closes does not depend on where it starts, and
+that ball holds every closed walk of length <= n from the start. No
+symmetry is assumed from a model's name. A pass extends one prefix per
+orbit and counts its tallies once for every prefix of the orbit, at any
+thread count. The tallies, and so the counts, `nodes_used`, `high_water`
+and `partial`, are those of the full DFS; `nodes_used` still counts
+every node of the unreduced schedule. Of the catalog, zd_d, heisenberg,
+hexagonal, square_octagon, the cylinders, the ladders and the dihedral
+line are reduced, though not every bridge count is (hexagonal's repaired
+height keeps no certified symmetry). The grandparent graph has no label
+permutation that is an automorphism, so each of its prefixes is an orbit
+of its own. The SAW counts of tree3, lamplighter and heisenberg are
+reduced on the oracle through n = 19, 23 and 17, where their
+certification balls still fit MAX_BALL_VERTICES (their own balls fit
+through n = 10, 12 and 9). Their bridge counts past their own balls walk
+the oracle unreduced.
 
 Bridges follow the height inequalities h(start) < h(pi_i) <= h(pi_n):
 every vertex after the start is strictly higher than the start, and the
@@ -206,6 +213,7 @@ def _walk(
         nodes[depth] += entered
 
     extend(path[-1], hv + h0, hmax + h0, 1)
+    del extend  # frees `visited` on return, as in `_walk_ball`
     return hits, nodes
 
 
@@ -545,6 +553,37 @@ def _prefix_orbits(ball: _WalkerState, moves: List[Dict[str, str]],
     return Counter(find(i) for i in range(len(parent)))
 
 
+def _cayley_ball(g: GraphOracle, start, n: int) -> Optional[_CompiledBall]:
+    """The ball that certifies the symmetries of a SAW count to length `n`
+    on a Cayley oracle (`g.cayley`) that walks without a compiled ball:
+    radius R + 1 with R = max(n // 2, SPLIT_DEPTH), so that the vertices
+    within R of `start` are inner; None if it passes MAX_BALL_VERTICES too.
+
+    Why it suffices: a walk along a label word is self-avoiding iff no
+    factor of the word closes, and on a Cayley graph whether a word
+    closes does not depend on where it starts, so a label move m that
+    maps the closed words of length <= n onto closed words, and back,
+    maps the SAWs of length <= n that extend a prefix onto those that
+    extend its image. Every vertex of a closed walk of length k <= n
+    from the start lies within k // 2 <= R of it, so the walk steps only
+    between inner vertices, along rows that the map phi of `_certify`
+    carries entry for entry onto the rows of phi's images; phi fixes the
+    start, so it carries the walk onto the walk along m(word), which
+    closes too. phi is a bijection of the inner ids that sends inner
+    entries to inner entries and leaf entries to leaves, so phi^-1 does
+    the same for m^-1. With n = 6 and radius n // 2 instead, the closed
+    word x^6 of Z_6 x Z_8 reaches a leaf, and x <-> y would pass.
+
+    The ball lists the same prefixes as the oracle, in the same order:
+    both listings are a DFS in the oracle's neighbor order, and with
+    R >= SPLIT_DEPTH every prefix vertex is inner, with an id of its own.
+    Bridge counts do not use it: a move must also keep every height, and
+    on tree3 and lamplighter the only candidates (s1 <-> t, t <-> u)
+    negate the GHF.
+    """
+    return _compile_ball(g, None, start, max(n // 2, SPLIT_DEPTH) + 1)
+
+
 # ---------------------------------------------------------------------------
 # Public counting API
 # ---------------------------------------------------------------------------
@@ -587,22 +626,25 @@ def _plan_depth(depth: int, n_max: int, nodes_used: int, last: int, factor: int,
 
 
 def _real_pass(state: _WalkerState, root: tuple, target: int, threads: int, degree: int,
-               pools: list, moves: List[Dict[str, str]],
-               orbits: Dict[int, int]) -> Tuple[List[int], List[int]]:
+               pools: list, moves: List[Dict[str, str]], orbits: Dict[int, int],
+               certified: Optional[_CompiledBall] = None) -> Tuple[List[int], List[int]]:
     """Tally hits and nodes at every depth up to `target` in one DFS.
 
     With more than one thread, or with candidate label `moves` (from
     `_label_moves`), the prefixes of length SPLIT_DEPTH are listed first
-    and merged into orbits (`_prefix_orbits`). The first such pass of a
-    count fills `orbits`, and later passes, which list the same prefixes,
-    reuse it. One prefix per orbit is extended, and its tallies count
-    once for every prefix of the orbit. A self-avoiding walk has at most
-    `degree` - 1 ways to go on, so the number of extended prefixes bounds
-    the nodes at depth `target`; if that bound is large enough
-    (POOL_MIN_NODES) and there is more than one thread, they are extended
-    in a process pool of at most one worker per CPU, started on first use
-    and kept in `pools`, and otherwise here. Either way the tallies are
-    those of the full DFS, for any thread count.
+    and merged into orbits (`_prefix_orbits`) on the ball the moves are
+    certified on: `state`, or the oracle's `certified` ball
+    (`_cayley_ball`), which lists the same prefixes in the same order.
+    The first such pass of a count fills `orbits`, and later passes,
+    which list the same prefixes, reuse it. One prefix per orbit is
+    extended, and its tallies count once for every prefix of the orbit.
+    A self-avoiding walk has at most `degree` - 1 ways to go on, so the
+    number of extended prefixes bounds the nodes at depth `target`; if
+    that bound is large enough (POOL_MIN_NODES) and there is more than
+    one thread, they are extended in a process pool of at most one
+    worker per CPU, started on first use and kept in `pools`, and
+    otherwise here. Either way the tallies are those of the full DFS,
+    for any thread count.
     """
     if target <= SPLIT_DEPTH or (threads == 1 and not moves):
         return _extend(state, root, target)
@@ -610,7 +652,13 @@ def _real_pass(state: _WalkerState, root: tuple, target: int, threads: int, degr
     hits, nodes = _extend(state, root, SPLIT_DEPTH, out=prefixes)
     rest = target - SPLIT_DEPTH
     if not orbits:
-        orbits.update(_prefix_orbits(state, moves, prefixes))
+        if certified is None:
+            orbits.update(_prefix_orbits(state, moves, prefixes))
+        else:
+            listed: list = []
+            _walk_ball(certified, (0,), SPLIT_DEPTH, out=listed)
+            assert len(listed) == len(prefixes)
+            orbits.update(_prefix_orbits(certified, moves, listed))
     tasks = []
     for i in orbits:
         path, hv, hm = prefixes[i]
@@ -667,8 +715,14 @@ def _run_iterative(
     ball = _compile_ball(g, h, start, n_max)
     state: _WalkerState = (g, h) if ball is None else ball
     root = (start,) if ball is None else (0,)
-    moves = [] if ball is None or n_max <= SPLIT_DEPTH else _label_moves(
-        g, start, list(dict.fromkeys(chain.from_iterable(ball.labels))))
+    # The moves are certified on the ball the count walks or, for a SAW
+    # count on a Cayley oracle without one, on its `_cayley_ball`.
+    certified = None
+    if ball is None and h is None and g.cayley and n_max > SPLIT_DEPTH:
+        certified = _cayley_ball(g, start, n_max)
+    labelled = ball if certified is None else certified
+    moves = [] if labelled is None or n_max <= SPLIT_DEPTH else _label_moves(
+        g, start, list(dict.fromkeys(chain.from_iterable(labelled.labels))))
     orbits: Dict[int, int] = {}  # filled by the first pass that lists prefixes
     counts: Dict[int, int] = {0: 1}
     hits: List[int] = []  # the last real pass's tallies, to depth `tallied`
@@ -686,7 +740,7 @@ def _run_iterative(
             if depth > tallied:
                 tallied = _plan_depth(depth, n_max, nodes_used, last_pass_nodes, factor, budget)
                 hits, nodes = _real_pass(state, root, tallied, threads, degree, pools, moves,
-                                         orbits)
+                                         orbits, certified)
             counts[depth] = hits[depth]
             last_pass_nodes += nodes[depth]
             nodes_used += last_pass_nodes

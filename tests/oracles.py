@@ -107,7 +107,7 @@ def voltage_cover_neighbors(doc: dict) -> Callable[[tuple], List[tuple]]:
 
 
 # ---------------------------------------------------------------------------
-# Labelled group oracles on plain vertices (reduced words, lamp sets)
+# Labelled group oracles on plain vertices (reduced words, lamp sets, a torus)
 # ---------------------------------------------------------------------------
 
 
@@ -147,6 +147,33 @@ class LamplighterSetOracle:
     def canonical_key(self, v: tuple) -> bytes:
         lamps, pos = v
         return f"{sorted(lamps)}|{pos}".encode()
+
+
+class TorusOracle:
+    """The Cayley graph of Z_p x Z_q on (a, b): x and X step a by +1 and
+    -1, y and Y step b. With p != q, x <-> X and y <-> Y are label
+    symmetries but x <-> y is not, and the closed words x^p and y^q tell
+    them apart only at distance p // 2 and q // 2."""
+
+    cayley = True
+    root = (0, 0)
+
+    def __init__(self, p: int = 6, q: int = 8):
+        self.p, self.q = p, q
+        self.name = f"torus{p}x{q}"
+
+    def neighbors(self, v: tuple) -> Tuple[Tuple[tuple, str], ...]:
+        a, b = v
+        p, q = self.p, self.q
+        return (
+            (((a + 1) % p, b), "x"),
+            (((a - 1) % p, b), "X"),
+            ((a, (b + 1) % q), "y"),
+            ((a, (b - 1) % q), "Y"),
+        )
+
+    def degree_bound(self) -> int:
+        return 4
 
 
 # ---------------------------------------------------------------------------

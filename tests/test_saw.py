@@ -512,8 +512,8 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch):
 
 def test_pool_threshold_lies_between_grandparent_and_tree3(monkeypatch):
     # grandparent's n = 6 pass is bounded at 378 * 7^3 = 129,654 nodes, too
-    # few to pay for a pool; tree3's n = 16 pass, 12 * 2^13 oracle nodes
-    # at ORACLE_NODE_COST each (393,216), is worth one.
+    # few to pay for a pool; tree3's n = 16 pass, 6 orbits * 2^13 oracle
+    # nodes at ORACLE_NODE_COST each (196,608), is worth one.
     monkeypatch.delenv("SAWLAB_BUDGET", raising=False)
     for model, n, pools in (("grandparent", 6, 0), ("tree3", 16, 1)):
         g = resolve_model(model)
@@ -621,9 +621,11 @@ def test_reduced_counts_equal_unreduced_and_oracle_walker(cover, n):
             assert reduced == unreduced == walker
 
 
-@pytest.mark.parametrize("model", ["zd1", "zd2", "zd3", "heisenberg", "hexagonal",
-                                   "square_octagon", "cylinder5", "ladder_dihedral5",
-                                   "dihedral_line", "grandparent", "tree3", "lamplighter"])
+CATALOG_MODELS = ["zd1", "zd2", "zd3", "heisenberg", "hexagonal", "square_octagon", "cylinder5",
+                  "ladder_dihedral5", "dihedral_line", "grandparent", "tree3", "lamplighter"]
+
+
+@pytest.mark.parametrize("model", CATALOG_MODELS)
 def test_catalog_prefix_orbits_equal_the_closure(model):
     g = resolve_model(model)
     for h in (None, resolve_height(g, None)):
@@ -718,31 +720,37 @@ def test_finder_work_is_polynomial_in_the_labels(monkeypatch):
 
 
 def test_reduction_walks_one_prefix_per_orbit(monkeypatch):
-    lengths = []
-    walk, walk_ball = saw._walk, saw._walk_ball
+    lengths = []  # 0 starts a real pass; else the length of a walked path
+    walk, walk_ball, real_pass = saw._walk, saw._walk_ball, saw._real_pass
 
-    def oracle_walker(g, h, path, *args):
+    def oracle_walker(g, h, path, *args, **kwargs):
         lengths.append(len(path))
-        return walk(g, h, path, *args)
+        return walk(g, h, path, *args, **kwargs)
 
-    def ball_walker(ball, path, *args):
+    def ball_walker(ball, path, *args, **kwargs):
         lengths.append(len(path))
-        return walk_ball(ball, path, *args)
+        return walk_ball(ball, path, *args, **kwargs)
+
+    def counted_pass(*args):
+        lengths.append(0)
+        return real_pass(*args)
 
     monkeypatch.setattr(saw, "_walk", oracle_walker)
     monkeypatch.setattr(saw, "_walk_ball", ball_walker)
+    monkeypatch.setattr(saw, "_real_pass", counted_pass)
 
     def representatives(model, n, h=None):
-        """Per real pass, the number of prefixes extended after the walk
-        from the root."""
+        """Per real pass, the number of prefixes extended after the walks
+        from the root (the pass's own, and on an oracle the listing of
+        its certification ball)."""
         g = resolve_model(model)
         lengths.clear()
         saw._run_iterative(g, n, None, 1, None, h)
         passes = []
         for k in lengths:
-            if k == 1:
+            if k == 0:
                 passes.append(0)
-            else:
+            elif k != 1:
                 assert k == saw.SPLIT_DEPTH + 1
                 passes[-1] += 1
         return set(passes)
@@ -761,14 +769,91 @@ def test_reduction_walks_one_prefix_per_orbit(monkeypatch):
     grandparent_ball = saw._compile_ball(g, None, g.root, 6)
     assert all(saw._certify(grandparent_ball, move) is None
                for move in _candidate_moves(g, grandparent_ball))
-    # No compiled ball at all (tree3 and lamplighter at n = 16): every
-    # pass is one DFS from the root.
+    # No compiled ball (tree3 and lamplighter at n = 16): the SAW counts
+    # certify s1 <-> t and t <-> u on the Cayley oracles' half-radius
+    # balls, and their 12 prefixes form 6 orbits; every bridge pass is
+    # one DFS from the root.
     for model in ("tree3", "lamplighter"):
         g = resolve_model(model)
-        for h in (None, resolve_height(g, None)):
-            assert representatives(model, 16, h) == {0}, (model, h)
-    lamplighter = resolve_model("lamplighter")
-    assert saw._compile_ball(lamplighter, None, lamplighter.root, 16) is None
+        assert saw._compile_ball(g, None, g.root, 16) is None
+        assert representatives(model, 16) == {6}, model
+        assert representatives(model, 16, resolve_height(g, None)) == {0}, model
+
+
+def _end(g, v, word):
+    """The end of the walk along the label `word` from `v`."""
+    for label in word:
+        v = {name: w for w, name in g.neighbors(v)}[label]
+    return v
+
+
+def test_cayley_oracles_look_the_same_from_every_vertex():
+    # The premise of the half-radius certificate: on a Cayley oracle the
+    # compiled ball, ids, rows and labels, is the same from every start.
+    cayley = [g for g in map(resolve_model, CATALOG_MODELS) if g.cayley]
+    assert sorted(g.name for g in cayley) == ["heisenberg", "lamplighter", "tree3"]
+    for g in cayley:
+        here = saw._compile_ball(g, None, g.root, 4)
+        for v in ball(g, 2).vertices:
+            assert saw._compile_ball(g, None, v, 4) == here, (g.name, v)
+    # The grandparent graph is not one: "parent child0" closes at the
+    # root but not at its child (0, "1").
+    g = resolve_model("grandparent")
+    assert not g.cayley
+    assert _end(g, g.root, ["parent", "child0"]) == g.root
+    assert _end(g, (0, "1"), ["parent", "child0"]) != (0, "1")
+    assert saw._compile_ball(g, None, (0, "1"), 4) != saw._compile_ball(g, None, g.root, 4)
+
+
+def test_cayley_balls_fit_through_the_documented_lengths():
+    for model, own, last in (("tree3", 10, 19), ("lamplighter", 12, 23), ("heisenberg", 9, 17)):
+        g = resolve_model(model)
+        assert saw._compile_ball(g, None, g.root, own) is not None
+        assert saw._compile_ball(g, None, g.root, own + 1) is None
+        assert saw._cayley_ball(g, g.root, last) is not None
+        assert saw._cayley_ball(g, g.root, last + 1) is None
+
+
+@pytest.mark.parametrize("model,n", [("tree3", 16), ("lamplighter", 16), ("heisenberg", 10)])
+def test_cayley_reduction_equals_the_unreduced_walk(model, n, monkeypatch):
+    monkeypatch.delenv("SAWLAB_BUDGET", raising=False)
+    g = resolve_model(model)
+    assert saw._compile_ball(g, None, g.root, n) is None
+    for h in (None, resolve_height(g, None)):
+        # Two threads: heisenberg's unreduced oracle walk takes 8 s on one.
+        with mock.patch.object(saw, "_label_moves", lambda *args: []):
+            unreduced = _table_fields(saw._run_iterative(g, n, None, 2, None, h))
+        for threads in (1, 2):
+            assert _table_fields(saw._run_iterative(g, n, None, threads, None, h)) == unreduced, (
+                h, threads)
+
+
+def test_half_radius_certificate_on_a_torus(monkeypatch):
+    # Z_6 x Z_8 with its own ball refused: x <-> X and y <-> Y are
+    # certified on the half-radius ball, x <-> y is not, though on a
+    # ball of radius n // 2 the closed words x^6 (n = 6, 7) would only
+    # reach its leaves.
+    g = oracles.TorusOracle(6, 8)
+    hits, _ = saw._walk(g, None, (g.root,), 14)
+    compile_ball = saw._compile_ball
+    radii, found = [], []
+    prefix_orbits = saw._prefix_orbits
+    monkeypatch.setattr(saw, "_prefix_orbits",
+                        lambda *args: found.append(prefix_orbits(*args)) or found[-1])
+
+    def count_ball_refused(g, h, start, radius):
+        radii.append(radius)
+        return None if len(radii) == 1 else compile_ball(g, h, start, radius)
+
+    monkeypatch.setattr(saw, "_compile_ball", count_ball_refused)
+    for n in range(4, 15):
+        radii.clear(), found.clear()
+        t = saw._run_iterative(g, n, None, 1, None, None)
+        assert t.series()[1:] == hits[1 : n + 1], n
+        assert len(radii) == 2 and len(found) == 1
+        # 36 prefixes, 10 orbits: xxx, XXX and yyy, YYY pair up; the
+        # others come in fours.
+        assert sorted(found[0].values()) == [2, 2] + [4] * 8, n
 
 
 @pytest.mark.parametrize("model,reference", [
