@@ -20,6 +20,7 @@ overrides the default node budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -385,6 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: argparse keeps no
+    state between `parse_args` calls, and each call reads only its argv."""
+    return build_parser()
+
+
 def print_presets() -> None:
     """Print the presentation presets, then each catalog family with its
     parameter and aliases, then the --pg document of each periodic
@@ -432,7 +440,7 @@ _JSON_ONLY = ("ghf", "harmonic", "verify", "ball-iso")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.preset_list:
         print_presets()

@@ -43,6 +43,9 @@ class BudgetExceeded(RuntimeError):
 class GraphOracle:
     """Interface: subclasses fix `name` and implement the four methods.
 
+    `neighbors(v)` lists (w, label) per edge at v. The graph is
+    undirected and has no loops: w lists v as often as v lists w, and no
+    vertex lists itself (a compiled SAW ball counts by that, see `saw`).
     `default_height` names the height a count or a check uses when none
     is given (see `heights.resolve_height`). `cayley` states that the
     oracle is a Cayley graph: every vertex has the same labels, and the
@@ -497,6 +500,12 @@ class PGOracle(GraphOracle):
     @property
     def root(self):
         return (1, (0,) * self.pg.dim)
+
+    @property
+    def cayley(self) -> bool:
+        # One orbit: every vertex has the same labelled edges, and the
+        # edge labelled l is translation by its voltage.
+        return self.pg.orbit_count == 1
 
     def neighbors(self, v):
         o, x = v

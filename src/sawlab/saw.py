@@ -22,7 +22,12 @@ the start lies in the radius-n ball, so each count first compiles that
 ball once (`_compile_ball`) from one `heights.transport` BFS: ids,
 integer adjacency rows in the oracle's neighbor order, the edge labels of
 each row, and one height per id. `_walk_ball` then runs the DFS over ints
-with a bytearray visited mask. Errors of the oracle or the height
+with a bytearray visited mask. Neither walker enters the last level of
+its DFS, the widest: a SAW count on a compiled ball keeps, per id, the
+number of row entries of the path's ids equal to it, so the walks one
+step below a vertex are its row length minus that number; a bridge
+count, and every count on the oracle, scans each child's neighbors in
+its parent's loop. Errors of the oracle or the height
 propagate from the build, and a height that the BFS gives two values at
 one vertex is not well defined: the count raises HeightConflict, as
 `heights.height_table` does. A ball with more than MAX_BALL_VERTICES
@@ -50,7 +55,8 @@ by a BFS over the ball the count walks (`_certify`); only then are the
 orbits merged, by union-find. A SAW count that walks the oracle, for
 want of a compiled ball, certifies on the ball of radius
 max(n // 2, SPLIT_DEPTH) + 1 instead (`_cayley_ball`), but only if the
-oracle states that it is a Cayley graph (`GraphOracle.cayley`): there
+oracle states that it is a Cayley graph (`GraphOracle.cayley`: tree3,
+heisenberg, lamplighter and every one-orbit cover, such as zd_d): there
 whether a label word closes does not depend on where it starts, and
 that ball holds every closed walk of length <= n from the start. No
 symmetry is assumed from a model's name. A pass extends one prefix per
@@ -62,10 +68,10 @@ hexagonal, square_octagon, the cylinders, the ladders and the dihedral
 line are reduced, though not every bridge count is (hexagonal's repaired
 height keeps no certified symmetry). The grandparent graph has no label
 permutation that is an automorphism, so each of its prefixes is an orbit
-of its own. The SAW counts of tree3, lamplighter and heisenberg are
-reduced on the oracle through n = 19, 23 and 17, where their
+of its own. The SAW counts of tree3, lamplighter, heisenberg and zd3 are
+reduced on the oracle through n = 19, 23, 17 and 25, where their
 certification balls still fit MAX_BALL_VERTICES (their own balls fit
-through n = 10, 12 and 9). Their bridge counts past their own balls walk
+through n = 10, 12, 9 and 13). Bridge counts past their own balls walk
 the oracle unreduced.
 
 Bridges follow the height inequalities h(start) < h(pi_i) <= h(pi_n):
@@ -176,6 +182,14 @@ def _walk(
     (path, height of its end, running maximum before its last step),
     whether or not it ends at its maximum. Heights are carried across
     each step by `h.across`, from `h.origin` at the start.
+
+    Without `out`, the DFS never enters depth `remaining`: the loop over
+    the children of a node at depth `remaining` - 2 also scans each
+    child's neighbors and counts there the unvisited ones as the nodes
+    below it (for bridges, those strictly above the start) and, as hits,
+    those at or above the running maximum including the child. The child
+    need not be marked visited for that: no vertex lists itself as a
+    neighbor (see `GraphOracle`).
     """
     neighbors = g.neighbors
     visited = dict.fromkeys(path)  # insertion-ordered: the keys are the path
@@ -186,12 +200,14 @@ def _walk(
         h0 = h.origin(path[0])
     hits = [0] * (remaining + 1)
     nodes = [0] * (remaining + 1)
+    # The depth counted in the loop of its grandparent: none with `out`.
+    inline = remaining if out is None else 0
 
     # Heights inside are absolute: relative ones plus h0.
     def extend(v, hv, hmax, depth):
-        last = depth == remaining
-        found = entered = 0
+        found = entered = found_below = below = 0
         hw = top = 0
+        scan = depth + 1 == inline
         for w, label in neighbors(v):
             if w in visited:
                 continue
@@ -203,7 +219,20 @@ def _walk(
             entered += 1
             if hw == top:
                 found += 1
-            if not last:
+            if scan:
+                if bridge:
+                    for x, step in neighbors(w):
+                        if x not in visited:
+                            hx = across(hw, x, step)
+                            if hx > h0:
+                                below += 1
+                                if hx >= top:
+                                    found_below += 1
+                else:
+                    for x, _ in neighbors(w):
+                        if x not in visited:
+                            below += 1
+            elif depth < remaining:
                 visited[w] = None
                 extend(w, hw, top, depth + 1)
                 del visited[w]
@@ -211,6 +240,9 @@ def _walk(
                 out.append((tuple(visited) + (w,), hw - h0, hmax - h0))
         hits[depth] += found
         nodes[depth] += entered
+        if scan:
+            hits[inline] += found_below if bridge else below
+            nodes[inline] += below
 
     extend(path[-1], hv + h0, hmax + h0, 1)
     del extend  # frees `visited` on return, as in `_walk_ball`
@@ -239,12 +271,17 @@ class _CompiledBall(NamedTuple):
     strictly above the start are kept, and distance is measured along
     them. `labels[i]` holds the oracle's labels of the edges in
     `rows[i]`, entry for entry; rows with the same labels share one
-    tuple. The orbit finder reads them (`_prefix_orbits`).
+    tuple. The orbit finder reads them (`_prefix_orbits`). `undirected`
+    marks a SAW ball: for inner i and j, rows[i] lists j as often as
+    rows[j] lists i, and no row lists its own id, as the oracle's
+    neighbors do (an undirected graph without loops). `_walk_ball`
+    counts the last step of a SAW by that.
     """
 
     rows: List[List[int]]
     heights: List[int]
     labels: List[Tuple[str, ...]]
+    undirected: bool = False
 
 
 def _compile_ball(
@@ -278,7 +315,7 @@ def _compile_ball(
         names = tuple(names)
         labels.append(shared.setdefault(names, names))
     heights = [hv - carried[0] for hv in carried[:len(ids)]] + list(leaves)
-    return _CompiledBall(rows, heights, labels)
+    return _CompiledBall(rows, heights, labels, h is None)
 
 
 def _walk_ball(
@@ -295,47 +332,109 @@ def _walk_ball(
     one check left is that a walk ends at its running maximum `hmax`
     (always true for SAWs). `out` collects (path, height, running
     maximum before the last step) at depth `remaining` as in `_walk`.
+
+    Without `out`, the DFS never enters depth `remaining`. On a SAW ball
+    (`ball.undirected`) with `remaining` >= 2 it keeps `cnt[x]`, the
+    number of entries equal to x in the rows of the path's ids, built
+    from `path` and updated as the DFS enters and leaves an id. A child w
+    at depth `remaining` - 1 is inner, and each entry of rows[w] that is
+    a path id j stands for one entry w in rows[j], so w has
+    len(rows[w]) - cnt[w] unvisited entries: the nodes below it, all
+    hits. On a bridge ball the loop over w's parent's row scans rows[w]
+    instead, as `_walk` does.
     """
     rows, heights = ball.rows, ball.heights
     visited = bytearray(len(heights))
     for i in path:
         visited[i] = 1
-    trail = list(path)
     hits = [0] * (remaining + 1)
     nodes = [0] * (remaining + 1)
 
-    def extend(v, hmax, depth):
-        found = entered = 0
-        if depth == remaining:
-            for w in rows[v]:
-                if not visited[w]:
-                    entered += 1
-                    hw = heights[w]
-                    if hw >= hmax:
-                        found += 1
-                    if out is not None:
-                        out.append((tuple(trail) + (w,), hw, hmax))
-        else:
-            for w in rows[v]:
-                if not visited[w]:
-                    entered += 1
-                    hw = heights[w]
-                    if hw >= hmax:
-                        found += 1
-                        top = hw
-                    else:
-                        top = hmax
-                    visited[w] = 1
-                    if out is not None:
-                        trail.append(w)
-                    extend(w, top, depth + 1)
-                    if out is not None:
-                        trail.pop()
-                    visited[w] = 0
-        hits[depth] += found
-        nodes[depth] += entered
+    if out is None and ball.undirected and remaining > 1:
+        cnt = [0] * len(heights)
+        for i in path:
+            for x in rows[i]:
+                cnt[x] += 1
 
-    extend(path[-1], hmax, 1)
+        def extend(v, depth):
+            entered = below = 0
+            if depth + 1 == remaining:
+                for w in rows[v]:
+                    if not visited[w]:
+                        entered += 1
+                        below += len(rows[w]) - cnt[w]
+                nodes[remaining] += below
+            else:
+                for w in rows[v]:
+                    if not visited[w]:
+                        entered += 1
+                        visited[w] = 1
+                        row = rows[w]
+                        for x in row:
+                            cnt[x] += 1
+                        extend(w, depth + 1)
+                        for x in row:
+                            cnt[x] -= 1
+                        visited[w] = 0
+            nodes[depth] += entered
+
+        extend(path[-1], 1)
+        hits = nodes[:]  # every SAW is a hit
+    else:
+        trail = list(path)
+        # The depth counted in the loop of its grandparent: none with `out`.
+        inline = remaining if out is None else 0
+
+        def extend(v, hmax, depth):
+            found = entered = 0
+            if depth == remaining:
+                for w in rows[v]:
+                    if not visited[w]:
+                        entered += 1
+                        hw = heights[w]
+                        if hw >= hmax:
+                            found += 1
+                        if out is not None:
+                            out.append((tuple(trail) + (w,), hw, hmax))
+            elif depth + 1 == inline:
+                found_below = below = 0
+                for w in rows[v]:
+                    if not visited[w]:
+                        entered += 1
+                        hw = heights[w]
+                        if hw >= hmax:
+                            found += 1
+                            top = hw
+                        else:
+                            top = hmax
+                        for x in rows[w]:  # w is not in rows[w]: no loops
+                            if not visited[x]:
+                                below += 1
+                                if heights[x] >= top:
+                                    found_below += 1
+                hits[inline] += found_below
+                nodes[inline] += below
+            else:
+                for w in rows[v]:
+                    if not visited[w]:
+                        entered += 1
+                        hw = heights[w]
+                        if hw >= hmax:
+                            found += 1
+                            top = hw
+                        else:
+                            top = hmax
+                        visited[w] = 1
+                        if out is not None:
+                            trail.append(w)
+                        extend(w, top, depth + 1)
+                        if out is not None:
+                            trail.pop()
+                        visited[w] = 0
+            hits[depth] += found
+            nodes[depth] += entered
+
+        extend(path[-1], hmax, 1)
     # `extend` refers to itself; emptying that reference frees `visited`
     # on return rather than at the next garbage collection, which matters
     # when a pass extends hundreds of prefixes.

@@ -424,6 +424,102 @@ def iterative_reference(
     return counts, nodes_used, high_water, False
 
 
+# ---------------------------------------------------------------------------
+# Frozen walk kernels: one call per node entered, the last level included
+# ---------------------------------------------------------------------------
+
+
+def reference_walk(g, h, path: Sequence, remaining: int, hv: int = 0, hmax: int = 0,
+                   out: Optional[list] = None) -> Tuple[List[int], List[int]]:
+    """The oracle walker `saw._walk` as it was while it entered every
+    node, the last level too: per-depth (hits, nodes) and the `out`
+    listing, by the same contract."""
+    neighbors = g.neighbors
+    visited = dict.fromkeys(path)
+    bridge = h is not None
+    h0 = 0
+    if bridge:
+        across = h.across
+        h0 = h.origin(path[0])
+    hits = [0] * (remaining + 1)
+    nodes = [0] * (remaining + 1)
+
+    def extend(v, hv, hmax, depth):
+        last = depth == remaining
+        found = entered = 0
+        hw = top = 0
+        for w, label in neighbors(v):
+            if w in visited:
+                continue
+            if bridge:
+                hw = across(hv, w, label)
+                if hw <= h0:
+                    continue
+                top = hw if hw > hmax else hmax
+            entered += 1
+            if hw == top:
+                found += 1
+            if not last:
+                visited[w] = None
+                extend(w, hw, top, depth + 1)
+                del visited[w]
+            elif out is not None:
+                out.append((tuple(visited) + (w,), hw - h0, hmax - h0))
+        hits[depth] += found
+        nodes[depth] += entered
+
+    extend(path[-1], hv + h0, hmax + h0, 1)
+    return hits, nodes
+
+
+def reference_walk_ball(ball, path: Sequence[int], remaining: int, hmax: int = 0,
+                        out: Optional[list] = None) -> Tuple[List[int], List[int]]:
+    """The compiled-ball walker `saw._walk_ball` as it was while it
+    entered every node, the last level too; it reads only `ball.rows`
+    and `ball.heights`."""
+    rows, heights = ball.rows, ball.heights
+    visited = bytearray(len(heights))
+    for i in path:
+        visited[i] = 1
+    trail = list(path)
+    hits = [0] * (remaining + 1)
+    nodes = [0] * (remaining + 1)
+
+    def extend(v, hmax, depth):
+        found = entered = 0
+        if depth == remaining:
+            for w in rows[v]:
+                if not visited[w]:
+                    entered += 1
+                    hw = heights[w]
+                    if hw >= hmax:
+                        found += 1
+                    if out is not None:
+                        out.append((tuple(trail) + (w,), hw, hmax))
+        else:
+            for w in rows[v]:
+                if not visited[w]:
+                    entered += 1
+                    hw = heights[w]
+                    if hw >= hmax:
+                        found += 1
+                        top = hw
+                    else:
+                        top = hmax
+                    visited[w] = 1
+                    if out is not None:
+                        trail.append(w)
+                    extend(w, top, depth + 1)
+                    if out is not None:
+                        trail.pop()
+                    visited[w] = 0
+        hits[depth] += found
+        nodes[depth] += entered
+
+    extend(path[-1], hmax, 1)
+    return hits, nodes
+
+
 def closure_orbits(paths: Sequence[tuple], maps: Sequence[Sequence[int]]) -> List[Tuple[tuple, int]]:
     """The orbits of the listed `paths` (tuples of vertex ids) under the
     vertex maps `maps`, found by closing each new path under every map

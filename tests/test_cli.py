@@ -533,6 +533,22 @@ def test_invalid_values_are_usage_errors(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built, outputs = [], []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for argv in (SMALL_JOBS["count"], SMALL_JOBS["bridges"], SMALL_JOBS["count"]):
+            assert main(argv + ["--threads", "1"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    # A parse leaves nothing behind: the same argv prints the same again.
+    assert outputs[0] == outputs[2] != outputs[1]
+
+
 @pytest.mark.parametrize("command", sorted(OWN_OPTIONS))
 def test_every_declared_option_is_read(capsys, tmp_path, monkeypatch, command):
     parsed, reads = {}, set()
@@ -542,20 +558,13 @@ def test_every_declared_option_is_read(capsys, tmp_path, monkeypatch, command):
             reads.add(name)
             return super().__getattribute__(name)
 
-    build = cli.build_parser
+    parse = argparse.ArgumentParser.parse_args
 
-    def spying_parser():
-        parser = build()
-        parse = parser.parse_args
+    def parse_and_spy(parser, argv=None, namespace=None):
+        parsed.update(vars(parse(parser, argv, namespace)))
+        return ReadSpy(**parsed)
 
-        def parse_and_spy(argv):
-            parsed.update(vars(parse(argv)))
-            return ReadSpy(**parsed)
-
-        parser.parse_args = parse_and_spy
-        return parser
-
-    monkeypatch.setattr(cli, "build_parser", spying_parser)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_and_spy)
     argv = SMALL_JOBS[command] + ["--threads", "1", "--format", "json", "--no-timestamp",
                                   "--output", str(tmp_path / "artifact.json")]
     assert main(argv) == EXIT_OK

@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import os
 import time
+from collections import Counter
 from datetime import timedelta
 from fractions import Fraction
 from itertools import chain
@@ -632,6 +633,67 @@ def test_catalog_prefix_orbits_equal_the_closure(model):
         _assert_orbits_equal_the_closure(g, saw._compile_ball(g, h, g.root, 6))
 
 
+def _assert_undirected_and_loop_free(ball):
+    """The premise of the SAW counter in `_walk_ball`: for inner ids i and
+    j, rows[i] lists j as often as rows[j] lists i, and never i itself."""
+    inner = len(ball.rows)
+    entries = Counter((i, j) for i, row in enumerate(ball.rows) for j in row if j < inner)
+    assert ball.undirected
+    assert all(i != j for i, j in entries)
+    assert all(entries[j, i] == k for (i, j), k in entries.items())
+
+
+def _reference_extend(state, path, remaining, hv=0, hmax=0, out=None):
+    """`saw._extend` over the frozen kernels of `oracles`."""
+    if isinstance(state, saw._CompiledBall):
+        return oracles.reference_walk_ball(state, path, remaining, hmax, out)
+    g, h = state
+    return oracles.reference_walk(g, h, path, remaining, hv, hmax, out)
+
+
+def _assert_kernels_match_the_frozen_ones(g, h, n):
+    """Per-depth (hits, nodes) of both walkers equal the frozen kernels'
+    from the root and from every listed SPLIT_DEPTH prefix, for every
+    number of steps left up to length n; the listings are equal too."""
+    ball = saw._compile_ball(g, h, g.root, n)
+    for state, root in ((ball, (0,)), ((g, h), (g.root,))):
+        starts = [(root, 0, 0)]
+        if n > saw.SPLIT_DEPTH:
+            listed, frozen = [], []
+            got = saw._extend(state, root, saw.SPLIT_DEPTH, out=listed)
+            assert got == _reference_extend(state, root, saw.SPLIT_DEPTH, out=frozen)
+            assert listed == frozen
+            starts += [(path, hv, max(hv, hm)) for path, hv, hm in listed]
+        for path, hv, hmax in starts:
+            for remaining in range(1, n - len(path) + 2):
+                want = _reference_extend(state, path, remaining, hv, hmax)
+                assert saw._extend(state, path, remaining, hv, hmax) == want, (
+                    type(state).__name__, h, path, remaining)
+
+
+@pytest.mark.parametrize("model", CATALOG_MODELS)
+def test_catalog_saw_balls_are_undirected_and_loop_free(model):
+    g = resolve_model(model)
+    _assert_undirected_and_loop_free(saw._compile_ball(g, None, g.root, 6))
+    assert not saw._compile_ball(g, resolve_height(g, None), g.root, 6).undirected
+
+
+@pytest.mark.parametrize("model", CATALOG_MODELS)
+def test_catalog_walk_kernels_match_the_frozen_kernels(model):
+    g = resolve_model(model)
+    for h in (None, resolve_height(g, None)):
+        _assert_kernels_match_the_frozen_ones(g, h, 5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(voltage_documents(), st.integers(1, 7))
+def test_walk_kernels_match_the_frozen_kernels(doc, n):
+    g = PGOracle(periodic_graph_from_document(doc))
+    _assert_undirected_and_loop_free(saw._compile_ball(g, None, g.root, n))
+    for h in (None, _FirstCoordinate()):
+        _assert_kernels_match_the_frozen_ones(g, h, n)
+
+
 def _swap(*pairs):
     move = {}
     for a, b in pairs:
@@ -791,7 +853,8 @@ def test_cayley_oracles_look_the_same_from_every_vertex():
     # The premise of the half-radius certificate: on a Cayley oracle the
     # compiled ball, ids, rows and labels, is the same from every start.
     cayley = [g for g in map(resolve_model, CATALOG_MODELS) if g.cayley]
-    assert sorted(g.name for g in cayley) == ["heisenberg", "lamplighter", "tree3"]
+    assert sorted(g.name for g in cayley) == ["heisenberg", "lamplighter", "tree3", "zd1",
+                                              "zd2", "zd3"]
     for g in cayley:
         here = saw._compile_ball(g, None, g.root, 4)
         for v in ball(g, 2).vertices:
@@ -854,6 +917,37 @@ def test_half_radius_certificate_on_a_torus(monkeypatch):
         # 36 prefixes, 10 orbits: xxx, XXX and yyy, YYY pair up; the
         # others come in fours.
         assert sorted(found[0].values()) == [2, 2] + [4] * 8, n
+
+
+@pytest.mark.parametrize("model,n", [("zd2", 10), ("zd3", 7)])
+def test_one_orbit_cover_reduced_past_its_own_ball(model, n, monkeypatch):
+    # zd_d states `cayley`, so with its own ball refused a SAW count
+    # certifies its moves on the half-radius ball and walks one prefix per
+    # orbit on the oracle, with the unreduced walk's table.
+    g = resolve_model(model)
+    assert g.cayley
+    compile_ball = saw._compile_ball
+    radii, found = [], []
+
+    def count_ball_refused(g, h, start, radius):
+        radii.append(radius)
+        return None if len(radii) == 1 else compile_ball(g, h, start, radius)
+
+    prefix_orbits = saw._prefix_orbits
+    monkeypatch.setattr(saw, "_compile_ball", count_ball_refused)
+    monkeypatch.setattr(saw, "_prefix_orbits",
+                        lambda *args: found.append(prefix_orbits(*args)) or found[-1])
+    tables = []
+    for threads in (1, 2):
+        radii.clear(), found.clear()
+        tables.append(_table_fields(saw._run_iterative(g, n, None, threads, None, None)))
+        assert radii == [n, max(n // 2, saw.SPLIT_DEPTH) + 1]
+        assert len(found) == 1 and len(found[0]) == {"zd2": 5, "zd3": 6}[model]
+    radii.clear()
+    with mock.patch.object(saw, "_label_moves", lambda *args: []):
+        unreduced = _table_fields(saw._run_iterative(g, n, None, 1, None, None))
+    assert tables == [unreduced, unreduced]
+    assert unreduced[1] == dict(enumerate(OEIS_SIGMA[model][: n + 1]))
 
 
 @pytest.mark.parametrize("model,reference", [
