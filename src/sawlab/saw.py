@@ -33,16 +33,17 @@ one vertex is not well defined: the count raises HeightConflict, as
 `heights.height_table` does. A ball with more than MAX_BALL_VERTICES
 inner vertices is not compiled; such a count runs `_walk`, the same DFS
 over the oracle's vertex objects, which carries the height along each
-walk unchecked. With more than one thread, or with candidate
-symmetries (below), a real pass lists the feasible prefixes of length
-SPLIT_DEPTH and extends them, in a process pool if the pass is big
-enough to pay for starting one (POOL_MIN_NODES, decided from exact node
-bounds, never from a clock) and otherwise in this process. The pool has
-one worker per thread, at most one per CPU: the tables are the same at
-any thread count. Its initializer gives each worker the walker state
-once (the compiled ball, or the oracle and height), so a task is only a
-prefix, the steps left and the prefix's heights; workers take the tasks
-in chunks of len(tasks) // (4 * workers), at least one.
+walk unchecked, unless it counts words (below). With more than one
+thread, or with candidate symmetries (below), a real pass lists the
+feasible prefixes of length SPLIT_DEPTH and extends them, in a process
+pool if the pass is big enough to pay for starting one (POOL_MIN_NODES,
+decided from exact node bounds, never from a clock) and otherwise in
+this process. The pool has one worker per thread, at most one per CPU:
+the tables are the same at any thread count. Its initializer gives each
+worker the walker state once (the compiled ball, or the oracle and
+height), so a task is only a prefix, the steps left and the prefix's
+heights; workers take the tasks in chunks of len(tasks) // (4 *
+workers), at least one.
 
 Symmetry: an automorphism of the compiled ball that fixes the start (and,
 for bridges, every height) maps the walks that extend a prefix
@@ -68,11 +69,25 @@ hexagonal, square_octagon, the cylinders, the ladders and the dihedral
 line are reduced, though not every bridge count is (hexagonal's repaired
 height keeps no certified symmetry). The grandparent graph has no label
 permutation that is an automorphism, so each of its prefixes is an orbit
-of its own. The SAW counts of tree3, lamplighter, heisenberg and zd3 are
-reduced on the oracle through n = 19, 23, 17 and 25, where their
+of its own. The SAW counts of lamplighter, heisenberg and zd3 are
+reduced on the oracle through n = 23, 17 and 25, where their
 certification balls still fit MAX_BALL_VERTICES (their own balls fit
-through n = 10, 12, 9 and 13). Bridge counts past their own balls walk
-the oracle unreduced.
+through n = 12, 9 and 13). Bridge counts past their own balls walk the
+oracle unreduced, unless they count words.
+
+Words: on a Cayley oracle, a SAW count, or a bridge count under a word
+sum (`GammaHeight`), that cannot compile its own ball is first tried a
+third way, with no walk at all (`_word_tallies`, with its proof). A walk
+is self-avoiding iff no factor of its label word closes, and the closed
+words of length <= n are read from the same half-radius ball, so the
+walks are the paths of an Aho-Corasick automaton of those words that
+avoid its dead states, counted by one DP over (state, height, running
+maximum). It yields the tallies of one pass to n_max, from which the
+schedule is replayed as always, and starts no pool. It gives up, for
+the routes above, once the automaton passes MAX_BALL_VERTICES states:
+tree3 and lamplighter count words through n = 19 (lamplighter's
+automaton has 671 states at n = 16 and 7,937 at n = 20); heisenberg and
+zd_d give up.
 
 Bridges follow the height inequalities h(start) < h(pi_i) <= h(pi_n):
 every vertex after the start is strictly higher than the start, and the
@@ -95,7 +110,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ._linalg import nth_root_decimal, root_compare
 from .graphs import GraphOracle
-from .heights import HeightFunction, transport
+from .heights import GammaHeight, HeightFunction, transport
 
 DEFAULT_NODE_BUDGET = 50_000_000
 
@@ -103,9 +118,12 @@ DEFAULT_NODE_BUDGET = 50_000_000
 def default_budget() -> int:
     env = os.environ.get("SAWLAB_BUDGET")
     if env:
-        value = int(env)
+        try:
+            value = int(env)
+        except ValueError:
+            value = 0
         if value < 1:
-            raise ValueError("SAWLAB_BUDGET must be positive")
+            raise ValueError("SAWLAB_BUDGET must be a positive integer")
         return value
     return DEFAULT_NODE_BUDGET
 
@@ -654,7 +672,8 @@ def _prefix_orbits(ball: _WalkerState, moves: List[Dict[str, str]],
 
 def _cayley_ball(g: GraphOracle, start, n: int) -> Optional[_CompiledBall]:
     """The ball that certifies the symmetries of a SAW count to length `n`
-    on a Cayley oracle (`g.cayley`) that walks without a compiled ball:
+    on a Cayley oracle (`g.cayley`) that walks without a compiled ball,
+    and from which `_word_tallies` reads the closed words:
     radius R + 1 with R = max(n // 2, SPLIT_DEPTH), so that the vertices
     within R of `start` are inner; None if it passes MAX_BALL_VERTICES too.
 
@@ -676,11 +695,135 @@ def _cayley_ball(g: GraphOracle, start, n: int) -> Optional[_CompiledBall]:
     The ball lists the same prefixes as the oracle, in the same order:
     both listings are a DFS in the oracle's neighbor order, and with
     R >= SPLIT_DEPTH every prefix vertex is inner, with an id of its own.
-    Bridge counts do not use it: a move must also keep every height, and
-    on tree3 and lamplighter the only candidates (s1 <-> t, t <-> u)
-    negate the GHF.
+    Bridge counts do not certify on it: a move must also keep every
+    height, and on tree3 and lamplighter the only candidates (s1 <-> t,
+    t <-> u) negate the GHF. They read it only for `_word_tallies`.
     """
     return _compile_ball(g, None, start, max(n // 2, SPLIT_DEPTH) + 1)
+
+
+def _word_tallies(g: GraphOracle, h: Optional[HeightFunction], start, ball: _CompiledBall,
+                  n: int) -> Optional[Tuple[List[int], List[int]]]:
+    """`_walk(g, h, (start,), n)`'s tallies (hits, nodes), counted as
+    label words on a Cayley oracle from its `_cayley_ball` to length `n`,
+    for SAWs (`h` None) or bridges under a word sum (`GammaHeight`);
+    None if a row of `ball` repeats a label or lacks one of the start's,
+    or if the automaton below passes MAX_BALL_VERTICES states or its
+    listing MAX_BALL_VERTICES * n nodes.
+
+    Why it is exact: a walk along a word is self-avoiding iff no factor
+    of the word closes, and every closed factor contains one that closes
+    with no vertex repeated in between. On a Cayley graph whether a word
+    closes does not depend on where it starts, so the SAWs of length
+    <= n are the words that have no factor among the words of the simple
+    closed walks of length <= n from the start. Every vertex of such a
+    walk lies within n // 2 of the start, an inner vertex of `ball`
+    (see `_cayley_ball`), so a DFS over the inner ids with a visited
+    mask, pruned to the ids from which the start is still in reach
+    (steps taken + distance <= n), lists them all. The listed words go
+    into an Aho-Corasick automaton (Aho & Corasick, CACM 18, 1975),
+    whose dead states are those whose read text ends in a listed word,
+    and the walks of length k are its paths of k letters that avoid a
+    dead state. A word-sum height is the sum of the letters' increments,
+    so one DP over (state, height, running maximum) applies `_walk`'s
+    bridge tests step by step: each step must end above the start, and
+    a walk counts if it ends at or above the running maximum. Without a
+    repeated label a word names one walk, so the tallies count walks as
+    `_walk` does, parallel edges apart.
+    """
+    star = g.neighbors(start)
+    letter = {label: a for a, (_, label) in enumerate(star)}
+    if len(letter) != len(star) or any(
+            len(labels) != len(star) or set(labels) != letter.keys()
+            for labels in set(ball.labels)):
+        return None
+    rise = [0 if h is None else h.across(0, w, label) for w, label in star]
+    rows, labels = ball.rows, ball.labels
+    inner = len(rows)
+    # Distance from the start; n + 1 at the leaves, which no closed walk
+    # of length <= n reaches.
+    far = [n + 1] * len(ball.heights)
+    far[0] = 0
+    for i in range(inner):  # ids are in BFS order
+        for j in rows[i]:
+            if j < inner and far[j] > far[i] + 1:
+                far[j] = far[i] + 1
+
+    # The trie of the listed words: per state, {letter: next state}.
+    trie: List[Dict[int, int]] = [{}]
+    dead = [False]
+    word: List[int] = []
+    visited = bytearray(inner)
+    stack = [(0, iter(zip(rows[0], labels[0])))]  # the path's ids and rows
+    listed = 0
+    while stack:
+        for j, label in stack[-1][1]:
+            if j == 0:
+                state = 0
+                for a in chain(word, (letter[label],)):
+                    nxt = trie[state].get(a)
+                    if nxt is None:
+                        nxt = trie[state][a] = len(trie)
+                        trie.append({})
+                        dead.append(False)
+                    state = nxt
+                dead[state] = True
+                if len(trie) > MAX_BALL_VERTICES:
+                    return None
+            elif len(stack) + far[j] <= n and not visited[j]:
+                listed += 1
+                if listed > MAX_BALL_VERTICES * n:
+                    return None
+                visited[j] = 1
+                word.append(letter[label])
+                stack.append((j, iter(zip(rows[j], labels[j]))))
+                break
+        else:
+            visited[stack.pop()[0]] = 0
+            if word:
+                word.pop()
+
+    # Aho-Corasick: complete the trie's moves by the failure links, in
+    # BFS order, so that a failure target is complete before it is read.
+    moves: List[List[int]] = [[]] * len(trie)
+    fail = [0] * len(trie)
+    moves[0] = [trie[0].get(a, 0) for a in range(len(star))]
+    queue = list(trie[0].values())
+    for s in queue:
+        back = moves[fail[s]]
+        dead[s] = dead[s] or dead[fail[s]]
+        for a, t in trie[s].items():
+            fail[t] = back[a]
+            queue.append(t)
+        moves[s] = [trie[s].get(a, back[a]) for a in range(len(star))]
+
+    # Per letter, the next state from each state; -1 if it is dead.
+    steps = [[-1 if dead[row[a]] else row[a] for row in moves] for a in range(len(star))]
+    hits = [0] * (n + 1)
+    nodes = [0] * (n + 1)
+    bridge = h is not None
+    # (height, running maximum) -> {state: walks}. A step enters the group
+    # whose height is its maximum exactly when its walk counts.
+    walks = {(0, 0): {0: 1}}
+    for k in range(1, n + 1):
+        grown: Dict[Tuple[int, int], Dict[int, int]] = {}
+        for (hv, top), group in walks.items():
+            for step, up in zip(steps, rise):
+                hw = hv + up
+                if bridge and hw <= 0:
+                    continue
+                into = grown.setdefault((hw, max(hw, top)), {})
+                for s, c in group.items():
+                    t = step[s]
+                    if t >= 0:
+                        into[t] = into.get(t, 0) + c
+        for (hv, top), group in grown.items():
+            total = sum(group.values())
+            nodes[k] += total
+            if hv == top:
+                hits[k] += total
+        walks = grown
+    return hits, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +837,12 @@ def _cayley_ball(g: GraphOracle, start, n: int) -> Optional[_CompiledBall]:
 # ORACLE_NODE_COST nodes of the compiled-ball walker. Measured on a
 # 2-vCPU machine (median of 7 fresh processes), two threads lost wall
 # time on grandparent's n = 6 pass, bounded at 129,654 nodes, and gained
-# on passes bounded at 196,608 (hexagonal n = 18, tree3 and lamplighter
-# n = 15); the threshold lies between. Both numbers are exact integers,
-# so the choice is the same on every run.
+# on passes bounded at 196,608: hexagonal n = 18 on its ball, and tree3
+# and lamplighter n = 15 on the oracle while they still walked it (they
+# count words now; the oracle passes that fan out are those of longer
+# counts, such as heisenberg SAWs past n = 9). The threshold lies
+# between. Both numbers are exact integers, so the choice is the same on
+# every run.
 POOL_MIN_NODES = 150_000
 ORACLE_NODE_COST = 4
 
@@ -814,19 +960,28 @@ def _run_iterative(
     ball = _compile_ball(g, h, start, n_max)
     state: _WalkerState = (g, h) if ball is None else ball
     root = (start,) if ball is None else (0,)
-    # The moves are certified on the ball the count walks or, for a SAW
-    # count on a Cayley oracle without one, on its `_cayley_ball`.
+    hits: List[int] = []  # the last real pass's tallies, to depth `tallied`
+    nodes: List[int] = []
+    tallied = 0
+    # A count on a Cayley oracle without a ball of its own reads its
+    # `_cayley_ball`: a SAW count, or a bridge count under a word sum,
+    # first counts words there (`_word_tallies`); failing that, a SAW
+    # count certifies its moves on it. Other moves are certified on the
+    # ball the count walks.
     certified = None
-    if ball is None and h is None and g.cayley and n_max > SPLIT_DEPTH:
+    if ball is None and g.cayley and n_max > SPLIT_DEPTH and (
+            h is None or isinstance(h, GammaHeight)):
         certified = _cayley_ball(g, start, n_max)
+        words = None if certified is None else _word_tallies(g, h, start, certified, n_max)
+        if words is not None:
+            (hits, nodes), tallied = words, n_max
+        if h is not None or words is not None:
+            certified = None
     labelled = ball if certified is None else certified
     moves = [] if labelled is None or n_max <= SPLIT_DEPTH else _label_moves(
         g, start, list(dict.fromkeys(chain.from_iterable(labelled.labels))))
     orbits: Dict[int, int] = {}  # filled by the first pass that lists prefixes
     counts: Dict[int, int] = {0: 1}
-    hits: List[int] = []  # the last real pass's tallies, to depth `tallied`
-    nodes: List[int] = []
-    tallied = 0
     nodes_used = last_pass_nodes = 1  # the replayed schedule; P_0 = 1
     high_water = 0
     partial = False

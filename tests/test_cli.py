@@ -57,6 +57,14 @@ def test_exit_budget(capsys):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+def test_budget_variable_that_is_not_a_positive_integer_is_named(capsys, monkeypatch, value):
+    monkeypatch.setenv("SAWLAB_BUDGET", value)
+    code, out, err = run(capsys, "count", "--model", "zd2", "--n-max", "3")
+    assert code == EXIT_INPUT
+    assert out == "" and err == "error: SAWLAB_BUDGET must be a positive integer\n"
+
+
 def test_locality_exit_budget_on_truncated_tables(capsys, tmp_path):
     argv = ["locality", "--m-list", "4,5", "--threads", "1",
             "--format", "json", "--no-timestamp"]

@@ -511,12 +511,13 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch):
         assert tasks == [378] and chunks == [378 // (4 * want)]
 
 
-def test_pool_threshold_lies_between_grandparent_and_tree3(monkeypatch):
+def test_pool_threshold_lies_between_grandparent_and_hexagonal(monkeypatch):
     # grandparent's n = 6 pass is bounded at 378 * 7^3 = 129,654 nodes, too
-    # few to pay for a pool; tree3's n = 16 pass, 6 orbits * 2^13 oracle
-    # nodes at ORACLE_NODE_COST each (196,608), is worth one.
+    # few to pay for a pool; hexagonal's n = 18 pass, 6 orbits * 2^15
+    # compiled-ball nodes (196,608), is worth one. Its passes to 12 and
+    # 17 (3,072 and 98,304) run here.
     monkeypatch.delenv("SAWLAB_BUDGET", raising=False)
-    for model, n, pools in (("grandparent", 6, 0), ("tree3", 16, 1)):
+    for model, n, pools in (("grandparent", 6, 0), ("hexagonal", 18, 1)):
         g = resolve_model(model)
         serial = count_saws(g, n, threads=1)
         starts, map_calls = [], []
@@ -781,6 +782,12 @@ def test_finder_work_is_polynomial_in_the_labels(monkeypatch):
     assert len(_assert_orbits_equal_the_closure(g, ball)) == 6
 
 
+def _without_words(monkeypatch):
+    """Count as if `_word_tallies` always gave up, so that a count on a
+    Cayley oracle without its own ball takes the orbit route."""
+    monkeypatch.setattr(saw, "_word_tallies", lambda *args: None)
+
+
 def test_reduction_walks_one_prefix_per_orbit(monkeypatch):
     lengths = []  # 0 starts a real pass; else the length of a walked path
     walk, walk_ball, real_pass = saw._walk, saw._walk_ball, saw._real_pass
@@ -831,10 +838,11 @@ def test_reduction_walks_one_prefix_per_orbit(monkeypatch):
     grandparent_ball = saw._compile_ball(g, None, g.root, 6)
     assert all(saw._certify(grandparent_ball, move) is None
                for move in _candidate_moves(g, grandparent_ball))
-    # No compiled ball (tree3 and lamplighter at n = 16): the SAW counts
-    # certify s1 <-> t and t <-> u on the Cayley oracles' half-radius
-    # balls, and their 12 prefixes form 6 orbits; every bridge pass is
-    # one DFS from the root.
+    # No compiled ball (tree3 and lamplighter at n = 16) and no word
+    # route: the SAW counts certify s1 <-> t and t <-> u on the Cayley
+    # oracles' half-radius balls, and their 12 prefixes form 6 orbits;
+    # every bridge pass is one DFS from the root.
+    _without_words(monkeypatch)
     for model in ("tree3", "lamplighter"):
         g = resolve_model(model)
         assert saw._compile_ball(g, None, g.root, 16) is None
@@ -880,6 +888,7 @@ def test_cayley_balls_fit_through_the_documented_lengths():
 @pytest.mark.parametrize("model,n", [("tree3", 16), ("lamplighter", 16), ("heisenberg", 10)])
 def test_cayley_reduction_equals_the_unreduced_walk(model, n, monkeypatch):
     monkeypatch.delenv("SAWLAB_BUDGET", raising=False)
+    _without_words(monkeypatch)
     g = resolve_model(model)
     assert saw._compile_ball(g, None, g.root, n) is None
     for h in (None, resolve_height(g, None)):
@@ -892,10 +901,11 @@ def test_cayley_reduction_equals_the_unreduced_walk(model, n, monkeypatch):
 
 
 def test_half_radius_certificate_on_a_torus(monkeypatch):
-    # Z_6 x Z_8 with its own ball refused: x <-> X and y <-> Y are
-    # certified on the half-radius ball, x <-> y is not, though on a
-    # ball of radius n // 2 the closed words x^6 (n = 6, 7) would only
-    # reach its leaves.
+    # Z_6 x Z_8 with its own ball refused and no word route: x <-> X and
+    # y <-> Y are certified on the half-radius ball, x <-> y is not,
+    # though on a ball of radius n // 2 the closed words x^6 (n = 6, 7)
+    # would only reach its leaves.
+    _without_words(monkeypatch)
     g = oracles.TorusOracle(6, 8)
     hits, _ = saw._walk(g, None, (g.root,), 14)
     compile_ball = saw._compile_ball
@@ -921,9 +931,10 @@ def test_half_radius_certificate_on_a_torus(monkeypatch):
 
 @pytest.mark.parametrize("model,n", [("zd2", 10), ("zd3", 7)])
 def test_one_orbit_cover_reduced_past_its_own_ball(model, n, monkeypatch):
-    # zd_d states `cayley`, so with its own ball refused a SAW count
-    # certifies its moves on the half-radius ball and walks one prefix per
-    # orbit on the oracle, with the unreduced walk's table.
+    # zd_d states `cayley`, so with its own ball refused and no word route
+    # a SAW count certifies its moves on the half-radius ball and walks
+    # one prefix per orbit on the oracle, with the unreduced walk's table.
+    _without_words(monkeypatch)
     g = resolve_model(model)
     assert g.cayley
     compile_ball = saw._compile_ball
@@ -948,6 +959,155 @@ def test_one_orbit_cover_reduced_past_its_own_ball(model, n, monkeypatch):
         unreduced = _table_fields(saw._run_iterative(g, n, None, 1, None, None))
     assert tables == [unreduced, unreduced]
     assert unreduced[1] == dict(enumerate(OEIS_SIGMA[model][: n + 1]))
+
+
+# ---------------------------------------------------------------------------
+# Words that avoid closed factors on Cayley oracles
+# ---------------------------------------------------------------------------
+
+
+def _word_route(g, h, n):
+    """`_word_tallies` from the root, on the ball `_run_iterative` gives it."""
+    return saw._word_tallies(g, h, g.root, saw._cayley_ball(g, g.root, n), n)
+
+
+def _word_sum(g, rise):
+    """The word sum that adds rise[label] along an edge labelled label,
+    and 0 along the other labels of `g`."""
+    return GammaHeight(tuple((label, rise.get(label, 0)) for _, label in g.neighbors(g.root)))
+
+
+@pytest.mark.parametrize("model", ["tree3", "lamplighter"])
+def test_word_tallies_equal_the_frozen_walk(model):
+    g = resolve_model(model)
+    for h in (None, resolve_height(g, "ghf")):
+        hits, nodes = oracles.reference_walk(g, h, (g.root,), 19)
+        for n in (16, 19):
+            assert _word_route(g, h, n) == (hits[: n + 1], nodes[: n + 1]), (h, n)
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (2, 5), (3, 3), (3, 4), (4, 4), (5, 2), (6, 8)])
+def test_word_tallies_on_tori(p, q):
+    # Z_2 has parallel x and X edges, so xx and xX both close. Every size
+    # has wrap-around cycles x^p and y^q of length <= n, and Z_6 x Z_8
+    # has x^6 at n = 6, 7 and y^8 at n = 8, 9, whose middle vertices lie
+    # at distance n // 2. A word sum is carried along each walk as
+    # `_walk` carries it, though no height on a finite group is well
+    # defined.
+    g = oracles.TorusOracle(p, q)
+    heights = (None, _word_sum(g, {"x": 1, "X": -1}),
+               _word_sum(g, {"x": 2, "X": -2, "y": 1, "Y": -1}))
+    for n in range(saw.SPLIT_DEPTH + 1, 10):
+        for h in heights:
+            want = oracles.reference_walk(g, h, (g.root,), n)
+            assert _word_route(g, h, n) == want, (h, n)
+
+
+def _own_ball_refused(monkeypatch, n):
+    """Make `_compile_ball` refuse a count's own ball, of radius `n`;
+    the certification ball, of radius max(n // 2, 3) + 1, still builds."""
+    assert n > max(n // 2, saw.SPLIT_DEPTH) + 1
+    compile_ball = saw._compile_ball
+    monkeypatch.setattr(saw, "_compile_ball", lambda g, h, start, radius: (
+        None if radius == n else compile_ball(g, h, start, radius)))
+
+
+def _word_route_calls(monkeypatch):
+    """Record what each `_word_tallies` call returns."""
+    calls = []
+    word_tallies = saw._word_tallies
+    monkeypatch.setattr(saw, "_word_tallies",
+                        lambda *args: calls.append(word_tallies(*args)) or calls[-1])
+    return calls
+
+
+def _assert_word_route_tables(monkeypatch, g, heights, n, budgets):
+    """The tables of the word route equal those of the orbit route or
+    the oracle walk, at 1 and 2 threads and under `budgets`; the route
+    is taken by every count and starts no pool."""
+    monkeypatch.delenv("SAWLAB_BUDGET", raising=False)
+    starts = []
+    monkeypatch.setattr(saw, "ProcessPoolExecutor", _counting_pool(starts, [], [0]))
+    runs = [(h, threads, budget) for h in heights for threads in (1, 2) for budget in budgets]
+    calls = _word_route_calls(monkeypatch)
+    words = [_table_fields(saw._run_iterative(g, n, None, t, b, h)) for h, t, b in runs]
+    assert len(calls) == len(runs) and None not in calls and not starts
+    _without_words(monkeypatch)
+    walked = [_table_fields(saw._run_iterative(g, n, None, t, b, h)) for h, t, b in runs]
+    assert words == walked
+
+
+@pytest.mark.parametrize("model,n", [("zd1", 12), ("zd2", 8), ("zd3", 6)])
+def test_word_route_past_the_own_ball_of_a_one_orbit_cover(model, n, monkeypatch):
+    g = resolve_model(model)
+    ghf = _word_sum(g, {"x": 1, "X": -1, "y": 1, "Y": -1})
+    for h in (None, ghf):
+        assert _word_route(g, h, n) == oracles.reference_walk(g, h, (g.root,), n), h
+    _own_ball_refused(monkeypatch, n)
+    sigma = OEIS_SIGMA.get(model, [1] + [2] * n)[: n + 1]
+    assert count_saws(g, n).series() == sigma
+    _assert_word_route_tables(monkeypatch, g, (None, ghf), n, (None, 5000, 300))
+
+
+@pytest.mark.parametrize("model", ["tree3", "lamplighter"])
+def test_word_route_tables_equal_the_walked_ones(model, monkeypatch):
+    g = resolve_model(model)
+    _assert_word_route_tables(monkeypatch, g, (None, resolve_height(g, "ghf")), 16, (None, 5000))
+
+
+def test_word_route_is_taken_through_its_cap(monkeypatch):
+    monkeypatch.delenv("SAWLAB_BUDGET", raising=False)
+    calls = _word_route_calls(monkeypatch)
+    passes = []
+    real_pass = saw._real_pass
+    monkeypatch.setattr(saw, "_real_pass", lambda *args: passes.append(1) or real_pass(*args))
+    # tree3 and lamplighter count words through n = 19 (sigma_19 and
+    # b_19 as the unreduced walk reads them) and walk no pass.
+    for model, sigma, b in (("tree3", 786432, 39743), ("lamplighter", 723600, 37038)):
+        g = resolve_model(model)
+        for n in (16, 19):
+            calls.clear()
+            saws = count_saws(g, n)
+            bridges = count_bridges(g, resolve_height(g, "ghf"), n)
+            assert len(calls) == 2 and None not in calls and not passes, (model, n)
+        assert (saws[19], bridges[19]) == (sigma, b)
+    # lamplighter's automaton at n = 20 has 7,937 states and heisenberg's
+    # at n = 10 over 100,000: both counts give up on words and walk one
+    # prefix per orbit, with the unreduced walk's sigma_n.
+    found = []
+    prefix_orbits = saw._prefix_orbits
+    monkeypatch.setattr(saw, "_prefix_orbits",
+                        lambda *args: found.append(prefix_orbits(*args)) or found[-1])
+    for model, n, sigma, orbits in (("lamplighter", 20, 1435970, 6),
+                                    ("heisenberg", 10, 9200462, 20)):
+        calls.clear(), passes.clear(), found.clear()
+        assert count_saws(resolve_model(model), n)[n] == sigma
+        assert calls == [None] and passes and len(found[0]) == orbits, model
+    # The cap: lamplighter's automaton at n = 16 has 671 states.
+    g = resolve_model("lamplighter")
+    ball = saw._cayley_ball(g, g.root, 16)
+    monkeypatch.setattr(saw, "MAX_BALL_VERTICES", 671)
+    assert saw._word_tallies(g, None, g.root, ball, 16) is not None
+    monkeypatch.setattr(saw, "MAX_BALL_VERTICES", 670)
+    assert saw._word_tallies(g, None, g.root, ball, 16) is None
+
+
+class _CaseBlindTorus(oracles.TorusOracle):
+    """A torus whose x and X edges are both labelled x, and y and Y y."""
+
+    def neighbors(self, v):
+        return tuple((w, label.lower()) for w, label in super().neighbors(v))
+
+
+def test_word_route_needs_one_edge_per_label(monkeypatch):
+    # A word names one walk only if no row repeats a label: here it gives
+    # up, and the count walks the oracle.
+    g = _CaseBlindTorus(4, 5)
+    assert _word_route(g, None, 6) is None
+    _own_ball_refused(monkeypatch, 6)
+    calls = _word_route_calls(monkeypatch)
+    hits, _ = oracles.reference_walk(g, None, (g.root,), 6)
+    assert count_saws(g, 6).series()[1:] == hits[1:] and calls == [None]
 
 
 @pytest.mark.parametrize("model,reference", [
