@@ -7,18 +7,14 @@ from .presentations import (
     KernelBasis,
     Presentation,
     PresentationError,
-    WellDefinedReport,
     betti,
     choose_ghf,
     coefficient_matrix,
     d_of_ghf,
-    evaluate_ghf,
-    ghf_exists,
     integer_kernel_basis,
     parse_presentation,
     preset_presentation,
     rank_exact,
-    verify_well_defined,
     PRESENTATION_PRESETS,
 )
 from .graphs import (
@@ -29,7 +25,6 @@ from .graphs import (
     PeriodicGraph,
     PGOracle,
     ball,
-    cover_vertex,
     periodic_graph_from_document,
     resolve_model,
 )
@@ -47,7 +42,6 @@ from .heights import (
     RepairExhausted,
     Verification,
     compute_r,
-    harmonic_extension,
     harmonic_residuals,
     height_table,
     increase_repair,
@@ -64,7 +58,6 @@ from .saw import (
     check_multiplicativity,
     count_bridges,
     count_saws,
-    doubling_monotone,
     mu_bounds,
 )
 from .locality import (

@@ -27,7 +27,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import add
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ._linalg import lattice_index
 
@@ -221,11 +221,6 @@ class GrandparentOracle(GraphOracle):
         if not w:
             return ((k - 1, ""), (k, "1"))
         return ((k, w + "0"), (k, w + "1"))
-
-    @staticmethod
-    def level(v) -> int:
-        k, w = v
-        return k - len(w)
 
     def neighbors(self, v):
         p = self.parent(v)
@@ -547,15 +542,6 @@ class PGOracle(GraphOracle):
 
     def degree_bound(self) -> int:
         return max(self.pg.degree(o) for o in range(1, self.pg.orbit_count + 1))
-
-
-def cover_vertex(pg: PeriodicGraph, o: int, x: Sequence[int]):
-    """Vertex constructor for a PeriodicGraph cover."""
-    if not (1 <= o <= pg.orbit_count):
-        raise GraphError(f"orbit {o} out of range 1..{pg.orbit_count}")
-    if len(x) != pg.dim:
-        raise GraphError("coordinate length != dim")
-    return (o, tuple(int(c) for c in x))
 
 
 # ---------------------------------------------------------------------------

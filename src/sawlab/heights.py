@@ -280,33 +280,31 @@ def harmonic_residuals(
 
 
 def _orbit_system(
-    pg: PeriodicGraph, pinned: int, lams: Sequence[Sequence[Fraction]], offset: Fraction
+    pg: PeriodicGraph, lams: Sequence[Sequence[Fraction]]
 ) -> List[Tuple[Fraction, ...]]:
-    """f of the harmonic extension of each lambda in `lams` with f(pinned)
-    = offset: the orbit system, pinned once and reduced once with one
-    right-hand side per lambda.
+    """f of the harmonic extension of each lambda in `lams` with f(1) = 0:
+    the orbit system, pinned once and reduced once with one right-hand
+    side per lambda.
 
-    The equation of the pinned orbit is dropped; for a connected quotient
-    the remaining system is uniquely solvable (see `solution_space`), and
-    the dropped equation follows because all equations sum to zero.
+    The equation of orbit 1 is dropped; for a connected quotient the
+    remaining system is uniquely solvable (see `solution_space`), and the
+    dropped equation follows because all equations sum to zero.
     """
-    unknowns = [o for o in range(1, pg.orbit_count + 1) if o != pinned]
-    col = {o: i for i, o in enumerate(unknowns)}
-    f0 = [Fraction(0)] * pg.orbit_count
-    f0[pinned - 1] = offset
+    m = pg.orbit_count
+    zero = [Fraction(0)] * m
     rows, rhs = [], []
-    for o in unknowns:
-        row = [0] * len(unknowns)
-        row[col[o]] += pg.degree(o)
+    for o in range(2, m + 1):
+        row = [0] * (m - 1)
+        row[o - 2] += pg.degree(o)
         for o2, _t, _label in pg.out_edges(o):
-            if o2 != pinned:
-                row[col[o2]] -= 1
+            if o2 != 1:
+                row[o2 - 2] -= 1
         rows.append(row)
         # With every unknown at 0, the neighbor values are the constant terms.
-        rhs.append([sum(_neighbor_values(pg, lam, f0, o)) for lam in lams])
-    # Row o - 1 of x holds f(o) for every lambda once the pinned row is in.
+        rhs.append([sum(_neighbor_values(pg, lam, zero, o)) for lam in lams])
+    # Row o - 1 of x holds f(o) for every lambda once orbit 1's row is in.
     x = solve_unique(rows, rhs)
-    x.insert(pinned - 1, [f0[pinned - 1]] * len(lams))
+    x.insert(0, [Fraction(0)] * len(lams))
     return [tuple(f) for f in zip(*x)]
 
 
@@ -322,25 +320,8 @@ def solution_space(pg: PeriodicGraph) -> List[HarmonicSolution]:
     than the constants exists.
     """
     units = [tuple(Fraction(int(j == i)) for j in range(pg.dim)) for i in range(pg.dim)]
-    fs = _orbit_system(pg, 1, units, Fraction(0))
+    fs = _orbit_system(pg, units)
     return [HarmonicSolution(pg=pg, lam=lam, f=f) for lam, f in zip(units, fs)]
-
-
-def harmonic_extension(
-    pg: PeriodicGraph,
-    base_orbit: int,
-    lam: Sequence[Fraction | int],
-    offset: Fraction | int = 0,
-) -> HarmonicSolution:
-    """Unique harmonic extension of the affine data F(base_orbit, x) =
-    offset + <lam, x> from the base orbit to the whole cover."""
-    if not (1 <= base_orbit <= pg.orbit_count):
-        raise HeightError(f"base orbit {base_orbit} out of range")
-    lam_f = tuple(Fraction(l) for l in lam)
-    if len(lam_f) != pg.dim:
-        raise HeightError("lambda length does not match the lattice dimension")
-    (f,) = _orbit_system(pg, base_orbit, [lam_f], Fraction(offset))
-    return HarmonicSolution(pg=pg, lam=lam_f, f=f)
 
 
 class RepairExhausted(RuntimeError):

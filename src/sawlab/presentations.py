@@ -6,14 +6,16 @@ optionally affine families of relators whose letter counts are
 u0 + n*u1 for n >= 0. The coefficient matrix of letter counts decides,
 through its rank and integer kernel, whether the word-length height
 h(v) = sum of gamma over the letters of any word for v is well defined
-on the whole group.
+on the whole group. `heights.verify` checks a chosen gamma on a ball of
+a model's Cayley graph: it raises `HeightConflict` when a vertex gets
+two heights.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ._linalg import integer_kernel
 from .graphs import model_name
@@ -120,9 +122,6 @@ class GroupHeightSpec:
         if all(g == 0 for g in self.gamma):
             raise PresentationError("gamma must be non-zero")
 
-    def gamma_by_symbol(self) -> Dict[str, int]:
-        return dict(zip(self.symbols, self.gamma))
-
 
 def parse_presentation(text: str | dict) -> Presentation:
     """Parse a presentation document (JSON text or already-loaded dict)."""
@@ -210,83 +209,9 @@ def betti(p: Presentation) -> int:
     return len(integer_kernel_basis(coefficient_matrix(p)).vectors)
 
 
-def ghf_exists(p: Presentation) -> bool:
-    return betti(p) > 0
-
-
 def choose_ghf(p: Presentation) -> Optional[GroupHeightSpec]:
     """First primitive kernel basis vector, or None when the kernel is trivial."""
     return integer_kernel_basis(coefficient_matrix(p)).ghf()
-
-
-def evaluate_ghf(spec: GroupHeightSpec, word: Sequence[str]) -> int:
-    gamma = spec.gamma_by_symbol()
-    total = 0
-    for s in word:
-        if s not in gamma:
-            raise PresentationError(f"unknown symbol {s!r}")
-        total += gamma[s]
-    return total
-
-
-@dataclass
-class WellDefinedReport:
-    ok: bool
-    witness_relator: Optional[Tuple[str, ...]] = None
-    witness_detail: str = ""
-    ball_vertices_checked: int = 0
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_well_defined(
-    spec: GroupHeightSpec,
-    p: Presentation,
-    depth: int = 0,
-    oracle=None,
-) -> WellDefinedReport:
-    """Check gamma annihilates every relator row, and optionally that all
-    word spellings of vertices in the radius-`depth` ball agree in height.
-
-    The ball check carries heights along labelled edges of a Cayley
-    oracle with `heights.transport`; any two spellings of the same ball
-    vertex form a cycle inside the ball, so a conflict-free transport
-    certifies agreement. The oracle only needs `root` and
-    `neighbors(v) -> [(vertex, label), ...]`; a label outside S raises
-    PresentationError.
-    """
-    gamma = spec.gamma
-    c = coefficient_matrix(p)
-    labels = list(p.relators) + [
-        fam for f in p.relator_families for fam in (("<family u0>",), ("<family u1>",))
-    ]
-    for row, label in zip(c.rows, labels):
-        dot = sum(g * u for g, u in zip(gamma, row))
-        if dot != 0:
-            return WellDefinedReport(
-                ok=False,
-                witness_relator=label,
-                witness_detail=f"gamma.u = {dot} != 0",
-            )
-    checked = 0
-    if depth > 0 and oracle is not None:
-        # heights imports this module, so it is imported here.
-        from .heights import GammaHeight, HeightConflict, HeightError, transport
-
-        h = GammaHeight.from_spec(spec)
-        ids: Dict[object, int] = {}
-        try:
-            for _ in transport(oracle, h, oracle.root, depth, ids, [], convention="induced"):
-                pass
-        except HeightConflict as exc:
-            _w, had, got = exc.args
-            detail = f"vertex reachable at depth <= {depth} has two heights {had} and {got}"
-            return WellDefinedReport(ok=False, witness_detail=detail)
-        except HeightError as exc:
-            raise PresentationError(str(exc)) from None
-        checked = len(ids)
-    return WellDefinedReport(ok=True, ball_vertices_checked=checked)
 
 
 def d_of_ghf(spec: GroupHeightSpec) -> int:

@@ -109,7 +109,7 @@ from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ._linalg import nth_root_decimal, root_compare
-from .graphs import GraphOracle
+from .graphs import GraphError, GraphOracle, PGOracle
 from .heights import GammaHeight, HeightFunction, transport
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -953,6 +953,10 @@ def _run_iterative(
         budget = default_budget()
     if start is None:
         start = g.root
+    elif isinstance(g, PGOracle) and not (
+            len(start) == 2 and 1 <= start[0] <= g.pg.orbit_count and len(start[1]) == g.pg.dim):
+        raise GraphError(f"start {start!r} is not a vertex of {g.name}: a vertex is (o, x), "
+                         f"o in 1..{g.pg.orbit_count} and x with {g.pg.dim} coordinates")
     # A depth-(k+1) pass expands at most (1 + degree_bound) times the
     # nodes of the depth-k pass, so this projection never overshoots.
     degree = g.degree_bound()
@@ -1057,11 +1061,10 @@ class MultiplicativityReport:
         return self.ok
 
 
-def check_multiplicativity(table: CountTable, kind: Optional[str] = None) -> MultiplicativityReport:
+def check_multiplicativity(table: CountTable) -> MultiplicativityReport:
     """sigma_{m+n} <= sigma_m sigma_n for SAW tables, b_{m+n} >= b_m b_n
     for bridge tables, over all m, n >= 1 with m + n <= high_water."""
-    if kind is None:
-        kind = table.kind
+    kind = table.kind
     violations: List[Tuple[int, int]] = []
     checked = 0
     top = table.high_water
@@ -1153,12 +1156,15 @@ def mu_bounds(
     """Per-n root bounds and the best ones.
 
     Upper bounds sigma_n^{1/n} are valid for every n (submultiplicative
-    sequence); the best is the exact minimum. Lower bounds b_n^{1/n} are
-    guaranteed monotone only along the doubling subsequence 1, 2, 4, ...
-    (supermultiplicativity), so the best lower bound is the exact maximum
-    over that subsequence. Roots are rendered from exact integers, lower
-    bounds rounded down and upper bounds rounded up; best selection uses
-    exact cross-power comparison, never the decimal renderings.
+    sequence); the best is the exact minimum. Bridge counts are
+    supermultiplicative, so by Fekete's lemma every b_n^{1/n} is at most
+    the bridge constant beta <= mu: every row's lower root is a valid
+    lower bound. The best lower bound is still the exact maximum over the
+    doubling subsequence 1, 2, 4, ... only, which keeps the artifacts
+    byte-identical until bounds take the maximum over every n. Roots are
+    rendered from exact integers, lower bounds rounded down and upper
+    bounds rounded up; best selection uses exact cross-power comparison,
+    never the decimal renderings.
     """
     if sigma_table is None and bridge_table is None:
         raise ValueError("at least one table is required")
@@ -1226,18 +1232,6 @@ def mu_bounds(
         best_upper=best_upper,
         best_upper_n=best_upper_n,
     )
-
-
-def doubling_monotone(bridge_table: CountTable) -> List[Tuple[int, int]]:
-    """Pairs (n, 2n) violating b_{2n}^{1/2n} >= b_n^{1/n}; must be empty."""
-    bad = []
-    top = bridge_table.high_water
-    for n in range(1, top // 2 + 1):
-        if root_compare(
-            bridge_table.counts[2 * n], 2 * n, bridge_table.counts[n], n
-        ) < 0:
-            bad.append((n, 2 * n))
-    return bad
 
 
 def render_json(doc: dict, timestamp: Optional[str] = None) -> str:

@@ -264,33 +264,39 @@ def _solve_nonsingular(rows: List[List[int]], rhs: List[Fraction]) -> List[Fract
     return [row[n] for row in m]
 
 
+def reference_extension(pg, lam) -> List[Fraction]:
+    """f, with f(1) = 0, of the harmonic function f(o) + <lam, x> on the
+    cover of the voltage graph `pg` (read through its orbit_count, degree
+    and out_edges): the orbit system with orbit 1's equation dropped,
+    solved for this lam on its own."""
+    m = pg.orbit_count
+    rows, rhs = [], []
+    for o in range(2, m + 1):
+        row = [0] * (m - 1)
+        row[o - 2] += pg.degree(o)
+        b = Fraction(0)
+        for o2, t, _label in pg.out_edges(o):
+            b += sum(l * c for l, c in zip(lam, t))
+            if o2 != 1:
+                row[o2 - 2] -= 1
+        rows.append(row)
+        rhs.append(b)
+    return [Fraction(0)] + _solve_nonsingular(rows, rhs)
+
+
 def reference_increase_repair(pg) -> Optional[Tuple[tuple, tuple, int]]:
     """(f, lam, scale) of the repaired height of the voltage graph `pg`
     (read through its orbit_count, dim, degree and out_edges), or None when
     no harmonic height increases everywhere.
 
-    Basis solution i has lam = e_i and f(1) = 0, and solves the orbit
-    system with orbit 1's equation dropped, on its own. The candidates are
-    e_1..e_b, -e_b..-e_1, then (1, t, ..., t^(b-1)) for t = 1..M(b-1); the
-    first whose every orbit has a strictly lower and a strictly higher
+    Basis solution i is `reference_extension` of lam = e_i. The candidates
+    are e_1..e_b, -e_b..-e_1, then (1, t, ..., t^(b-1)) for t = 1..M(b-1);
+    the first whose every orbit has a strictly lower and a strictly higher
     neighbor wins, scaled to integers.
     """
     m, d = pg.orbit_count, pg.dim
-    basis = []
-    for i in range(d):
-        lam = [int(j == i) for j in range(d)]
-        rows, rhs = [], []
-        for o in range(2, m + 1):
-            row = [0] * (m - 1)
-            row[o - 2] += pg.degree(o)
-            b = Fraction(0)
-            for o2, t, _label in pg.out_edges(o):
-                b += sum(l * c for l, c in zip(lam, t))
-                if o2 != 1:
-                    row[o2 - 2] -= 1
-            rows.append(row)
-            rhs.append(b)
-        basis.append((lam, [Fraction(0)] + _solve_nonsingular(rows, rhs)))
+    units = [[int(j == i) for j in range(d)] for i in range(d)]
+    basis = [(lam, reference_extension(pg, lam)) for lam in units]
 
     def increments(lam, f, o):
         return [f[o2 - 1] + sum(l * c for l, c in zip(lam, t)) - f[o - 1]

@@ -19,19 +19,17 @@ from sawlab.heights import (
 )
 from sawlab.locality import locality_scan
 from sawlab.presentations import (
+    betti,
     choose_ghf,
     coefficient_matrix,
-    ghf_exists,
     preset_presentation,
     rank_exact,
-    verify_well_defined,
 )
 from sawlab.saw import (
     CountTable,
     check_multiplicativity,
     count_bridges,
     count_saws,
-    doubling_monotone,
     mu_bounds,
     render_json,
 )
@@ -74,7 +72,7 @@ def test_criterion_1_rank_and_ghf_verdicts():
             assert got_rank == rank, f"{name}: rank {got_rank} != {rank}"
         else:
             assert got_rank == len(p.generators), name
-        assert ghf_exists(p) is exists, name
+        assert (betti(p) > 0) is exists, name
     p = preset_presentation("lamplighter")
     assert len(p.generators) - rank_exact(coefficient_matrix(p)) == 1  # Betti
     assert time.monotonic() - t0 < 1.0
@@ -86,10 +84,8 @@ def test_criterion_2_emitted_ghfs_well_defined_and_harmonic():
         p = preset_presentation(name)
         spec = choose_ghf(p)
         assert spec is not None, name
-        g = resolve_model(name)
-        wd = verify_well_defined(spec, p, depth=4, oracle=g)
-        assert wd.ok, (name, wd.witness_detail)
-        hr = verify(g, GammaHeight.from_spec(spec), radius=4).harmonic
+        # verify raises HeightConflict if a vertex of its ball gets two heights.
+        hr = verify(resolve_model(name), GammaHeight.from_spec(spec), radius=4).harmonic
         assert hr.all_zero and hr.uniform_defect == 0, name
         assert hr.vertices_checked > 0
     assert time.monotonic() - t0 < 5.0
@@ -122,13 +118,13 @@ def test_criterion_4_bridge_counts_and_supermultiplicativity():
     bridge = count_bridges(g, X, 10)
     assert all(bridge[n] <= sigma[n] for n in range(11))
 
+    # m = n gives b_2n >= b_n^2: the roots grow along the doubling subsequence.
     rep = check_multiplicativity(bridge)
     assert rep.ok and rep.pairs_checked > 0
 
     line = count_bridges(resolve_model("zd1"), CoordinateHeight(0, label="identity"), 10)
     assert line.series() == [1] * 11
 
-    assert doubling_monotone(bridge) == []
     assert time.monotonic() - t0 < 60.0
 
 

@@ -20,7 +20,6 @@ from sawlab.graphs import (
     PGOracle,
     Tree3Oracle,
     ball,
-    cover_vertex,
     dihedral_line_pg,
     hexagonal_pg,
     periodic_graph_from_document,
@@ -422,15 +421,6 @@ def test_zd2_pg_cover_matches_lattice():
         assert oracles.rooted_isomorphic(
             _as_triple(ball(g, k)), _as_triple(ball(pg, k))
         ), k
-
-
-def test_cover_vertex_validation():
-    pg = hexagonal_pg()
-    assert cover_vertex(pg, 2, (1, -1)) == (2, (1, -1))
-    with pytest.raises(GraphError):
-        cover_vertex(pg, 3, (0, 0))
-    with pytest.raises(GraphError):
-        cover_vertex(pg, 1, (0,))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from sawlab.heights import (
     RepairExhausted,
     Verification,
     compute_r,
-    harmonic_extension,
     harmonic_residuals,
     height_table,
     increase_repair,
@@ -127,26 +126,8 @@ def test_uniqueness_perturbation_breaks_harmonicity():
                 )
 
 
-def test_harmonic_extension_matches_solution_space():
-    pg = resolve_model("square_octagon").pg
-    ext = harmonic_extension(pg, base_orbit=1, lam=(1, 0), offset=0)
-    assert ext.f == (F(0), F(-1, 4), F(-1, 2), F(-1, 4))
-    # pinning a different orbit shifts the solution by a constant
-    ext2 = harmonic_extension(pg, base_orbit=3, lam=(1, 0), offset=0)
-    assert [a - b for a, b in zip(ext.f, ext2.f)] == [F(-1, 2)] * 4
-    ext3 = harmonic_extension(pg, base_orbit=1, lam=(0, 2), offset=5)
-    assert ext3.f[0] == 5
-    assert all(r == 0 for r in harmonic_residuals(pg, ext3.lam, ext3.f))
-    with pytest.raises(HeightError):
-        harmonic_extension(pg, base_orbit=9, lam=(1, 0))
-    with pytest.raises(HeightError):
-        harmonic_extension(pg, base_orbit=1, lam=(1,))
-
-
 def test_extension_on_dihedral_line_is_identity():
     pg = resolve_model("dihedral_line").pg
-    ext = harmonic_extension(pg, base_orbit=1, lam=(2,), offset=0)
-    assert ext.f == (F(0), F(1))
     h = increase_repair(pg)
     assert [h.at((1, (k,))) for k in range(-2, 3)] == [-4, -2, 0, 2, 4]
     assert [h.at((2, (k,))) for k in range(-2, 3)] == [-3, -1, 1, 3, 5]
@@ -296,8 +277,9 @@ def test_one_reduction_equals_one_extension_per_direction(doc):
     # solution is the extension of that direction alone, and the repair
     # equals a reference that solves each direction on its own.
     pg = periodic_graph_from_document(doc)
-    units = [[int(i == j) for j in range(pg.dim)] for i in range(pg.dim)]
-    assert solution_space(pg) == [harmonic_extension(pg, 1, e) for e in units]
+    units = [tuple(int(i == j) for j in range(pg.dim)) for i in range(pg.dim)]
+    assert [(s.lam, s.f) for s in solution_space(pg)] == [
+        (e, tuple(oracles.reference_extension(pg, e))) for e in units]
     want = oracles.reference_increase_repair(pg)
     if want is None:
         with pytest.raises(RepairExhausted):
@@ -500,7 +482,8 @@ def test_transport_of_ghf_heights_equals_height_table(model):
     b = ball(g, 4)
     got, _ = transported(g, h, 4)
     assert [got[v] for v in b.vertices] == height_table(g, h, b)
-    assert got == oracles.word_sum_heights(g.neighbors, g.root, spec.gamma_by_symbol(), 4)
+    gamma = dict(zip(spec.symbols, spec.gamma))
+    assert got == oracles.word_sum_heights(g.neighbors, g.root, gamma, 4)
 
 
 def assert_walk_carries_transported_heights(g, h, n):
@@ -600,7 +583,7 @@ def test_compute_r_values():
 def test_compute_r_matches_brute_force_at_any_representative():
     hx = resolve_model("hexagonal")
     spec = choose_ghf(preset_presentation("hexagonal"))
-    gamma = spec.gamma_by_symbol()
+    gamma = dict(zip(spec.symbols, spec.gamma))
     ghf = GammaHeight.from_spec(spec)
 
     def word_sum_r(reps, bound):

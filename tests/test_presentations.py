@@ -8,22 +8,19 @@ import pytest
 from sawlab.presentations import (
     GroupHeightSpec,
     ParamRelatorFamily,
-    Presentation,
     PresentationError,
     PRESENTATION_PRESETS,
     betti,
     choose_ghf,
     coefficient_matrix,
     d_of_ghf,
-    evaluate_ghf,
-    ghf_exists,
     integer_kernel_basis,
     parse_presentation,
     preset_presentation,
     rank_exact,
-    verify_well_defined,
 )
 from sawlab.graphs import resolve_model
+from sawlab.heights import GammaHeight, HeightConflict, HeightError, verify
 
 
 def test_parse_roundtrip_text_and_dict():
@@ -128,7 +125,7 @@ def test_preset_verdict_table():
         c = coefficient_matrix(p)
         assert len(p.generators) == n_gen, name
         assert rank_exact(c) == rank, name
-        assert ghf_exists(p) is exists, name
+        assert (betti(p) > 0) is exists, name
         assert betti(p) == n_gen - rank, name
 
 
@@ -184,53 +181,21 @@ def test_ghf_kernel_rows_annihilated():
             assert sum(g * x for g, x in zip(spec.gamma, row)) == 0, name
 
 
-def test_evaluate_ghf_word_sums():
-    spec = choose_ghf(preset_presentation("hexagonal"))
-    assert evaluate_ghf(spec, ["s2", "s2", "s3"]) == 1
-    assert evaluate_ghf(spec, []) == 0
-    with pytest.raises(PresentationError):
-        evaluate_ghf(spec, ["nope"])
+@pytest.mark.parametrize("model,gamma", [
+    ("tree3", (1, 1, -1)),  # s2 s2 is a relator, and 1 + 1 != 0
+    ("zd2", (1, 0, 0, 0)),  # x X is a relator, and 1 + 0 != 0
+])
+def test_verify_rejects_a_gamma_off_the_kernel(model, gamma):
+    symbols = preset_presentation(model).generators
+    bad = GammaHeight.from_spec(GroupHeightSpec(gamma=gamma, symbols=symbols))
+    with pytest.raises(HeightConflict):
+        verify(resolve_model(model), bad, radius=2)
 
 
-def test_verify_well_defined_accepts_presets():
-    for name, model in [
-        ("zd2", "zd2"),
-        ("tree3", "tree3"),
-        ("heisenberg", "heisenberg"),
-        ("hexagonal", "hexagonal"),
-        ("lamplighter", "lamplighter"),
-    ]:
-        p = preset_presentation(name)
-        spec = choose_ghf(p)
-        report = verify_well_defined(spec, p, depth=3, oracle=resolve_model(model))
-        assert report.ok, (name, report.witness_relator, report.witness_detail)
-        assert report.ball_vertices_checked > 1
-
-
-def test_verify_well_defined_rejects_bad_gamma():
-    p = preset_presentation("tree3")
-    spec = choose_ghf(p)
-    bad = type(spec)(gamma=(1, 1, -1), symbols=spec.symbols)
-    report = verify_well_defined(bad, p)
-    assert not report.ok
-    assert report.witness_relator == ("s2", "s2")
-
-
-def test_verify_well_defined_transport_conflict():
-    # gamma annihilates no relator row that the ball transport would
-    # expose: use zd2 with an asymmetric assignment that passes neither.
-    p = preset_presentation("zd2")
-    spec = choose_ghf(p)
-    bad = type(spec)(gamma=(1, 0, 0, 0), symbols=spec.symbols)
-    report = verify_well_defined(bad, p, depth=2, oracle=resolve_model("zd2"))
-    assert not report.ok
-
-
-def test_verify_well_defined_rejects_edge_labels_outside_s():
+def test_verify_rejects_edge_labels_outside_s():
     spec = GroupHeightSpec(gamma=(1, -1), symbols=("x", "X"))
-    p = Presentation(generators=spec.symbols)
-    with pytest.raises(PresentationError, match="'y'"):
-        verify_well_defined(spec, p, depth=1, oracle=resolve_model("zd2"))
+    with pytest.raises(HeightError, match="'y'"):
+        verify(resolve_model("zd2"), GammaHeight.from_spec(spec), radius=1)
 
 
 def test_preset_unknown():

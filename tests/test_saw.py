@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import os
+import re
 import time
 from collections import Counter
 from datetime import timedelta
@@ -17,6 +18,7 @@ import oracles
 from sawlab import saw
 from sawlab.cli import resolve_height
 from sawlab.graphs import (
+    GraphError,
     PeriodicGraph,
     PGOracle,
     ball,
@@ -32,12 +34,7 @@ from sawlab.heights import (
     LevelHeight,
     PeriodicHeight,
     height_table,
-)
-from sawlab.presentations import (
-    GroupHeightSpec,
-    Presentation,
-    preset_presentation,
-    verify_well_defined,
+    verify,
 )
 from sawlab.saw import (
     BoundsReport,
@@ -47,7 +44,6 @@ from sawlab.saw import (
     count_saws,
     default_budget,
     doubling_indices,
-    doubling_monotone,
     mu_bounds,
     render_json,
 )
@@ -152,10 +148,10 @@ def test_multiplicativity_detects_violations():
     assert check_multiplicativity(bad_bridge).violations == [(1, 1)]
 
 
-def test_doubling_monotone_and_bounds_structure():
-    bri = count_bridges(resolve_model("zd2"), X, 12)
-    assert doubling_monotone(bri) == []
+def test_doubling_indices_and_doubling_by_multiplicativity():
     assert doubling_indices(12) == [1, 2, 4, 8]
+    # b_2n >= b_n^2 is the case m = n of supermultiplicativity, so a table
+    # whose roots fall along the doubling subsequence is a violation.
     bad = CountTable(
         kind="bridge",
         model="synthetic",
@@ -163,7 +159,7 @@ def test_doubling_monotone_and_bounds_structure():
         counts={0: 1, 1: 3, 2: 8},
         high_water=2,
     )
-    assert doubling_monotone(bad) == [(1, 2)]
+    assert check_multiplicativity(bad).violations == [(1, 1)]
 
 
 def test_bridges_never_exceed_saws():
@@ -217,6 +213,23 @@ def test_start_vertex_translation_invariance():
     assert count_saws(g, 6, start=(1, (3, -2))).series() == oracles.ZD2_SIGMA[:7]
     shifted = count_bridges(g, X, 6, start=(1, (3, -2)))
     assert shifted.series() == oracles.ZD2_BRIDGES_X[:7]
+    # The honeycomb is vertex-transitive: a start in orbit 2 sees the same.
+    hexagonal = resolve_model("hexagonal")
+    assert count_saws(hexagonal, 8, start=(2, (1, -1))).series() == \
+        count_saws(hexagonal, 8).series()
+
+
+@pytest.mark.parametrize("start", [(3, (0, 0)), (0, (0, 0)), (-1, (0, 0)), (1, (0,)),
+                                   (1, (0, 0, 0))], ids=repr)
+def test_start_off_the_cover_is_named_before_any_ball(monkeypatch, start):
+    # hexagonal has orbits 1..2 and x in Z^2. The start is checked once,
+    # before a ball is built, so no walk meets a vertex it cannot expand.
+    g = resolve_model("hexagonal")
+    monkeypatch.setattr(saw, "_compile_ball", mock.Mock(side_effect=AssertionError))
+    for count in (lambda: count_saws(g, 3, start=start),
+                  lambda: count_bridges(g, X, 3, start=start)):
+        with pytest.raises(GraphError, match=re.escape(repr(start))):
+            count()
 
 
 # (model, n, sigma nodes_used, b nodes_used, budget-5000 (high_water,
@@ -345,11 +358,8 @@ def test_step_height_conflict_raises():
     # The other consumers of `heights.transport` find the same conflict.
     with pytest.raises(HeightConflict):
         height_table(g, up, ball(g, 2))
-    spec = GroupHeightSpec(gamma=(1, 1, 1, 1), symbols=("x", "X", "y", "Y"))
-    assert not verify_well_defined(spec, preset_presentation("zd2"), depth=2, oracle=g).ok
-    # Without relators only the ball transport can find it.
-    bare = verify_well_defined(spec, Presentation(generators=spec.symbols), depth=2, oracle=g)
-    assert not bare.ok and "two heights" in bare.witness_detail
+    with pytest.raises(HeightConflict):
+        verify(g, up, radius=2)
 
 
 def test_height_errors_surface_as_without_a_ball():
