@@ -7,7 +7,6 @@ from .presentations import (
     KernelBasis,
     Presentation,
     PresentationError,
-    betti,
     choose_ghf,
     coefficient_matrix,
     d_of_ghf,
@@ -43,7 +42,6 @@ from .heights import (
     Verification,
     compute_r,
     harmonic_residuals,
-    height_table,
     increase_repair,
     repair_document,
     resolve_height,

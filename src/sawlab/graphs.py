@@ -46,6 +46,8 @@ class GraphOracle:
     `neighbors(v)` lists (w, label) per edge at v. The graph is
     undirected and has no loops: w lists v as often as v lists w, and no
     vertex lists itself (a compiled SAW ball counts by that, see `saw`).
+    `check_vertex(v)` raises GraphError unless v is a vertex; a count
+    checks its start with it, and this base class accepts any start.
     `default_height` names the height a count or a check uses when none
     is given (see `heights.resolve_height`). `cayley` states that the
     oracle is a Cayley graph: every vertex has the same labels, and the
@@ -75,8 +77,20 @@ class GraphOracle:
     def canonical_key(self, v) -> bytes:
         return repr(v).encode()
 
+    def check_vertex(self, v) -> None:
+        """Raise GraphError, naming `v`, unless `v` is a vertex."""
+
     def degree_bound(self) -> int:
         return len(self.neighbors(self.root))
+
+
+def _require_vertex(g: GraphOracle, v, ok: bool, form: str) -> None:
+    if not ok:
+        raise GraphError(f"{v!r} is not a vertex of {g.name}: a vertex is {form}")
+
+
+def _ints(xs, n: int) -> bool:
+    return isinstance(xs, tuple) and len(xs) == n and all(isinstance(x, int) for x in xs)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +139,12 @@ class Tree3Oracle(GraphOracle):
             v >>= 2
         return repr("".join(reversed(letters))).encode()
 
+    def check_vertex(self, v) -> None:
+        # The key spells a digit 0 as a space.
+        word = self.canonical_key(v) if isinstance(v, int) and v >= 0 else b" "
+        _require_vertex(self, v, not re.search(rb" |aA|Aa|bb", word),
+                        "an int >= 0 whose base-4 digits spell a reduced word")
+
 
 @dataclass(frozen=True)
 class HeisenbergOracle(GraphOracle):
@@ -149,6 +169,9 @@ class HeisenbergOracle(GraphOracle):
             ((a, b, c + 1), "z"),
             ((a, b, c - 1), "Z"),
         )
+
+    def check_vertex(self, v) -> None:
+        _require_vertex(self, v, _ints(v, 3), "(a, b, c), three ints")
 
 
 @dataclass(frozen=True)
@@ -189,6 +212,9 @@ class LamplighterOracle(GraphOracle):
             mask >>= 1
             bit += 1
         return f"{sorted(lamps)}|{pos}".encode()
+
+    def check_vertex(self, v) -> None:
+        _require_vertex(self, v, _ints(v, 2) and v[0] >= 0, "(mask, pos), two ints, mask >= 0")
 
 
 @dataclass(frozen=True)
@@ -242,6 +268,11 @@ class GrandparentOracle(GraphOracle):
     def canonical_key(self, v) -> bytes:
         k, w = v
         return f"{k}:{w}".encode()
+
+    def check_vertex(self, v) -> None:
+        ok = (isinstance(v, tuple) and len(v) == 2 and isinstance(v[0], int)
+              and isinstance(v[1], str) and re.fullmatch("(1[01]*)?", v[1]))
+        _require_vertex(self, v, ok, "(k, w), k an int and w '' or a 0/1 word starting with 1")
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +559,11 @@ class PGOracle(GraphOracle):
 
     def canonical_key(self, v) -> bytes:
         return self.key(v).encode()
+
+    def check_vertex(self, v) -> None:
+        m, d = self.pg.orbit_count, self.pg.dim
+        ok = isinstance(v, tuple) and len(v) == 2 and v[0] in range(1, m + 1) and _ints(v[1], d)
+        _require_vertex(self, v, ok, f"(o, x), o in 1..{m} and x with {d} integer coordinates")
 
     def orbit_label(self, v) -> int:
         return v[0] - 1

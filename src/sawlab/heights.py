@@ -13,14 +13,13 @@ vertex: `increase_repair` takes the first signed basis solution, then
 the first combination on one moment curve, that does. A dimension-0 or
 degenerate document has none and raises `RepairExhausted`.
 
-`verify` checks a height on a ball around the root: the axioms, the
-harmonic defects and the increment bound d, in one pass.
+`verify` checks a height on a ball around the root, from one BFS of
+`transport`: the axioms, the harmonic defects and the increment bound d.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -30,12 +29,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from ._linalg import solve_unique
 from .graphs import (
     DEFAULT_BALL_BUDGET,
-    Ball,
+    BudgetExceeded,
     GraphOracle,
     HeisenbergOracle,
     PeriodicGraph,
     PGOracle,
-    ball,
 )
 from .presentations import choose_ghf, preset_presentation
 
@@ -169,7 +167,6 @@ def transport(
     ids: Dict[object, int],
     heights: List[int],
     above: bool = False,
-    convention: str = "walk",
 ):
     """Carry `h` over a BFS of the radius-`radius` ball around `start`.
 
@@ -179,23 +176,20 @@ def transport(
     vertices above the start are followed, and distance is measured along
     them. Yields (depth, ids its followed edges reach in neighbor order,
     the labels of those edges) for each vertex at distance depth <
-    `radius`, in id order. An edge that gives a kept vertex a second
-    height raises HeightConflict. The "walk" `convention` keeps no vertex
-    at distance `radius`: each edge into one gets a fresh id. "induced"
-    keeps them and also checks the edges between two of them, as in an
-    induced `graphs.Ball`.
+    `radius`, in id order. `ids` keeps those vertices only, so their ids
+    are 0..len(ids) - 1; each edge into a vertex at distance `radius`
+    gets a fresh id past them. An edge that gives a kept vertex a second
+    height raises HeightConflict.
     """
     across = None if h is None else h.across
     h0 = 0 if h is None else h.origin(start)
     floor = h0 if above else None
-    closed = convention == "induced"
     ids[start] = 0
     heights.append(h0)
     vertices = [start]
     lo = 0
-    for depth in range(radius + closed):
-        shell = depth == radius
-        keep = closed or depth < radius - 1
+    for depth in range(radius):
+        keep = depth < radius - 1
         hi = len(vertices)
         for i in range(lo, hi):
             hv = heights[i]
@@ -207,8 +201,6 @@ def transport(
                     continue
                 j = ids.get(w)
                 if j is None:
-                    if shell:
-                        continue
                     j = len(heights)
                     heights.append(hw)
                     if keep:
@@ -220,22 +212,6 @@ def transport(
                 labels.append(label)
             yield depth, row, labels
         lo = hi
-
-
-def height_table(g: GraphOracle, h: HeightFunction, b: Ball) -> List[int]:
-    """Heights of all ball vertices, aligned with b.vertices.
-
-    A height with values at vertices is read directly; any other is
-    carried from the root by `transport`, checked on every edge between
-    two ball vertices.
-    """
-    if h.at(g.root) is not None:
-        return [h.at(v) for v in b.vertices]
-    ids: Dict[object, int] = {}
-    values: List[int] = []
-    for _ in transport(g, h, g.root, b.radius, ids, values, convention="induced"):
-        pass
-    return [values[ids[v]] for v in b.vertices]
 
 
 # ---------------------------------------------------------------------------
@@ -502,19 +478,14 @@ class Verification(NamedTuple):
     d: int
 
 
-def _check_radius(radius: int) -> None:
-    if radius < 0:
-        raise HeightError("radius must be >= 0")
-
-
 def verify(
     g: GraphOracle,
     h: HeightFunction,
     radius: int,
     max_vertices: int = DEFAULT_BALL_BUDGET,
 ) -> Verification:
-    """Check `h` on the radius-`radius` ball of `g`, in one pass over one
-    ball and one height table.
+    """Check `h` on the radius-`radius` ball of `g`, in one `transport`
+    BFS of the radius-R ball, R = max(radius + 1, d's radius).
 
     - axioms: h(root) = 0, difference-invariance, and a strictly lower
       and a strictly higher neighbor at every vertex within `radius`;
@@ -524,40 +495,55 @@ def verify(
       max(2, min(radius, 4)) ball. Every edge type of the catalog models
       appears within radius 2 of the root, so this is the global maximum.
 
-    The ball has radius max(radius + 1, d's radius) and at most
-    `max_vertices` vertices (BudgetExceeded past that).
+    The neighbors of a vertex are the distinct vertices its edges reach.
+    Failures name vertices in (distance, canonical key) order, and the
+    worst defect is the first largest one in that order. More than
+    `max_vertices` vertices within R raise BudgetExceeded.
     """
-    _check_radius(radius)
+    if radius < 0:
+        raise HeightError("radius must be >= 0")
     d_radius = max(2, min(radius, 4))
-    b = ball(g, max(radius + 1, d_radius), max_vertices=max_vertices)
-    values = height_table(g, h, b)
-    # Vertices sort by distance: the root is vertex 0, and the vertices
-    # within each radius are a prefix. The checked vertices have all
-    # their neighbors in the radius + 1 prefix, whose adjacency is `adj`.
-    adj = b.restrict(radius + 1).adjacency()
-    checked, d_count = (bisect_right(b.distances, r) for r in (radius, d_radius))
-    d = max(abs(values[i] - values[j]) for i, j in b.edges if j < d_count)
-
+    top_radius = max(radius + 1, d_radius)
+    ids: Dict[object, int] = {}
+    values: List[int] = []
+    depths: List[int] = []
+    rows: List[List[int]] = []
+    for depth, row, _labels in transport(g, h, g.root, top_radius + 1, ids, values):
+        if len(ids) > max_vertices:
+            raise BudgetExceeded(f"ball({g.name}, {top_radius}) exceeds {max_vertices} vertices")
+        depths.append(depth)
+        rows.append(row)
+    # Ids run in BFS order, so the vertices within each radius are a
+    # prefix, and every neighbor of a checked vertex has an id.
+    checked, near, d_count = (sum(x <= r for x in depths) for r in (radius, radius + 1, d_radius))
+    d = max(abs(values[i] - values[j]) for i in range(d_count) for j in rows[i] if j < d_count)
+    vertices = list(ids)
     failures: List[str] = []
     root_value = values[0]
     if root_value != 0:
         failures.append(f"h(root) = {root_value}, expected 0")
+    missing = []
     defects = set()
-    worst: Optional[Tuple[str, Fraction]] = None
+    # The largest |defect|, and (id, defect) where it occurs at the least distance.
+    size, top = Fraction(-1), []
     for i in range(checked):
         hv = values[i]
-        neigh = [values[j] for j in adj[i]]
+        neigh = [values[j] for j in set(rows[i])]
         lower = any(hw < hv for hw in neigh)
         higher = any(hw > hv for hw in neigh)
         if not lower or not higher:
-            missing = "lower" if not lower else "higher"
-            failures.append(
-                f"no strictly {missing} neighbor at {b.keys[i].decode()} (h = {hv})"
-            )
+            side = "lower" if not lower else "higher"
+            missing.append((depths[i], g.canonical_key(vertices[i]), hv, side))
         defect = Fraction(hv) - Fraction(sum(neigh), len(neigh))
         defects.add(defect)
-        if worst is None or abs(defect) > abs(worst[1]):
-            worst = (b.keys[i].decode(), defect)
+        if abs(defect) > size:
+            size, top = abs(defect), [(i, defect)]
+        elif abs(defect) == size and depths[i] == depths[top[0][0]]:
+            top.append((i, defect))
+    failures += [f"no strictly {side} neighbor at {k.decode()} (h = {hv})"
+                 for _depth, k, hv, side in sorted(missing)]
+    key, defect = min((g.canonical_key(vertices[i]), defect) for i, defect in top)
+    worst = (key.decode(), defect)
 
     # Difference-invariance. A periodic height is affine in the lattice
     # coordinate on each orbit, h(o, x) = c_o + <m_o, x>, so it is
@@ -577,9 +563,9 @@ def verify(
                     bad += 1
         if bad:
             failures.append(f"difference-invariance violated at {bad} translates")
-        note = "exact (all orbits x translation window)"
+        note = "exact (unit translations of each orbit)"
     elif isinstance(h, CoordinateHeight):
-        deltas = {values[j] - values[i] for i, row in enumerate(adj) for j in row}
+        deltas = {values[j] - values[i] for i in range(near) for j in rows[i] if j < near}
         if not deltas <= {-1, 0, 1}:
             failures.append(f"unexpected edge increments {sorted(deltas)}")
         note = "sampled edge increments on the ball"

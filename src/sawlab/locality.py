@@ -23,7 +23,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .graphs import DEFAULT_BALL_BUDGET, Ball, BallGrowth, GraphOracle, ball, resolve_model
+from .graphs import DEFAULT_BALL_BUDGET, Ball, BallGrowth, GraphOracle, resolve_model
 from .heights import resolve_height
 from .presentations import (
     PRESENTATION_PRESETS,
@@ -73,27 +73,12 @@ def _histogram(colors: List[int]) -> Dict[int, int]:
     return out
 
 
-def ball_iso(
-    g_a: GraphOracle,
-    g_b: GraphOracle,
-    k: int,
-    max_vertices: int = DEFAULT_BALL_BUDGET,
-    convention: str = "induced",
-) -> Tuple[bool, Optional[List[Tuple[str, str]]]]:
-    """Rooted-graph isomorphism of the radius-k balls of `convention`.
+def ball_iso(ba: Ball, bb: Ball) -> Tuple[bool, Optional[List[Tuple[str, str]]]]:
+    """Rooted-graph isomorphism of two built balls (see `graphs.ball`).
 
     Returns (verdict, witness); the witness lists canonical-key pairs of
     a root-preserving bijection that preserves adjacency both ways.
     """
-    ba = ball(g_a, k, max_vertices=max_vertices, convention=convention)
-    bb = ball(g_b, k, max_vertices=max_vertices, convention=convention)
-    return _iso_balls(ba, bb)
-
-
-def _iso_balls(
-    ba: Ball, bb: Ball
-) -> Tuple[bool, Optional[List[Tuple[str, str]]]]:
-    """`ball_iso` on two built balls."""
     if ba.vertex_count() != bb.vertex_count():
         return False, None
     if len(ba.edges) != len(bb.edges):
@@ -222,7 +207,7 @@ def iso_radius(
         candidate += 1
 
     def check(r: int) -> Tuple[bool, Optional[List[Tuple[str, str]]]]:
-        return _iso_balls(ba.restrict(r, convention), bb.restrict(r, convention))
+        return ball_iso(ba.restrict(r, convention), bb.restrict(r, convention))
 
     witness = [(ba.center_key.decode(), bb.center_key.decode())]
     # Radius k is isomorphic; radius hi is not, or lies past the candidate.

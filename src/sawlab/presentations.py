@@ -205,10 +205,6 @@ def rank_exact(c: CoefficientMatrix) -> int:
     return len(c.symbols) - len(integer_kernel_basis(c).vectors)
 
 
-def betti(p: Presentation) -> int:
-    return len(integer_kernel_basis(coefficient_matrix(p)).vectors)
-
-
 def choose_ghf(p: Presentation) -> Optional[GroupHeightSpec]:
     """First primitive kernel basis vector, or None when the kernel is trivial."""
     return integer_kernel_basis(coefficient_matrix(p)).ghf()

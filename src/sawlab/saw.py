@@ -30,7 +30,7 @@ count, and every count on the oracle, scans each child's neighbors in
 its parent's loop. Errors of the oracle or the height
 propagate from the build, and a height that the BFS gives two values at
 one vertex is not well defined: the count raises HeightConflict, as
-`heights.height_table` does. A ball with more than MAX_BALL_VERTICES
+`heights.verify` does. A ball with more than MAX_BALL_VERTICES
 inner vertices is not compiled; such a count runs `_walk`, the same DFS
 over the oracle's vertex objects, which carries the height along each
 walk unchecked, unless it counts words (below). With more than one
@@ -109,7 +109,7 @@ from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ._linalg import nth_root_decimal, root_compare
-from .graphs import GraphError, GraphOracle, PGOracle
+from .graphs import GraphOracle
 from .heights import GammaHeight, HeightFunction, transport
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -953,10 +953,8 @@ def _run_iterative(
         budget = default_budget()
     if start is None:
         start = g.root
-    elif isinstance(g, PGOracle) and not (
-            len(start) == 2 and 1 <= start[0] <= g.pg.orbit_count and len(start[1]) == g.pg.dim):
-        raise GraphError(f"start {start!r} is not a vertex of {g.name}: a vertex is (o, x), "
-                         f"o in 1..{g.pg.orbit_count} and x with {g.pg.dim} coordinates")
+    else:
+        g.check_vertex(start)
     # A depth-(k+1) pass expands at most (1 + degree_bound) times the
     # nodes of the depth-k pass, so this projection never overshoots.
     degree = g.degree_bound()

@@ -787,12 +787,13 @@ def rooted_isomorphic(ball_a, ball_b) -> bool:
 
 
 def iso_radius_reference(
-    ball_iso: Callable, budget_error: type, g_a, g_b, bound: int, **options
+    ball: Callable, ball_iso: Callable, budget_error: type, g_a, g_b, bound: int, **options
 ) -> dict:
     """The locality radius by checking every radius in increasing order.
 
-    `ball_iso(g_a, g_b, r, **options)` decides one radius from scratch
-    and raises `budget_error` when a ball is too large; both come from
+    `ball(g, r, **options)` builds one radius-r ball from scratch, and
+    raises `budget_error` when it is too large; `ball_iso(ba, bb)`
+    decides whether two built balls are isomorphic. All three come from
     the caller, so this file still imports nothing from the package. The
     first failing radius ends the search. Returns the fields of an
     `IsoRadiusResult`.
@@ -802,7 +803,7 @@ def iso_radius_reference(
     k = 0
     for radius in range(1, bound + 1):
         try:
-            ok, wit = ball_iso(g_a, g_b, radius, **options)
+            ok, wit = ball_iso(ball(g_a, radius, **options), ball(g_b, radius, **options))
         except budget_error:
             return dict(k=k, at_least=True, verdicts=verdicts, witness=witness,
                         budget_hit=True)

@@ -394,21 +394,27 @@ def test_verify_budget_caps_its_ball(capsys):
     assert out == "" and "40 vertices" in err
 
 
-def test_verify_builds_one_ball(capsys, monkeypatch):
-    from sawlab import graphs
+def test_verify_expands_each_vertex_once(capsys, monkeypatch):
+    # The check reads one BFS of the radius-R ball, R = max(radius + 1, 2):
+    # `neighbors` runs once per vertex within R, and no Ball is built.
+    g = graphs.resolve_model("grandparent")
+    sizes = {r: graphs.ball(g, r).vertex_count() for r in (2, 6)}
+    expanded = []
+    neighbors = graphs.GrandparentOracle.neighbors
 
-    grown = []
-    init = graphs.BallGrowth.__init__
+    def counting_neighbors(self, v):
+        expanded.append(v)
+        return neighbors(self, v)
 
-    def counting_init(self, g, *args, **kwargs):
-        grown.append(g.name)
-        init(self, g, *args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built a Ball")
 
-    monkeypatch.setattr(graphs.BallGrowth, "__init__", counting_init)
-    for radius in ("0", "1", "5"):
-        grown.clear()
-        assert run(capsys, "verify", "--model", "grandparent", "--radius", radius)[0] == EXIT_OK
-        assert grown == ["grandparent"], radius
+    monkeypatch.setattr(graphs.GrandparentOracle, "neighbors", counting_neighbors)
+    monkeypatch.setattr(graphs.BallGrowth, "__init__", refuse)
+    for radius, top in ((0, 2), (1, 2), (5, 6)):
+        expanded.clear()
+        assert run(capsys, "verify", "--model", "grandparent", "--radius", str(radius))[0] == EXIT_OK
+        assert len(expanded) == len(set(expanded)) == sizes[top], radius
 
 
 @pytest.mark.parametrize("argv", [

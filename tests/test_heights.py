@@ -24,6 +24,7 @@ from sawlab.heights import (
     GammaHeight,
     HarmonicReport,
     HarmonicSolution,
+    HeightConflict,
     HeightError,
     HeightFunction,
     LevelHeight,
@@ -32,7 +33,6 @@ from sawlab.heights import (
     Verification,
     compute_r,
     harmonic_residuals,
-    height_table,
     increase_repair,
     repair_document,
     resolve_height,
@@ -360,7 +360,7 @@ def reference_verification(g, h, radius):
     want = oracles.reference_verify(g.neighbors, g.root, at, radius, g.canonical_key,
                                     coordinate=isinstance(h, CoordinateHeight))
     if isinstance(h, PeriodicHeight):
-        note = "exact (all orbits x translation window)"
+        note = "exact (unit translations of each orbit)"
     elif isinstance(h, CoordinateHeight):
         note = "sampled edge increments on the ball"
     else:
@@ -436,23 +436,23 @@ def test_axioms_fail_for_non_affine_periodic_height():
     g = resolve_model("zd2")
     report = verify(g, _BentPeriodicHeight(f=(0,), lam=(3, 0)), radius=2).axioms
     assert report.failures == ["difference-invariance violated at 1 translates"]
-    assert report.invariance_note == "exact (all orbits x translation window)"
+    assert report.invariance_note == "exact (unit translations of each orbit)"
     affine = verify(g, PeriodicHeight(f=(0,), lam=(3, 0)), radius=2).axioms
     assert affine.ok and affine.invariance_note == report.invariance_note
 
 
-def test_height_table_transport_conflict():
+def test_verify_refuses_a_transport_conflict():
     g = resolve_model("zd2")
     bad = GammaHeight(gamma=(("x", 1), ("X", -1), ("y", 1), ("Y", 0)))
-    with pytest.raises(HeightError):
-        height_table(g, bad, ball(g, 2))
+    with pytest.raises(HeightConflict):
+        verify(g, bad, radius=1)
 
 
-def transported(g, h, radius, convention="induced"):
-    """{vertex: height} of the kept vertices, and the heights given to the
-    edges into the vertices that are not kept."""
+def transported(g, h, radius, above=False):
+    """{vertex: height} of the vertices `transport` keeps, and the heights
+    given to the edges into the vertices that it does not keep."""
     ids, values = {}, []
-    for _ in transport(g, h, g.root, radius, ids, values, convention=convention):
+    for _ in transport(g, h, g.root, radius, ids, values, above=above):
         pass
     return {v: values[i] for v, i in ids.items()}, values[len(ids):]
 
@@ -460,28 +460,21 @@ def transported(g, h, radius, convention="induced"):
 @pytest.mark.parametrize("model,h", CANONICAL, ids=[model for model, _ in CANONICAL])
 def test_transport_equals_direct_evaluation(model, h):
     g = resolve_model(model)
-    for radius in range(5):
+    for radius in range(1, 6):
+        # Transport keeps the vertices inside the radius-`radius` shell,
+        # and carries a height along every edge into the shell.
         b = ball(g, radius)
-        direct = {v: h.at(v) for v in b.vertices}
-        assert transported(g, h, radius) == (direct, [])
-        if radius == 0:
-            continue
-        # The walk convention keeps the vertices inside the shell, and
-        # carries a height along every edge into the shell.
-        inner = {v: direct[v] for v, dist in zip(b.vertices, b.distances) if dist < radius}
+        inner = {v: h.at(v) for v, dist in zip(b.vertices, b.distances) if dist < radius}
         into_shell = sorted(h.at(w) for v in inner for w, _ in g.neighbors(v) if w not in inner)
-        kept, carried = transported(g, h, radius, "walk")
+        kept, carried = transported(g, h, radius)
         assert (kept, sorted(carried)) == (inner, into_shell), radius
 
 
 @pytest.mark.parametrize("model", ["zd2", "tree3", "heisenberg", "hexagonal", "lamplighter"])
-def test_transport_of_ghf_heights_equals_height_table(model):
+def test_transport_of_ghf_heights_equals_word_sums(model):
     g = resolve_model(model)
     spec = choose_ghf(preset_presentation(model))
-    h = GammaHeight.from_spec(spec)
-    b = ball(g, 4)
-    got, _ = transported(g, h, 4)
-    assert [got[v] for v in b.vertices] == height_table(g, h, b)
+    got, _ = transported(g, GammaHeight.from_spec(spec), 5)
     gamma = dict(zip(spec.symbols, spec.gamma))
     assert got == oracles.word_sum_heights(g.neighbors, g.root, gamma, 4)
 
@@ -491,10 +484,8 @@ def assert_walk_carries_transported_heights(g, h, n):
     `transport(above=True)` gives it on the radius-n ball above the root,
     and the running maximum of its path; and those ends are the ball's
     vertices other than the root."""
-    ids, values = {}, []
-    for _ in transport(g, h, g.root, n, ids, values, above=True, convention="induced"):
-        pass
-    relative = {v: values[i] - values[0] for v, i in ids.items()}
+    kept, _ = transported(g, h, n + 1, above=True)
+    relative = {v: hv - kept[g.root] for v, hv in kept.items()}
     reached = set()
     for length in range(1, n + 1):
         ends = []
@@ -503,7 +494,7 @@ def assert_walk_carries_transported_heights(g, h, n):
             assert hw == relative[path[-1]], path
             assert top == max(relative[v] for v in path[:-1]), path
             reached.add(path[-1])
-    assert reached == set(ids) - {g.root}
+    assert reached == set(kept) - {g.root}
 
 
 @pytest.mark.parametrize("model", ["tree3", "heisenberg", "lamplighter"])

@@ -72,7 +72,7 @@ def test_ball_iso_matches_reference_matcher():
     }
     for name_a, name_b in pairs:
         for k in (1, 2, 3):
-            got, _ = ball_iso(resolve_model(name_a), resolve_model(name_b), k)
+            got, _ = ball_iso(ball(resolve_model(name_a), k), ball(resolve_model(name_b), k))
             want = oracles.rooted_isomorphic(
                 oracles.coordinate_ball(nbr[name_a], (0, 0), k),
                 oracles.coordinate_ball(nbr[name_b], (0, 0), k),
@@ -85,10 +85,8 @@ def test_walk_ball_iso_matches_reference_matcher():
     for m in range(4, 10):
         cyl = oracles.cylinder_neighbors(m)
         for k in range(1, 6):
-            got, _ = ball_iso(
-                resolve_model("zd2"), resolve_model(f"cylinder{m}"), k,
-                convention="walk",
-            )
+            got, _ = ball_iso(ball(resolve_model("zd2"), k, convention="walk"),
+                              ball(resolve_model(f"cylinder{m}"), k, convention="walk"))
             want = oracles.rooted_isomorphic(
                 oracles.walk_filtered(oracles.coordinate_ball(zd2, (0, 0), k), k),
                 oracles.walk_filtered(oracles.coordinate_ball(cyl, (0, 0), k), k),
@@ -99,10 +97,10 @@ def test_walk_ball_iso_matches_reference_matcher():
 def test_witness_is_a_distance_preserving_isomorphism():
     g_a = resolve_model("zd2")
     g_b = resolve_model("cylinder8")
-    ok, wit = ball_iso(g_a, g_b, 3)
-    assert ok
     ball_a = ball(g_a, 3)
     ball_b = ball(g_b, 3)
+    ok, wit = ball_iso(ball_a, ball_b)
+    assert ok
     idx_a = {key.decode(): i for i, key in enumerate(ball_a.keys)}
     idx_b = {key.decode(): i for i, key in enumerate(ball_b.keys)}
     assert len(wit) == ball_a.vertex_count() == ball_b.vertex_count()
@@ -122,8 +120,9 @@ def test_ball_iso_backtracks_without_recursion():
     # The radius-10 ball of Z^3 has 1561 vertices, more than the default
     # recursion limit; the backtracking keeps its own stack.
     g = resolve_model("zd3")
-    ok, wit = ball_iso(g, g, 10)
-    assert ok and len(wit) == ball(g, 10).vertex_count() == 1561
+    b = ball(g, 10)
+    ok, wit = ball_iso(b, b)
+    assert ok and len(wit) == b.vertex_count() == 1561
     assert iso_radius(g, g, 10).k == 10
 
 
@@ -233,7 +232,7 @@ def test_ball_iso_budget():
     from sawlab.graphs import BudgetExceeded
 
     with pytest.raises(BudgetExceeded):
-        ball_iso(resolve_model("zd2"), resolve_model("zd2"), 4, max_vertices=10)
+        ball(resolve_model("zd2"), 4, max_vertices=10)
     res = iso_radius(resolve_model("zd2"), resolve_model("zd2"), 6, max_vertices=30)
     assert res.budget_hit and res.at_least and res.k < 6
     assert res.display() == f">= {res.k}"
@@ -304,7 +303,7 @@ def test_iso_radius_matches_ascending_loop(pair, convention):
             if cap is not None:
                 options["max_vertices"] = cap
             want = oracles.iso_radius_reference(
-                ball_iso, BudgetExceeded, g_a, g_b, bound, **options
+                ball, ball_iso, BudgetExceeded, g_a, g_b, bound, **options
             )
             res = iso_radius(g_a, g_b, bound, **options)
             got = dict(k=res.k, at_least=res.at_least, verdicts=res.verdicts,
@@ -321,7 +320,7 @@ def test_iso_radius_grows_once_and_bisects(monkeypatch):
     growths = []
     checks = []
     init = graphs.BallGrowth.__init__
-    iso_balls = locality._iso_balls
+    iso_balls = locality.ball_iso
 
     def counting_init(self, g, *args, **kwargs):
         growths.append(g.name)
@@ -332,7 +331,7 @@ def test_iso_radius_grows_once_and_bisects(monkeypatch):
         return iso_balls(ba, bb)
 
     monkeypatch.setattr(graphs.BallGrowth, "__init__", counting_init)
-    monkeypatch.setattr(locality, "_iso_balls", counting_iso)
+    monkeypatch.setattr(locality, "ball_iso", counting_iso)
     most = 0
     for pair in ISO_PAIRS + [("zd2", "cylinder7"), ("cylinder7", "ladder_dihedral7")]:
         g_a, g_b = (_model(name) for name in pair)
@@ -367,8 +366,8 @@ def test_iso_radius_matches_ascending_loop_on_random_covers(doc_a, doc_b, bound,
 
     g_a, g_b = (PGOracle(periodic_graph_from_document(doc)) for doc in (doc_a, doc_b))
     want = oracles.iso_radius_reference(
-        ball_iso, BudgetExceeded, g_a, g_b, bound, convention=convention)
-    with mock.patch.object(locality, "_iso_balls", wraps=locality._iso_balls) as checks:
+        ball, ball_iso, BudgetExceeded, g_a, g_b, bound, convention=convention)
+    with mock.patch.object(locality, "ball_iso", wraps=locality.ball_iso) as checks:
         res = iso_radius(g_a, g_b, bound, convention=convention)
     # One check is the candidate radius; more are the bisection below it.
     event("bisected" if checks.call_count > 1 else "no bisection")

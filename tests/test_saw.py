@@ -33,7 +33,7 @@ from sawlab.heights import (
     HeightFunction,
     LevelHeight,
     PeriodicHeight,
-    height_table,
+    transport,
     verify,
 )
 from sawlab.saw import (
@@ -232,6 +232,19 @@ def test_start_off_the_cover_is_named_before_any_ball(monkeypatch, start):
             count()
 
 
+@pytest.mark.parametrize("model,start", [
+    ("tree3", -1),           # a negative int
+    ("tree3", 4),            # base 4 "10": a digit 0 is no letter
+    ("heisenberg", (0, 0)),  # two coordinates of three
+    ("lamplighter", (1,)),   # no marker position
+    ("grandparent", (0, 5)),  # a level and no word
+], ids=repr)
+def test_start_off_a_catalog_oracle_is_named(model, start):
+    g = resolve_model(model)
+    with pytest.raises(GraphError, match=re.escape(f"{start!r} is not a vertex of {model}")):
+        count_saws(g, 3, start=start)
+
+
 # (model, n, sigma nodes_used, b nodes_used, budget-5000 (high_water,
 # nodes_used) for sigma, then for b), b under the model's default height.
 # The budget projection rests on these node counts.
@@ -347,7 +360,7 @@ def test_kernel_matches_brute_force_on_random_voltage_covers(doc, n):
 def test_step_height_conflict_raises():
     # Every step raises the transported height by 1, so a vertex reached
     # by walks of different lengths gets different heights: the height is
-    # not well defined, and the count refuses it as `height_table` does.
+    # not well defined, and the count refuses it as `verify` does.
     g = resolve_model("zd2")
     up = GammaHeight(gamma=(("x", 1), ("X", 1), ("y", 1), ("Y", 1)))
     with pytest.raises(HeightError, match="conflict"):
@@ -355,9 +368,7 @@ def test_step_height_conflict_raises():
     for threads in (1, 2):
         with pytest.raises(HeightError, match="conflict"):
             count_bridges(g, up, 6, threads=threads)
-    # The other consumers of `heights.transport` find the same conflict.
-    with pytest.raises(HeightConflict):
-        height_table(g, up, ball(g, 2))
+    # The other consumer of `heights.transport` finds the same conflict.
     with pytest.raises(HeightConflict):
         verify(g, up, radius=2)
 
@@ -431,8 +442,10 @@ def test_one_pass_tables_equal_iterative_reference(model, n, monkeypatch):
     monkeypatch.delenv("SAWLAB_BUDGET", raising=False)
     g = resolve_model(model)
     h = resolve_height(g, None)
-    b = ball(g, n)
-    height = dict(zip(b.vertices, height_table(g, h, b))).__getitem__
+    ids, values = {}, []
+    for _ in transport(g, h, g.root, n + 1, ids, values):
+        pass
+    height = {v: values[i] for v, i in ids.items()}.__getitem__
     nbrs = lambda v: [w for w, _ in g.neighbors(v)]
     factor = 1 + g.degree_bound()
     # Every node a walker enters, in this process or in a pool worker.

@@ -20,23 +20,31 @@ UNUSED_BY_THE_PACKAGE = {
 }
 
 
+def _references(node: ast.AST) -> set:
+    """The names `node` refers to in code: variables, attributes and
+    imports. Docstrings, comments and strings are not code."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rpartition(".")[2] for alias in sub.names)
+    return names
+
+
 def test_every_public_name_is_used_by_the_package():
-    # A name counts as used if it appears as a word anywhere in src/sawlab
-    # outside its own definition and outside __init__.py, which only
-    # re-exports. A function or class that only the tests call fails.
-    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
-    unused = set()
-    for module, text in sources.items():
-        lines = text.splitlines(keepends=True)
-        for node in ast.parse(text).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            rest = "".join(lines[:first - 1] + lines[node.end_lineno:])
-            word = re.compile(rf"\b{node.name}\b")
-            others = (t for m, t in sources.items() if m != module)
-            if not any(word.search(t) for t in (rest, *others)):
-                unused.add(node.name)
+    # A name counts as used if code in src/sawlab refers to it outside its
+    # own definition and outside __init__.py, which only re-exports. A
+    # function or class that only the tests call fails.
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    statements = [(node, _references(node)) for tree in trees for node in tree.body]
+    unused = {
+        node.name for node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and not any(node.name in names for other, names in statements if other is not node)
+    }
     assert unused == set(UNUSED_BY_THE_PACKAGE)
 
 
