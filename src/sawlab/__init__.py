@@ -1,19 +1,14 @@
 """Exact-arithmetic laboratory for self-avoiding walks and height
 functions on Cayley graphs and periodic graphs."""
 
+from ._linalg import integer_kernel
 from .presentations import (
-    CoefficientMatrix,
-    GroupHeightSpec,
-    KernelBasis,
     Presentation,
     PresentationError,
     choose_ghf,
     coefficient_matrix,
-    d_of_ghf,
-    integer_kernel_basis,
     parse_presentation,
     preset_presentation,
-    rank_exact,
     PRESENTATION_PRESETS,
 )
 from .graphs import (

@@ -29,6 +29,7 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import graphs, heights, locality, presentations, saw
+from ._linalg import integer_kernel
 from .graphs import BudgetExceeded, GraphError
 from .heights import HeightError, HeightFunction, RepairExhausted
 from .presentations import PresentationError
@@ -112,33 +113,31 @@ def cmd_ghf(args) -> int:
     else:
         pres = presentations.preset_presentation(args.model)
         label = args.model
-    c = presentations.coefficient_matrix(pres)
-    basis = presentations.integer_kernel_basis(c)
-    spec = basis.ghf()
-    exists = spec is not None
-    rank = len(c.symbols) - len(basis.vectors)
+    rows = presentations.coefficient_matrix(pres)
+    kernel = integer_kernel(rows, len(pres.generators))
+    gamma = presentations.choose_ghf(kernel)
+    exists = gamma is not None
+    rank = len(pres.generators) - len(kernel)
     doc = {
         "presentation": label,
         "generators": len(pres.generators),
-        "relators": len(c.rows),
+        "relators": len(rows),
         "rank": rank,
-        "betti": len(basis.vectors),
+        "betti": len(kernel),
         "exists": exists,
-        "symbols": list(c.symbols),
-        "kernel_basis": [list(v) for v in basis.vectors],
-        "gamma": list(spec.gamma) if exists else None,
-        "d": presentations.d_of_ghf(spec) if exists else None,
+        "symbols": list(pres.generators),
+        "kernel_basis": [list(v) for v in kernel],
+        "gamma": list(gamma) if exists else None,
+        "d": max(map(abs, gamma)) if exists else None,
     }
     lines = [
         f"presentation: {label}",
         f"|S| = {doc['generators']}, |R| = {doc['relators']} "
-        f"(coefficient rows: {len(c.rows)})",
+        f"(coefficient rows: {len(rows)})",
         f"rank(C) = {rank}, Betti = {doc['betti']}",
     ]
     if exists:
-        gamma_str = ", ".join(
-            f"{s}:{v}" for s, v in zip(c.symbols, spec.gamma)
-        )
+        gamma_str = ", ".join(f"{s}:{v}" for s, v in zip(pres.generators, gamma))
         lines.append(f"height exists: gamma = ({gamma_str}), d = {doc['d']}")
     else:
         lines.append("no group height function (rank(C) = |S|)")

@@ -813,30 +813,26 @@ class BallGrowth:
         self.layer_sizes.append(len(nxt))
         return True
 
-    def ball(self, convention: str = "induced") -> Ball:
-        """The grown ball, of radius `radius`, under `convention`."""
-        _check_convention(convention)
-        g, dist, k = self.g, self._dist, self.radius
+    def ball(self) -> Ball:
+        """The grown ball, of radius `radius`, with every edge between its
+        vertices (`Ball.restrict` cuts the walk ball from it)."""
+        g, dist = self.g, self._dist
         key_of = {v: g.canonical_key(v) for v in self._order}
         verts = sorted(self._order, key=lambda v: (dist[v], key_of[v]))
         index = {v: i for i, v in enumerate(verts)}
-        drop_shell = convention == "walk"
         edges = set()
-        for v in verts:
-            i = index[v]
-            on_shell = drop_shell and dist[v] == k
+        for i, v in enumerate(verts):
             for w, _label in g.neighbors(v):
                 j = index.get(w)
-                if j is not None and j != i and not (on_shell and dist[w] == k):
+                if j is not None and j != i:
                     edges.add((i, j) if i < j else (j, i))
         return Ball(
             center_key=key_of[g.root],
-            radius=k,
+            radius=self.radius,
             vertices=verts,
             keys=[key_of[v] for v in verts],
             distances=[dist[v] for v in verts],
             edges=sorted(edges),
-            convention=convention,
         )
 
 
@@ -860,4 +856,4 @@ def ball(
     while growth.radius < k:
         if not growth.grow():
             raise BudgetExceeded(f"ball({g.name}, {k}) exceeds {max_vertices} vertices")
-    return growth.ball(convention)
+    return growth.ball().restrict(k, convention)

@@ -26,7 +26,7 @@ from math import lcm
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ._linalg import solve_unique
+from ._linalg import integer_kernel, solve_unique
 from .graphs import (
     DEFAULT_BALL_BUDGET,
     BudgetExceeded,
@@ -35,7 +35,7 @@ from .graphs import (
     PeriodicGraph,
     PGOracle,
 )
-from .presentations import choose_ghf, preset_presentation
+from .presentations import choose_ghf, coefficient_matrix, preset_presentation
 
 
 class HeightError(ValueError):
@@ -114,11 +114,7 @@ class GammaHeight(HeightFunction):
     """Word-sum height from a kernel vector, transported along edge labels."""
 
     gamma: Tuple[Tuple[str, int], ...]
-    height_name: str = "ghf"
-
-    @property
-    def name(self) -> str:
-        return self.height_name
+    name = "ghf"
 
     def __post_init__(self):
         # The first entry of a symbol wins, as in a scan of `gamma`.
@@ -132,13 +128,6 @@ class GammaHeight(HeightFunction):
 
     def origin(self, v) -> int:
         return 0
-
-    @staticmethod
-    def from_spec(spec) -> "GammaHeight":
-        return GammaHeight(
-            gamma=tuple(zip(spec.symbols, spec.gamma)),
-            height_name="ghf",
-        )
 
 
 @dataclass(frozen=True)
@@ -434,10 +423,11 @@ def resolve_height(g: GraphOracle, name: Optional[str] = None) -> HeightFunction
     if name == "level":
         return LevelHeight()
     if name == "ghf":
-        spec = choose_ghf(preset_presentation(g.name))
-        if spec is None:
+        p = preset_presentation(g.name)
+        gamma = choose_ghf(integer_kernel(coefficient_matrix(p), len(p.generators)))
+        if gamma is None:
             raise HeightError(f"presentation {g.name!r} admits no such height")
-        return GammaHeight.from_spec(spec)
+        return GammaHeight(tuple(zip(p.generators, gamma)))
     if name == "repaired":
         raise HeightError("repaired heights require a periodic-graph model")
     raise HeightError(f"unknown height {name!r}")

@@ -21,16 +21,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graphs import DEFAULT_BALL_BUDGET, Ball, BallGrowth, GraphOracle, resolve_model
 from .heights import resolve_height
-from .presentations import (
-    PRESENTATION_PRESETS,
-    coefficient_matrix,
-    preset_presentation,
-    rank_exact,
-)
+from ._linalg import integer_kernel
+from .presentations import PRESENTATION_PRESETS, coefficient_matrix, preset_presentation
 from .saw import CountTable, count_bridges, count_saws, mu_bounds
 
 
@@ -356,7 +352,7 @@ def count_agreement(
 
 def locality_scan(
     g: GraphOracle,
-    family: Union[str, Callable[[int], GraphOracle]],
+    family: str,
     n_max: int,
     m_list: Sequence[int],
     bound: Optional[int] = None,
@@ -367,36 +363,29 @@ def locality_scan(
 ) -> ScanReport:
     """Per-m locality report for a quotient family.
 
-    For each m: K(G, G_m) with balls of `convention`; sigma and bridge
-    tables on both sides; verification that counts agree for every
-    n <= K (zero discrepancies expected: an n-step walk from the root
-    lies inside S_n); and the member's bound pair, which stabilizes to
-    the base one as m grows. Bridges use each model's own default height.
+    `family` names the models G_m = resolve_model(f"{family}{m}"), such
+    as "cylinder". For each m: K(G, G_m) with balls of `convention`;
+    sigma and bridge tables on both sides; verification that counts
+    agree for every n <= K (zero discrepancies expected: an n-step walk
+    from the root lies inside S_n); and the member's bound pair, which
+    stabilizes to the base one as m grows. Bridges use each model's own default height.
     A base model named after a presentation preset also gets the rank
     precondition of that presentation.
     """
-    if isinstance(family, str):
-        family_name = family
-
-        def family_fn(m: int) -> GraphOracle:
-            return resolve_model(f"{family}{m}")
-
-    else:
-        family_name = getattr(family, "__name__", "family")
-        family_fn = family
     if bound is None:
         bound = n_max
 
     rank_precondition = None
     if g.name in PRESENTATION_PRESETS:
         pres = preset_presentation(g.name)
-        rank = rank_exact(coefficient_matrix(pres))
+        n_gen = len(pres.generators)
+        rank = n_gen - len(integer_kernel(coefficient_matrix(pres), n_gen))
         rank_precondition = {
             "presentation": g.name,
             "rank": rank,
-            "generators": len(pres.generators),
-            "required": f"rank < {len(pres.generators) - 1}",
-            "satisfied": rank < len(pres.generators) - 1,
+            "generators": n_gen,
+            "required": f"rank < {n_gen - 1}",
+            "satisfied": rank < n_gen - 1,
         }
 
     base_sigma = count_saws(g, n_max, threads=threads, budget=budget)
@@ -408,7 +397,7 @@ def locality_scan(
 
     records: List[ScanRecord] = []
     for m in m_list:
-        member = family_fn(m)
+        member = resolve_model(f"{family}{m}")
         iso = iso_radius(g, member, bound, convention=convention)
         member_sigma = count_saws(member, n_max, threads=threads, budget=budget)
         member_bridge = count_bridges(
@@ -436,7 +425,7 @@ def locality_scan(
 
     return ScanReport(
         base_model=g.name,
-        family=family_name,
+        family=family,
         n_max=n_max,
         bound=bound,
         rank_precondition=rank_precondition,

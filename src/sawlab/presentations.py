@@ -3,8 +3,9 @@
 A presentation lists generator symbols (inverses are separate symbols,
 possibly self-paired for involutions), plain relator words, and
 optionally affine families of relators whose letter counts are
-u0 + n*u1 for n >= 0. The coefficient matrix of letter counts decides,
-through its rank and integer kernel, whether the word-length height
+u0 + n*u1 for n >= 0. The coefficient matrix of letter counts, one row
+per relation (each inverse pair s S = 1 included), decides through its
+rank and integer kernel whether the word-length height
 h(v) = sum of gamma over the letters of any word for v is well defined
 on the whole group. `heights.verify` checks a chosen gamma on a ball of
 a model's Cayley graph: it raises `HeightConflict` when a vertex gets
@@ -15,9 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from ._linalg import integer_kernel
 from .graphs import model_name
 
 
@@ -79,50 +79,6 @@ class Presentation:
         return {s: i for i, s in enumerate(self.generators)}
 
 
-@dataclass(frozen=True)
-class CoefficientMatrix:
-    """One letter-count row per relator, then (u0, u1) per family."""
-
-    rows: Tuple[Tuple[int, ...], ...]
-    symbols: Tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        for r in self.rows:
-            if len(r) != len(self.symbols):
-                raise PresentationError("coefficient row length != |S|")
-            if any(x < 0 for x in r):
-                raise PresentationError("negative letter count")
-
-
-@dataclass(frozen=True)
-class KernelBasis:
-    """The primitive integer kernel basis of a coefficient matrix C. Its
-    length is the Betti number |S| - rank(C)."""
-
-    vectors: Tuple[Tuple[int, ...], ...]
-    symbols: Tuple[str, ...]
-
-    def ghf(self) -> Optional[GroupHeightSpec]:
-        """The first basis vector as a height, None for a trivial kernel."""
-        if not self.vectors:
-            return None
-        return GroupHeightSpec(gamma=self.vectors[0], symbols=self.symbols)
-
-
-@dataclass(frozen=True)
-class GroupHeightSpec:
-    """An integer kernel vector gamma, indexed like the generator list."""
-
-    gamma: Tuple[int, ...]
-    symbols: Tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.gamma) != len(self.symbols):
-            raise PresentationError("gamma length != |S|")
-        if all(g == 0 for g in self.gamma):
-            raise PresentationError("gamma must be non-zero")
-
-
 def parse_presentation(text: str | dict) -> Presentation:
     """Parse a presentation document (JSON text or already-loaded dict)."""
     if isinstance(text, str):
@@ -180,39 +136,33 @@ def parse_presentation(text: str | dict) -> Presentation:
     )
 
 
-def coefficient_matrix(p: Presentation) -> CoefficientMatrix:
+def coefficient_matrix(p: Presentation) -> Tuple[Tuple[int, ...], ...]:
+    """The letter-count rows C: one per relator, (u0, u1) per family, then
+    one per inverse pair (s, S) that no row lists yet, since s S = 1 is a
+    relation too (2 e_s for an involution s). `_linalg.integer_kernel(C,
+    |S|)` is their kernel: rank(C) = |S| - its length, the Betti number."""
     idx = p.symbol_index()
-    rows: List[Tuple[int, ...]] = []
-    for word in p.relators:
-        counts = [0] * len(p.generators)
+
+    def counts(word: Tuple[str, ...]) -> Tuple[int, ...]:
+        row = [0] * len(p.generators)
         for s in word:
-            counts[idx[s]] += 1
-        rows.append(tuple(counts))
+            row[idx[s]] += 1
+        return tuple(row)
+
+    rows = [counts(word) for word in p.relators]
     for fam in p.relator_families:
-        rows.append(fam.u0)
-        rows.append(fam.u1)
-    return CoefficientMatrix(rows=tuple(rows), symbols=p.generators)
+        rows += [fam.u0, fam.u1]
+    for pair in p.inverse_pairs:
+        row = counts(pair)
+        if row not in rows:
+            rows.append(row)
+    return tuple(rows)
 
 
-def integer_kernel_basis(c: CoefficientMatrix) -> KernelBasis:
-    """The kernel of C, from one reduction; rank, Betti number and the
-    chosen height are all read from it."""
-    vectors = integer_kernel(c.rows, len(c.symbols))
-    return KernelBasis(vectors=tuple(vectors), symbols=c.symbols)
-
-
-def rank_exact(c: CoefficientMatrix) -> int:
-    return len(c.symbols) - len(integer_kernel_basis(c).vectors)
-
-
-def choose_ghf(p: Presentation) -> Optional[GroupHeightSpec]:
-    """First primitive kernel basis vector, or None when the kernel is trivial."""
-    return integer_kernel_basis(coefficient_matrix(p)).ghf()
-
-
-def d_of_ghf(spec: GroupHeightSpec) -> int:
-    """max |h(u) - h(v)| over the edges of the Cayley graph: max |gamma|."""
-    return max(map(abs, spec.gamma))
+def choose_ghf(kernel: Sequence[Tuple[int, ...]]) -> Optional[Tuple[int, ...]]:
+    """gamma: the first vector of a kernel basis of C, or None when the
+    kernel is trivial and no group height function exists."""
+    return kernel[0] if kernel else None
 
 
 # ---------------------------------------------------------------------------

@@ -626,6 +626,24 @@ def test_ghf_d_is_the_largest_absolute_increment(capsys, tmp_path):
     assert "height exists: gamma = (a:1, b:-3), d = 3" in out
 
 
+@pytest.mark.parametrize("doc,betti,gamma", [
+    # a A = 1 forces gamma(A) = -gamma(a): (a:1, A:0) is no height.
+    ({"generators": ["a", "A"], "inverse_pairs": [["a", "A"]]}, 1, [1, -1]),
+    # Z^2 has Betti number 2, not the 3 of its one relator row.
+    ({"generators": ["a", "A", "b", "B"], "inverse_pairs": [["a", "A"], ["b", "B"]],
+      "relators": ["a b A B"]}, 2, [1, -1, 0, 0]),
+], ids=["free_cyclic", "z2"])
+def test_ghf_counts_inverse_pairs_as_relations(capsys, tmp_path, doc, betti, gamma):
+    source, target = tmp_path / "presentation.json", tmp_path / "ghf.json"
+    source.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "ghf", "--input", str(source), "--format", "json",
+                         "--output", str(target))
+    assert code == EXIT_OK, err
+    got = json.loads(target.read_text())
+    assert (got["betti"], got["gamma"], got["d"]) == (betti, gamma, 1)
+    assert got["rank"] == len(doc["generators"]) - betti
+
+
 def test_ghf_reduces_its_coefficient_matrix_once(capsys, monkeypatch):
     reductions = []
     rref = _linalg.rref

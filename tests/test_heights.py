@@ -40,7 +40,6 @@ from sawlab.heights import (
     transport,
     verify,
 )
-from sawlab.presentations import choose_ghf, preset_presentation
 from sawlab.saw import _walk
 from test_saw import voltage_documents
 
@@ -330,9 +329,7 @@ def test_axioms_pass_for_canonical_heights():
 def test_axioms_pass_for_ghf_heights():
     for name in ("zd2", "tree3", "heisenberg", "hexagonal", "lamplighter"):
         g = resolve_model(name)
-        spec = choose_ghf(preset_presentation(name))
-        h = GammaHeight.from_spec(spec)
-        report, hr, _ = verify(g, h, radius=3)
+        report, hr, _ = verify(g, resolve_height(g, "ghf"), radius=3)
         assert report.ok, (name, report.failures)
         assert hr.all_zero and hr.uniform_defect == 0, name
 
@@ -388,7 +385,7 @@ COORDINATE_JUMP = {"orbits": 3, "dim": 1, "edges": [
     [1, 1, [1]], [1, 2, [0]], [2, 3, [-1]], [2, 3, [1]], [3, 3, [2]]]}
 
 VERIFY_CASES = CANONICAL + [
-    (name, GammaHeight.from_spec(choose_ghf(preset_presentation(name))))
+    (name, resolve_height(resolve_model(name), "ghf"))
     for name in ("tree3", "heisenberg", "lamplighter")
 ] + [("zd1", AbsHeight()), ("zd1", ShiftedHeight()), ("zd1", CubeHeight()),
      ("hexagonal", resolve_height(resolve_model("hexagonal"))),
@@ -473,10 +470,9 @@ def test_transport_equals_direct_evaluation(model, h):
 @pytest.mark.parametrize("model", ["zd2", "tree3", "heisenberg", "hexagonal", "lamplighter"])
 def test_transport_of_ghf_heights_equals_word_sums(model):
     g = resolve_model(model)
-    spec = choose_ghf(preset_presentation(model))
-    got, _ = transported(g, GammaHeight.from_spec(spec), 5)
-    gamma = dict(zip(spec.symbols, spec.gamma))
-    assert got == oracles.word_sum_heights(g.neighbors, g.root, gamma, 4)
+    h = resolve_height(g, "ghf")
+    got, _ = transported(g, h, 5)
+    assert got == oracles.word_sum_heights(g.neighbors, g.root, dict(h.gamma), 4)
 
 
 def assert_walk_carries_transported_heights(g, h, n):
@@ -500,8 +496,7 @@ def assert_walk_carries_transported_heights(g, h, n):
 @pytest.mark.parametrize("model", ["tree3", "heisenberg", "lamplighter"])
 def test_walk_carries_word_sum_heights_as_transport_does(model):
     g = resolve_model(model)
-    h = GammaHeight.from_spec(choose_ghf(preset_presentation(model)))
-    assert_walk_carries_transported_heights(g, h, 6)
+    assert_walk_carries_transported_heights(g, resolve_height(g, "ghf"), 6)
 
 
 @settings(max_examples=40, deadline=5000)
@@ -543,8 +538,7 @@ def test_d_values():
     so = resolve_model("square_octagon")
     assert d(so, increase_repair(so.pg)) == 2
     hx = resolve_model("hexagonal")
-    spec = choose_ghf(preset_presentation("hexagonal"))
-    assert d(hx, GammaHeight.from_spec(spec)) == 1
+    assert d(hx, resolve_height(hx, "ghf")) == 1
     assert d(hx, increase_repair(hx.pg)) == 2
 
 
@@ -573,9 +567,8 @@ def test_compute_r_values():
 
 def test_compute_r_matches_brute_force_at_any_representative():
     hx = resolve_model("hexagonal")
-    spec = choose_ghf(preset_presentation("hexagonal"))
-    gamma = dict(zip(spec.symbols, spec.gamma))
-    ghf = GammaHeight.from_spec(spec)
+    ghf = resolve_height(hx, "ghf")
+    gamma = dict(ghf.gamma)
 
     def word_sum_r(reps, bound):
         return oracles.brute_compute_r(hx.neighbors, reps, hx.orbit_label, bound,

@@ -219,12 +219,9 @@ def test_scan_serialization():
     assert stamped["generated_at"] == "T"
 
 
-def test_scan_accepts_callable_family():
-    fam = lambda m: resolve_model(f"cylinder{m}")
-    rep = locality_scan(resolve_model("zd2"), fam, n_max=3, m_list=[5])
-    assert rep.records[0].k == 1
-    # A base model that is no presentation preset has no precondition.
-    rep = locality_scan(resolve_model("cylinder9"), fam, n_max=3, m_list=[5])
+def test_scan_of_a_base_that_is_no_preset_has_no_rank_precondition():
+    rep = locality_scan(resolve_model("cylinder9"), "cylinder", n_max=3, m_list=[5])
+    assert rep.family == "cylinder" and rep.records[0].k == 1
     assert rep.rank_precondition is None
 
 

@@ -1,22 +1,21 @@
 """Presentations, coefficient matrices, kernel heights, and the preset
 verdict table."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sawlab._linalg import integer_kernel
 from sawlab.presentations import (
-    GroupHeightSpec,
     ParamRelatorFamily,
     PresentationError,
     PRESENTATION_PRESETS,
     choose_ghf,
     coefficient_matrix,
-    d_of_ghf,
-    integer_kernel_basis,
     parse_presentation,
     preset_presentation,
-    rank_exact,
 )
 from sawlab.graphs import resolve_model
 from sawlab.heights import GammaHeight, HeightConflict, HeightError, verify
@@ -83,23 +82,80 @@ def test_parse_rejects_wrong_typed_fields(fields):
         parse_presentation(doc)
 
 
+def kernel(p):
+    return integer_kernel(coefficient_matrix(p), len(p.generators))
+
+
 def test_coefficient_matrix_counts_letters():
     p = preset_presentation("tree3")
-    c = coefficient_matrix(p)
-    assert c.symbols == ("s1", "s2", "t")
-    assert c.rows == ((1, 0, 1), (0, 2, 0))
+    assert p.generators == ("s1", "s2", "t")
+    assert coefficient_matrix(p) == ((1, 0, 1), (0, 2, 0))
 
 
 def test_family_rows_lamplighter():
     p = preset_presentation("lamplighter")
-    c = coefficient_matrix(p)
+    rows = coefficient_matrix(p)
     # relators a a, t u then the parametrized family u0/u1 rows
-    assert c.rows[0] == (2, 0, 0)
-    assert c.rows[1] == (0, 1, 1)
-    assert (4, 0, 0) in c.rows
-    assert (0, 2, 2) in c.rows
-    assert rank_exact(c) == 2
-    assert len(integer_kernel_basis(c).vectors) == 1
+    assert rows == ((2, 0, 0), (0, 1, 1), (4, 0, 0), (0, 2, 2))
+    assert len(kernel(p)) == 1  # rank 2 of |S| = 3
+
+
+def test_inverse_pairs_are_relations():
+    # s S = 1 is a relation: its row e_s + e_S joins the relator rows, and
+    # an involution s = S gives 2 e_s.
+    p = parse_presentation({"generators": ["a", "A", "b"],
+                            "inverse_pairs": [["a", "A"], ["b", "b"]]})
+    assert coefficient_matrix(p) == ((1, 1, 0), (0, 0, 2))
+    assert kernel(p) == [(1, -1, 0)]
+
+
+def test_every_preset_lists_its_inverse_pair_rows():
+    # So the pair rows add nothing to a preset: its rows, rank, kernel and
+    # every `ghf --model` artifact stay as they were.
+    for name in PRESENTATION_PRESETS:
+        p = preset_presentation(name)
+        unpaired = dataclasses.replace(p, inverse_pairs=())
+        assert coefficient_matrix(p) == coefficient_matrix(unpaired), name
+
+
+@st.composite
+def small_presentations(draw):
+    """Up to five generators, some paired (an involution pairs a symbol
+    with itself), up to four relator words and at most one family."""
+    gens = [f"g{i}" for i in range(draw(st.integers(1, 5)))]
+    order = draw(st.permutations(gens))
+    pairs = []
+    while order:
+        if len(order) > 1 and draw(st.booleans()):
+            pairs.append(order[:2])
+            order = order[2:]
+        else:
+            if draw(st.booleans()):
+                pairs.append([order[0], order[0]])
+            order = order[1:]
+    words = st.lists(st.sampled_from(gens), min_size=1, max_size=5).map(" ".join)
+    counts = st.dictionaries(st.sampled_from(gens), st.integers(0, 3))
+    return parse_presentation({
+        "generators": gens,
+        "inverse_pairs": pairs,
+        "relators": draw(st.lists(words, max_size=4)),
+        "relator_families": draw(st.lists(st.fixed_dictionaries({"u0": counts, "u1": counts}),
+                                          max_size=1)),
+    })
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_presentations())
+def test_kernel_vectors_vanish_on_every_relation(p):
+    rows = coefficient_matrix(p)
+    basis = kernel(p)
+    idx = p.symbol_index()
+    for v in basis:
+        assert all(sum(map(int.__mul__, v, row)) == 0 for row in rows), v
+    gamma = choose_ghf(basis)
+    assert (gamma is None) is (not basis)
+    for s, inverse in p.inverse_pairs:
+        assert gamma is None or gamma[idx[inverse]] == -gamma[idx[s]]
 
 
 VERDICTS = {
@@ -121,11 +177,10 @@ def test_preset_verdict_table():
     assert set(VERDICTS) == set(PRESENTATION_PRESETS)
     for name, (n_gen, rank, exists) in VERDICTS.items():
         p = preset_presentation(name)
-        c = coefficient_matrix(p)
+        basis = kernel(p)
         assert len(p.generators) == n_gen, name
-        assert rank_exact(c) == rank, name
-        assert (choose_ghf(p) is not None) is exists, name
-        assert len(integer_kernel_basis(c).vectors) == n_gen - rank, name
+        assert len(basis) == n_gen - rank, name
+        assert (choose_ghf(basis) is not None) is exists, name
 
 
 def test_square_octagon_shape():
@@ -136,7 +191,7 @@ def test_square_octagon_shape():
 
 def test_kernel_bases_frozen():
     got = {
-        name: integer_kernel_basis(coefficient_matrix(preset_presentation(name))).vectors
+        name: tuple(kernel(preset_presentation(name)))
         for name in VERDICTS
     }
     assert got["zd2"] == ((1, 0, 1, 0), (0, 1, 0, 1)) or got["zd2"] == (
@@ -154,30 +209,20 @@ def test_kernel_bases_frozen():
     assert len(got["zd3"]) == 3
 
 
-def test_choose_ghf_and_d():
-    spec = choose_ghf(preset_presentation("hexagonal"))
-    assert spec is not None
-    assert spec.gamma == (0, 1, -1)
-    assert d_of_ghf(spec) == 1
-    assert choose_ghf(preset_presentation("higman")) is None
-
-
-def test_d_is_the_largest_absolute_increment():
+def test_choose_ghf_is_the_first_kernel_vector():
+    assert choose_ghf(kernel(preset_presentation("hexagonal"))) == (0, 1, -1)
+    assert choose_ghf(kernel(preset_presentation("higman"))) is None
     # No inverse symbols: the kernel vector (1, -3) steps down by 3 on b.
-    spec = choose_ghf(parse_presentation({"generators": ["a", "b"], "relators": ["a a a b"]}))
-    assert spec.gamma == (1, -3)
-    assert d_of_ghf(spec) == 3
+    p = parse_presentation({"generators": ["a", "b"], "relators": ["a a a b"]})
+    assert choose_ghf(kernel(p)) == (1, -3)
 
 
 def test_ghf_kernel_rows_annihilated():
     for name in VERDICTS:
         p = preset_presentation(name)
-        spec = choose_ghf(p)
-        if spec is None:
-            continue
-        c = coefficient_matrix(p)
-        for row in c.rows:
-            assert sum(g * x for g, x in zip(spec.gamma, row)) == 0, name
+        for v in kernel(p):
+            for row in coefficient_matrix(p):
+                assert sum(g * x for g, x in zip(v, row)) == 0, name
 
 
 @pytest.mark.parametrize("model,gamma", [
@@ -185,16 +230,14 @@ def test_ghf_kernel_rows_annihilated():
     ("zd2", (1, 0, 0, 0)),  # x X is a relator, and 1 + 0 != 0
 ])
 def test_verify_rejects_a_gamma_off_the_kernel(model, gamma):
-    symbols = preset_presentation(model).generators
-    bad = GammaHeight.from_spec(GroupHeightSpec(gamma=gamma, symbols=symbols))
+    bad = GammaHeight(tuple(zip(preset_presentation(model).generators, gamma)))
     with pytest.raises(HeightConflict):
         verify(resolve_model(model), bad, radius=2)
 
 
 def test_verify_rejects_edge_labels_outside_s():
-    spec = GroupHeightSpec(gamma=(1, -1), symbols=("x", "X"))
     with pytest.raises(HeightError, match="'y'"):
-        verify(resolve_model("zd2"), GammaHeight.from_spec(spec), radius=1)
+        verify(resolve_model("zd2"), GammaHeight((("x", 1), ("X", -1))), radius=1)
 
 
 def test_preset_unknown():
