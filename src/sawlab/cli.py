@@ -121,7 +121,7 @@ def cmd_ghf(args) -> int:
     doc = {
         "presentation": label,
         "generators": len(pres.generators),
-        "relators": len(rows),
+        "relators": len(rows),  # coefficient rows, as the golden artifacts hold
         "rank": rank,
         "betti": len(kernel),
         "exists": exists,
@@ -132,7 +132,7 @@ def cmd_ghf(args) -> int:
     }
     lines = [
         f"presentation: {label}",
-        f"|S| = {doc['generators']}, |R| = {doc['relators']} "
+        f"|S| = {doc['generators']}, |R| = {len(pres.relators)} "
         f"(coefficient rows: {len(rows)})",
         f"rank(C) = {rank}, Betti = {doc['betti']}",
     ]

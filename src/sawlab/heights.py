@@ -15,11 +15,16 @@ degenerate document has none and raises `RepairExhausted`.
 
 `verify` checks a height on a ball around the root, from one BFS of
 `transport`: the axioms, the harmonic defects and the increment bound d.
+The BFS expands only the vertices whose neighbors a check reads: those
+within max(radius, 2), and also the radius + 1 shell for a coordinate
+height (whose edge increments are sampled there) or a height known only
+by transport (whose conflicts are checked on every edge of the ball).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -156,6 +161,7 @@ def transport(
     ids: Dict[object, int],
     heights: List[int],
     above: bool = False,
+    stop: Optional[int] = None,
 ):
     """Carry `h` over a BFS of the radius-`radius` ball around `start`.
 
@@ -169,6 +175,10 @@ def transport(
     are 0..len(ids) - 1; each edge into a vertex at distance `radius`
     gets a fresh id past them. An edge that gives a kept vertex a second
     height raises HeightConflict.
+
+    With `stop` <= `radius`, only the vertices at distance < `stop` are
+    expanded and yielded; `ids` still keeps every vertex they reach
+    within distance `radius` - 1.
     """
     across = None if h is None else h.across
     h0 = 0 if h is None else h.origin(start)
@@ -177,7 +187,7 @@ def transport(
     heights.append(h0)
     vertices = [start]
     lo = 0
-    for depth in range(radius):
+    for depth in range(radius if stop is None else stop):
         keep = depth < radius - 1
         hi = len(vertices)
         for i in range(lo, hi):
@@ -316,8 +326,9 @@ def _strictly_increasing_everywhere(
 
 def increase_repair(pg: PeriodicGraph, name: str = "repaired") -> PeriodicHeight:
     """Integer-valued harmonic height function increasing everywhere: the
-    first combination sum c_i s_i of the b `solution_space` solutions that
-    passes `_strictly_increasing_everywhere`, scaled to clear denominators.
+    first combination sum c_i s_i of the b `solution_space` solutions whose
+    neighbor increments at every orbit include a negative and a positive
+    one, scaled to clear denominators.
     c runs over e_1, ..., e_b, -e_b, ..., -e_1, then the moment curve
     c(t) = (1, t, ..., t^(b-1)) for t = 1, ..., M(b-1), M the orbit count.
 
@@ -338,10 +349,22 @@ def _repair(
     """`increase_repair` on `basis`, the `solution_space` of `pg`."""
     if not basis:
         raise RepairExhausted("dimension 0: every harmonic solution is constant")
+    # Per orbit, each out edge's neighbor increment f(o2) + <lam, t> - f(o)
+    # in every basis solution, scaled by one common denominator to an
+    # integer. Increments are linear in the coefficients, so a candidate's
+    # are the same combination of these.
+    denominator = lcm(*(q.denominator for s in basis for q in s.lam + s.f))
+    scaled = [[[q.numerator * (denominator // q.denominator) for q in qs] for qs in (s.lam, s.f)]
+              for s in basis]
+    increments = [
+        [tuple(f[o2 - 1] - f[o - 1] + sum(map(mul, lam, t)) for lam, f in scaled)
+         for o2, t, _label in pg.out_edges(o)]
+        for o in range(1, pg.orbit_count + 1)
+    ]
     # An orbit whose increments are zero in every basis solution has them
     # zero in every combination, so every candidate would fail there.
-    for o in range(1, pg.orbit_count + 1):
-        if all(v == s.f[o - 1] for s in basis for v in _neighbor_values(pg, s.lam, s.f, o)):
+    for o, edges in enumerate(increments, 1):
+        if not any(map(any, edges)):
             raise RepairExhausted(f"orbit {o} has no neighbor of another height in any solution")
     b = len(basis)
     units = [tuple(int(i == j) for j in range(b)) for i in range(b)]
@@ -351,14 +374,15 @@ def _repair(
         (tuple(t**k for k in range(b)) for t in range(1, pg.orbit_count * (b - 1) + 1)),
     )
     for coeffs in candidates:
+        combined = ([sum(map(mul, coeffs, e)) for e in edges] for edges in increments)
+        if not all(min(incs) < 0 < max(incs) for incs in combined):
+            continue
         lam = tuple(
             sum(c * s.lam[i] for c, s in zip(coeffs, basis)) for i in range(pg.dim)
         )
         f = tuple(
             sum(c * s.f[o] for c, s in zip(coeffs, basis)) for o in range(pg.orbit_count)
         )
-        if _strictly_increasing_everywhere(pg, lam, f) is None:
-            continue
         scale = lcm(*(q.denominator for q in lam + f))
         return PeriodicHeight(
             f=tuple(int(q * scale) for q in f),
@@ -477,6 +501,14 @@ def verify(
     """Check `h` on the radius-`radius` ball of `g`, in one `transport`
     BFS of the radius-R ball, R = max(radius + 1, d's radius).
 
+    The BFS expands the vertices within max(radius, d's radius), whose
+    rows the checks read. It expands the vertices at distance R as well
+    for a coordinate height, whose increments are sampled on the edges
+    within radius + 1, and for a height that overrides `across`, so that
+    an edge between two vertices at distance R that gives one of them a
+    second height raises HeightConflict. A height read at vertices cannot
+    conflict.
+
     - axioms: h(root) = 0, difference-invariance, and a strictly lower
       and a strictly higher neighbor at every vertex within `radius`;
     - harmonic: the exact defect h(v) - mean(neighbor heights) at every
@@ -494,18 +526,20 @@ def verify(
         raise HeightError("radius must be >= 0")
     d_radius = max(2, min(radius, 4))
     top_radius = max(radius + 1, d_radius)
+    reads_shell = isinstance(h, CoordinateHeight) or type(h).across is not HeightFunction.across
+    last = top_radius if reads_shell else max(radius, d_radius)
     ids: Dict[object, int] = {}
     values: List[int] = []
     depths: List[int] = []
     rows: List[List[int]] = []
-    for depth, row, _labels in transport(g, h, g.root, top_radius + 1, ids, values):
+    for depth, row, _labels in transport(g, h, g.root, top_radius + 1, ids, values, stop=last + 1):
         if len(ids) > max_vertices:
             raise BudgetExceeded(f"ball({g.name}, {top_radius}) exceeds {max_vertices} vertices")
         depths.append(depth)
         rows.append(row)
     # Ids run in BFS order, so the vertices within each radius are a
     # prefix, and every neighbor of a checked vertex has an id.
-    checked, near, d_count = (sum(x <= r for x in depths) for r in (radius, radius + 1, d_radius))
+    checked, d_count = bisect_right(depths, radius), bisect_right(depths, d_radius)
     d = max(abs(values[i] - values[j]) for i in range(d_count) for j in rows[i] if j < d_count)
     vertices = list(ids)
     failures: List[str] = []
@@ -513,26 +547,31 @@ def verify(
     if root_value != 0:
         failures.append(f"h(root) = {root_value}, expected 0")
     missing = []
-    defects = set()
-    # The largest |defect|, and (id, defect) where it occurs at the least distance.
-    size, top = Fraction(-1), []
+    # Each defect h(v) - mean is kept as the integer pair (h(v) n - sum, n),
+    # with the ids where it first occurs, all at the least distance.
+    first: Dict[Tuple[int, int], List[int]] = {}
     for i in range(checked):
         hv = values[i]
         neigh = [values[j] for j in set(rows[i])]
-        lower = any(hw < hv for hw in neigh)
-        higher = any(hw > hv for hw in neigh)
+        lower, higher = min(neigh) < hv, max(neigh) > hv
         if not lower or not higher:
             side = "lower" if not lower else "higher"
             missing.append((depths[i], g.canonical_key(vertices[i]), hv, side))
-        defect = Fraction(hv) - Fraction(sum(neigh), len(neigh))
-        defects.add(defect)
-        if abs(defect) > size:
-            size, top = abs(defect), [(i, defect)]
-        elif abs(defect) == size and depths[i] == depths[top[0][0]]:
-            top.append((i, defect))
+        n = len(neigh)
+        pair = (hv * n - sum(neigh), n)
+        at = first.get(pair)
+        if at is None:
+            first[pair] = [i]
+        elif depths[at[0]] == depths[i]:
+            at.append(i)
     failures += [f"no strictly {side} neighbor at {k.decode()} (h = {hv})"
                  for _depth, k, hv, side in sorted(missing)]
-    key, defect = min((g.canonical_key(vertices[i]), defect) for i, defect in top)
+    defects = {pair: Fraction(*pair) for pair in first}
+    # The worst defect: the largest |defect| at the least distance where it occurs.
+    size = max(map(abs, defects.values()))
+    top = [(i, q) for pair, q in defects.items() if abs(q) == size for i in first[pair]]
+    least = min(depths[i] for i, _q in top)
+    key, defect = min((g.canonical_key(vertices[i]), q) for i, q in top if depths[i] == least)
     worst = (key.decode(), defect)
 
     # Difference-invariance. A periodic height is affine in the lattice
@@ -555,6 +594,7 @@ def verify(
             failures.append(f"difference-invariance violated at {bad} translates")
         note = "exact (unit translations of each orbit)"
     elif isinstance(h, CoordinateHeight):
+        near = bisect_right(depths, radius + 1)
         deltas = {values[j] - values[i] for i in range(near) for j in rows[i] if j < near}
         if not deltas <= {-1, 0, 1}:
             failures.append(f"unexpected edge increments {sorted(deltas)}")
@@ -562,7 +602,7 @@ def verify(
     else:
         note = "structural (invariant by construction)"
 
-    vals = sorted(defects)
+    vals = sorted(set(defects.values()))
     return Verification(
         axioms=AxiomReport(
             ok=not failures,

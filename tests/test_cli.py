@@ -395,26 +395,42 @@ def test_verify_budget_caps_its_ball(capsys):
 
 
 def test_verify_expands_each_vertex_once(capsys, monkeypatch):
-    # The check reads one BFS of the radius-R ball, R = max(radius + 1, 2):
-    # `neighbors` runs once per vertex within R, and no Ball is built.
-    g = graphs.resolve_model("grandparent")
-    sizes = {r: graphs.ball(g, r).vertex_count() for r in (2, 6)}
+    # The check reads one BFS: `neighbors` runs once per vertex it expands,
+    # and no Ball is built. It expands the vertices within `top` of the
+    # root: max(radius, 2) for a height read at vertices, whose rows the
+    # checks read, and radius + 1 for a GHF, checked for conflicts on the
+    # edges within radius + 1, and for a coordinate height, whose
+    # increments are sampled there.
+    cases = [
+        ("grandparent", graphs.GrandparentOracle, "level", ((0, 2), (1, 2), (5, 5))),
+        ("heisenberg", graphs.HeisenbergOracle, "ghf", ((3, 4),)),
+        # On zd2, "x" is the default (repaired) height and "y" a coordinate.
+        ("zd2", graphs.PGOracle, "y", ((0, 2), (2, 3))),
+    ]
+    sizes = {(model, top): graphs.ball(graphs.resolve_model(model), top).vertex_count()
+             for model, _oracle, _height, radii in cases for _radius, top in radii}
+    # Not one vertex of the grandparent's radius-6 shell is expanded.
+    assert sizes["grandparent", 5] == 2729
     expanded = []
-    neighbors = graphs.GrandparentOracle.neighbors
 
-    def counting_neighbors(self, v):
-        expanded.append(v)
-        return neighbors(self, v)
+    def counting(neighbors):
+        def counting_neighbors(self, v):
+            expanded.append(v)
+            return neighbors(self, v)
+        return counting_neighbors
 
     def refuse(*args, **kwargs):
         raise AssertionError("verify built a Ball")
 
-    monkeypatch.setattr(graphs.GrandparentOracle, "neighbors", counting_neighbors)
+    for _model, oracle, _height, _radii in cases:
+        monkeypatch.setattr(oracle, "neighbors", counting(oracle.neighbors))
     monkeypatch.setattr(graphs.BallGrowth, "__init__", refuse)
-    for radius, top in ((0, 2), (1, 2), (5, 6)):
-        expanded.clear()
-        assert run(capsys, "verify", "--model", "grandparent", "--radius", str(radius))[0] == EXIT_OK
-        assert len(expanded) == len(set(expanded)) == sizes[top], radius
+    for model, _oracle, height, radii in cases:
+        for radius, top in radii:
+            expanded.clear()
+            argv = ("verify", "--model", model, "--height", height, "--radius", str(radius))
+            assert run(capsys, *argv)[0] == EXIT_OK
+            assert len(expanded) == len(set(expanded)) == sizes[model, top], (model, radius)
 
 
 @pytest.mark.parametrize("argv", [
@@ -626,19 +642,22 @@ def test_ghf_d_is_the_largest_absolute_increment(capsys, tmp_path):
     assert "height exists: gamma = (a:1, b:-3), d = 3" in out
 
 
-@pytest.mark.parametrize("doc,betti,gamma", [
+@pytest.mark.parametrize("doc,betti,gamma,sizes", [
     # a A = 1 forces gamma(A) = -gamma(a): (a:1, A:0) is no height.
-    ({"generators": ["a", "A"], "inverse_pairs": [["a", "A"]]}, 1, [1, -1]),
+    ({"generators": ["a", "A"], "inverse_pairs": [["a", "A"]]}, 1, [1, -1],
+     "|S| = 2, |R| = 0 (coefficient rows: 1)"),
     # Z^2 has Betti number 2, not the 3 of its one relator row.
     ({"generators": ["a", "A", "b", "B"], "inverse_pairs": [["a", "A"], ["b", "B"]],
-      "relators": ["a b A B"]}, 2, [1, -1, 0, 0]),
+      "relators": ["a b A B"]}, 2, [1, -1, 0, 0], "|S| = 4, |R| = 1 (coefficient rows: 3)"),
 ], ids=["free_cyclic", "z2"])
-def test_ghf_counts_inverse_pairs_as_relations(capsys, tmp_path, doc, betti, gamma):
+def test_ghf_counts_inverse_pairs_as_relations(capsys, tmp_path, doc, betti, gamma, sizes):
     source, target = tmp_path / "presentation.json", tmp_path / "ghf.json"
     source.write_text(json.dumps(doc))
     code, out, err = run(capsys, "ghf", "--input", str(source), "--format", "json",
                          "--output", str(target))
     assert code == EXIT_OK, err
+    # |R| counts the relators the document lists; inverse pairs add rows.
+    assert out.splitlines()[1] == sizes
     got = json.loads(target.read_text())
     assert (got["betti"], got["gamma"], got["d"]) == (betti, gamma, 1)
     assert got["rank"] == len(doc["generators"]) - betti

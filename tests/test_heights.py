@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from sawlab._linalg import rref
 from sawlab.graphs import (
+    GraphOracle,
     PGOracle,
     ball,
     periodic_graph_from_document,
@@ -443,6 +444,29 @@ def test_verify_refuses_a_transport_conflict():
     bad = GammaHeight(gamma=(("x", 1), ("X", -1), ("y", 1), ("Y", 0)))
     with pytest.raises(HeightConflict):
         verify(g, bad, radius=1)
+
+
+class _Cycle7(GraphOracle):
+    """The cycle C_7: the edge labelled a from k goes to k + 1 mod 7."""
+
+    name = "cycle7"
+
+    @property
+    def root(self):
+        return 0
+
+    def neighbors(self, v):
+        return (((v + 1) % 7, "a"), ((v - 1) % 7, "A"))
+
+
+def test_verify_finds_a_conflict_on_an_edge_of_the_outer_shell():
+    # The word sum a -> 1 is not well defined on the odd cycle, but the
+    # cycle closes only on the edge 3 -- 4, between two vertices at
+    # distance 3: the radius-2 check finds it only by expanding the
+    # radius + 1 shell.
+    g, h = _Cycle7(), GammaHeight(gamma=(("a", 1), ("A", -1)))
+    with pytest.raises(HeightConflict):
+        verify(g, h, radius=2)
 
 
 def transported(g, h, radius, above=False):
