@@ -24,7 +24,6 @@ from .graphs import (
 )
 from .heights import (
     AxiomReport,
-    CoordinateHeight,
     GammaHeight,
     HarmonicReport,
     HarmonicSolution,

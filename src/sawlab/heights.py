@@ -1,6 +1,13 @@
 """Height functions: harmonic solutions on periodic graphs, integer
 repair to increase-everywhere height functions, and axiom verification.
 
+There are three kinds of height: `PeriodicHeight`, an affine graph
+height f(o) + <lambda, x> on a periodic-graph cover; `GammaHeight`, a
+group height, the word sum of gamma over the generators; and
+`LevelHeight`, the level of the grandparent graph. A coordinate of a
+cover is the periodic height f = 0, lambda = e_i, and a coordinate of
+a Heisenberg element is a word sum.
+
 A difference-invariant function on the cover of a PeriodicGraph is
 affine: value(o, x) = f(o) + <lambda, x>. Harmonicity at each orbit is
 deg(o) * f(o) = sum over edges (o, o2, t) of (f(o2) + <lambda, t>),
@@ -16,9 +23,9 @@ degenerate document has none and raises `RepairExhausted`.
 `verify` checks a height on a ball around the root, from one BFS of
 `transport`: the axioms, the harmonic defects and the increment bound d.
 The BFS expands only the vertices whose neighbors a check reads: those
-within max(radius, 2), and also the radius + 1 shell for a coordinate
-height (whose edge increments are sampled there) or a height known only
-by transport (whose conflicts are checked on every edge of the ball).
+within max(radius, 2), and also the radius + 1 shell for a height known
+only by transport (whose conflicts are checked on every edge of the
+ball).
 """
 
 from __future__ import annotations
@@ -83,26 +90,6 @@ class HeightFunction:
 
 
 @dataclass(frozen=True)
-class CoordinateHeight(HeightFunction):
-    """h = a fixed coordinate: of the lattice point x of a periodic-graph
-    cover vertex (o, x), or of a plain tuple vertex such as a Heisenberg
-    element."""
-
-    index: int = 0
-    label: str = "x"
-
-    @property
-    def name(self) -> str:
-        return self.label
-
-    def at(self, v) -> int:
-        try:
-            return v[1][self.index] if isinstance(v[1], tuple) else v[self.index]
-        except (IndexError, TypeError):
-            raise HeightError(f"vertex {v!r} has no coordinate {self.index}") from None
-
-
-@dataclass(frozen=True)
 class LevelHeight(HeightFunction):
     """Level toward the distinguished end of the grandparent graph."""
 
@@ -119,7 +106,7 @@ class GammaHeight(HeightFunction):
     """Word-sum height from a kernel vector, transported along edge labels."""
 
     gamma: Tuple[Tuple[str, int], ...]
-    name = "ghf"
+    name: str = "ghf"
 
     def __post_init__(self):
         # The first entry of a symbol wins, as in a scan of `gamma`.
@@ -237,21 +224,19 @@ class HarmonicSolution:
         return self.f[o - 1] + sum(l * c for l, c in zip(self.lam, x))
 
 
-def _neighbor_values(
-    pg: PeriodicGraph, lam: Sequence[Fraction], f: Sequence[Fraction], o: int
-) -> List[Fraction]:
-    """f(o2) + <lam, t> over the edges (o, o2, t) leaving orbit o: the
-    values at the neighbors of (o, 0)."""
-    return [f[o2 - 1] + sum(Fraction(l) * c for l, c in zip(lam, t))
-            for o2, t, _label in pg.out_edges(o)]
+def _increments(pg: PeriodicGraph, lam: Sequence, f: Sequence) -> List[List]:
+    """Per orbit o, f(o2) - f(o) + <lam, t> over the edges (o, o2, t)
+    leaving it: the height increments from (o, 0) to its neighbors."""
+    return [[f[o2 - 1] - f[o - 1] + sum(map(mul, lam, t)) for o2, t, _label in pg.out_edges(o)]
+            for o in range(1, pg.orbit_count + 1)]
 
 
 def harmonic_residuals(
     pg: PeriodicGraph, lam: Sequence[Fraction], f: Sequence[Fraction]
 ) -> List[Fraction]:
-    """Per-orbit residual deg(o) f(o) - sum(f(o2) + <lam, t>); zero iff harmonic."""
-    return [pg.degree(o) * f[o - 1] - sum(_neighbor_values(pg, lam, f, o))
-            for o in range(1, pg.orbit_count + 1)]
+    """Per-orbit residual deg(o) f(o) - sum(f(o2) + <lam, t>), which is
+    minus the sum of the orbit's increments; zero iff harmonic."""
+    return [-sum(incs) for incs in _increments(pg, lam, f)]
 
 
 def _orbit_system(
@@ -266,7 +251,8 @@ def _orbit_system(
     dropped equation follows because all equations sum to zero.
     """
     m = pg.orbit_count
-    zero = [Fraction(0)] * m
+    # With every unknown at 0, the increments are the constant terms.
+    constants = [_increments(pg, lam, [0] * m) for lam in lams]
     rows, rhs = [], []
     for o in range(2, m + 1):
         row = [0] * (m - 1)
@@ -275,8 +261,7 @@ def _orbit_system(
             if o2 != 1:
                 row[o2 - 2] -= 1
         rows.append(row)
-        # With every unknown at 0, the neighbor values are the constant terms.
-        rhs.append([sum(_neighbor_values(pg, lam, zero, o)) for lam in lams])
+        rhs.append([sum(incs[o - 1]) for incs in constants])
     # Row o - 1 of x holds f(o) for every lambda once orbit 1's row is in.
     x = solve_unique(rows, rhs)
     x.insert(0, [Fraction(0)] * len(lams))
@@ -304,26 +289,6 @@ class RepairExhausted(RuntimeError):
     orbit's neighbor increments are 0 in every harmonic solution."""
 
 
-def _strictly_increasing_everywhere(
-    pg: PeriodicGraph, lam: Sequence[Fraction], f: Sequence[Fraction]
-) -> Optional[List[Tuple[int, Fraction, Fraction]]]:
-    """Check every orbit has a strictly lower and higher neighbor value.
-
-    Returns per-orbit witnesses (orbit, lowest value, highest value) on
-    success, None on failure. Checking one representative per orbit
-    suffices: values are affine in x, so the neighbor pattern repeats.
-    """
-    witnesses = []
-    for o in range(1, pg.orbit_count + 1):
-        here = f[o - 1]
-        values = _neighbor_values(pg, lam, f, o)
-        lower, higher = min(values, default=here), max(values, default=here)
-        if not lower < here < higher:
-            return None
-        witnesses.append((o, lower, higher))
-    return witnesses
-
-
 def increase_repair(pg: PeriodicGraph, name: str = "repaired") -> PeriodicHeight:
     """Integer-valued harmonic height function increasing everywhere: the
     first combination sum c_i s_i of the b `solution_space` solutions whose
@@ -349,18 +314,16 @@ def _repair(
     """`increase_repair` on `basis`, the `solution_space` of `pg`."""
     if not basis:
         raise RepairExhausted("dimension 0: every harmonic solution is constant")
-    # Per orbit, each out edge's neighbor increment f(o2) + <lam, t> - f(o)
-    # in every basis solution, scaled by one common denominator to an
-    # integer. Increments are linear in the coefficients, so a candidate's
-    # are the same combination of these.
+    # Per orbit, each out edge's increment in every basis solution, scaled
+    # by one common denominator to an integer. Increments are linear in the
+    # coefficients, so a candidate's are the same combination of these.
     denominator = lcm(*(q.denominator for s in basis for q in s.lam + s.f))
-    scaled = [[[q.numerator * (denominator // q.denominator) for q in qs] for qs in (s.lam, s.f)]
-              for s in basis]
-    increments = [
-        [tuple(f[o2 - 1] - f[o - 1] + sum(map(mul, lam, t)) for lam, f in scaled)
-         for o2, t, _label in pg.out_edges(o)]
-        for o in range(1, pg.orbit_count + 1)
-    ]
+
+    def scaled(qs):
+        return [q.numerator * (denominator // q.denominator) for q in qs]
+
+    per_solution = [_increments(pg, scaled(s.lam), scaled(s.f)) for s in basis]
+    increments = [list(zip(*orbit)) for orbit in zip(*per_solution)]
     # An orbit whose increments are zero in every basis solution has them
     # zero in every combination, so every candidate would fail there.
     for o, edges in enumerate(increments, 1):
@@ -400,16 +363,16 @@ def repair_document(pg: PeriodicGraph, h: PeriodicHeight) -> dict:
     """Exportable description: exact fractions, scale, increase witnesses."""
     lam_frac = [Fraction(l, h.scale) for l in h.lam]
     f_frac = [Fraction(x, h.scale) for x in h.f]
-    wit = _strictly_increasing_everywhere(pg, h.lam, h.f)
     return {
         "lambda": [str(q) for q in lam_frac],
         "f": [str(q) for q in f_frac],
         "scale": h.scale,
         "integer_lambda": list(h.lam),
         "integer_f": list(h.f),
+        # Per orbit, its lowest and highest neighbor value, f(o) + increment.
         "increase_witnesses": [
-            {"orbit": o, "lower": str(lo), "higher": str(hi)}
-            for o, lo, hi in (wit or [])
+            {"orbit": o, "lower": str(fo + min(incs)), "higher": str(fo + max(incs))}
+            for o, (fo, incs) in enumerate(zip(h.f, _increments(pg, h.lam, h.f)), 1)
         ],
     }
 
@@ -424,10 +387,11 @@ def resolve_height(g: GraphOracle, name: Optional[str] = None) -> HeightFunction
 
     On a periodic-graph cover the default height, and "repaired", is the
     integer harmonic height `increase_repair` finds, named `name`. Other
-    names: "x" and "y" (coordinates, of a periodic-graph cover or a
-    Heisenberg element only), "identity" (the coordinate of a one-orbit
-    line), "level" (grandparent) and "ghf" (the word-sum height of the
-    model's presentation preset).
+    names: "x" and "y", coordinate 0 and 1 (of the lattice point of a
+    periodic-graph cover, the periodic height f = 0, lambda = e_i; of a
+    Heisenberg element, the word sum of x - X or y - Y), "identity" (the
+    coordinate of a one-orbit line), "level" (grandparent) and "ghf" (the
+    word-sum height of the model's presentation preset).
     """
     if name is None or name == "auto":
         name = g.default_height
@@ -435,15 +399,22 @@ def resolve_height(g: GraphOracle, name: Optional[str] = None) -> HeightFunction
             raise HeightError(f"no default height for model {g.name!r}")
     if isinstance(g, PGOracle) and name in (g.default_height, "repaired"):
         return increase_repair(g.pg, name=name)
-    if name in ("x", "y"):
-        if not isinstance(g, (PGOracle, HeisenbergOracle)):
-            raise HeightError(f"height {name!r} needs a model with coordinates, "
-                              f"and {g.name} has none")
-        return CoordinateHeight("xy".index(name), label=name)
-    if name == "identity":
-        if isinstance(g, PGOracle) and g.pg.orbit_count == g.pg.dim == 1:
-            return CoordinateHeight(0, label="identity")
+    if name in ("x", "y") and isinstance(g, HeisenbergOracle):
+        labels = [label for _w, label in g.neighbors(g.root)]
+        return GammaHeight(tuple((s, (s == name) - (s == name.upper())) for s in labels),
+                           name=name)
+    if name in ("x", "y") and not isinstance(g, PGOracle):
+        raise HeightError(f"height {name!r} needs a model with coordinates, "
+                          f"and {g.name} has none")
+    if name == "identity" and not (isinstance(g, PGOracle) and g.pg.orbit_count == g.pg.dim == 1):
         raise HeightError("identity height needs a line model")
+    if name in ("x", "y", "identity"):
+        i, dim = int(name == "y"), g.pg.dim
+        if i >= dim:
+            raise HeightError(f"height {name!r} needs a model of dimension >= {i + 1}, "
+                              f"and {g.name} has dimension {dim}")
+        return PeriodicHeight((0,) * g.pg.orbit_count, tuple(int(j == i) for j in range(dim)),
+                              height_name=name)
     if name == "level":
         return LevelHeight()
     if name == "ghf":
@@ -503,14 +474,14 @@ def verify(
 
     The BFS expands the vertices within max(radius, d's radius), whose
     rows the checks read. It expands the vertices at distance R as well
-    for a coordinate height, whose increments are sampled on the edges
-    within radius + 1, and for a height that overrides `across`, so that
-    an edge between two vertices at distance R that gives one of them a
-    second height raises HeightConflict. A height read at vertices cannot
-    conflict.
+    for a height that overrides `across`, so that an edge between two
+    vertices at distance R that gives one of them a second height raises
+    HeightConflict. A height read at vertices cannot conflict.
 
-    - axioms: h(root) = 0, difference-invariance, and a strictly lower
-      and a strictly higher neighbor at every vertex within `radius`;
+    - axioms: h(root) = 0, a strictly lower and a strictly higher
+      neighbor at every vertex within `radius`, and difference-invariance:
+      checked exactly for a periodic height on a cover, and structural
+      (by construction) for any other height;
     - harmonic: the exact defect h(v) - mean(neighbor heights) at every
       vertex within `radius`;
     - d: the largest |h(u) - h(v)| over the edges of the radius
@@ -526,7 +497,7 @@ def verify(
         raise HeightError("radius must be >= 0")
     d_radius = max(2, min(radius, 4))
     top_radius = max(radius + 1, d_radius)
-    reads_shell = isinstance(h, CoordinateHeight) or type(h).across is not HeightFunction.across
+    reads_shell = type(h).across is not HeightFunction.across
     last = top_radius if reads_shell else max(radius, d_radius)
     ids: Dict[object, int] = {}
     values: List[int] = []
@@ -578,9 +549,8 @@ def verify(
     # coordinate on each orbit, h(o, x) = c_o + <m_o, x>, so it is
     # invariant exactly when m_o = lam, that is when each unit translation
     # of the orbit's base point raises h by lam_i: d checks per orbit
-    # decide it. Coordinate heights are checked by sampling; word-sum and
-    # level heights are invariant structurally (additivity under left
-    # multiplication / end-preserving maps).
+    # decide it. Word-sum and level heights are invariant structurally
+    # (additivity under left multiplication / end-preserving maps).
     if isinstance(h, PeriodicHeight) and isinstance(g, PGOracle):
         dim = g.pg.dim
         units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
@@ -593,12 +563,6 @@ def verify(
         if bad:
             failures.append(f"difference-invariance violated at {bad} translates")
         note = "exact (unit translations of each orbit)"
-    elif isinstance(h, CoordinateHeight):
-        near = bisect_right(depths, radius + 1)
-        deltas = {values[j] - values[i] for i in range(near) for j in rows[i] if j < near}
-        if not deltas <= {-1, 0, 1}:
-            failures.append(f"unexpected edge increments {sorted(deltas)}")
-        note = "sampled edge increments on the ball"
     else:
         note = "structural (invariant by construction)"
 

@@ -616,13 +616,19 @@ def word_sum_heights(
     return heights
 
 
+def raw_coordinate(v, i: int) -> int:
+    """Coordinate i of a vertex as the model writes it: of the lattice
+    point x of a periodic-graph cover vertex (o, x), or of a Heisenberg
+    element (a, b, c)."""
+    return v[1][i] if len(v) == 2 else v[i]
+
+
 def reference_verify(
     neighbors: Callable[[object], Iterable[Tuple[object, str]]],
     root,
     height: Callable[[object], int],
     radius: int,
     key: Callable[[object], bytes],
-    coordinate: bool = False,
 ) -> dict:
     """The checks of `heights.verify` by their definitions, on dicts.
 
@@ -632,10 +638,9 @@ def reference_verify(
     `radius`: each needs a strictly lower and a strictly higher neighbor,
     and its defect is h(v) minus the mean of its neighbors' heights. d is
     the largest |h(v) - h(w)| over the edges within distance d_radius =
-    max(2, min(radius, 4)). With `coordinate`, every edge within distance
-    radius + 1 must change h by -1, 0 or 1. Returns the fields of the
-    `AxiomReport`, of the `HarmonicReport` and d; the invariance note, and
-    the exact invariance check of a periodic height, are left out.
+    max(2, min(radius, 4)). Returns the fields of the `AxiomReport`, of
+    the `HarmonicReport` and d; the invariance note, and the exact
+    invariance check of a periodic height, are left out.
     """
     d_radius = max(2, min(radius, 4))
     dist = {root: 0}
@@ -667,11 +672,6 @@ def reference_verify(
         defects.append(defect)
         if worst is None or abs(defect) > abs(worst[1]):
             worst = (key(v).decode(), defect)
-    if coordinate:
-        steps = {h[w] - h[v] for v in order if dist[v] <= radius + 1
-                 for w in near[v] if dist[w] <= radius + 1}
-        if not steps <= {-1, 0, 1}:
-            failures.append(f"unexpected edge increments {sorted(steps)}")
     d = max(abs(h[w] - h[v]) for v in order if dist[v] <= d_radius
             for w in near[v] if dist[w] <= d_radius)
     values = sorted(set(defects))

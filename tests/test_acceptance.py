@@ -12,10 +12,11 @@ import oracles
 from sawlab._linalg import integer_kernel
 from sawlab.graphs import PGOracle, resolve_model
 from sawlab.heights import (
-    CoordinateHeight,
     GammaHeight,
     LevelHeight,
+    PeriodicHeight,
     increase_repair,
+    resolve_height,
     verify,
 )
 from sawlab.locality import locality_scan
@@ -30,7 +31,8 @@ from sawlab.saw import (
 )
 
 F = Fraction
-X = CoordinateHeight(0, label="x")
+# The x coordinate of zd2: the periodic height f = 0, lambda = e_1.
+X = PeriodicHeight((0,), (1, 0), height_name="x")
 
 GHF_PRESETS = ["zd2", "zd3", "tree3", "heisenberg", "hexagonal", "lamplighter"]
 
@@ -119,7 +121,8 @@ def test_criterion_4_bridge_counts_and_supermultiplicativity():
     rep = check_multiplicativity(bridge)
     assert rep.ok and rep.pairs_checked > 0
 
-    line = count_bridges(resolve_model("zd1"), CoordinateHeight(0, label="identity"), 10)
+    zd1 = resolve_model("zd1")
+    line = count_bridges(zd1, resolve_height(zd1, "identity"), 10)
     assert line.series() == [1] * 11
 
     assert time.monotonic() - t0 < 60.0
@@ -211,7 +214,7 @@ def test_criterion_9_thread_count_does_not_change_tables():
         ("tree3", None, 10),
         ("zd2", None, 12),
         ("zd2", X, 12),
-        ("zd1", CoordinateHeight(0, label="identity"), 10),
+        ("zd1", resolve_height(resolve_model("zd1"), "identity"), 10),
     ]
     for model, height, n_max in jobs:
         g = resolve_model(model)

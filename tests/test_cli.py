@@ -50,6 +50,15 @@ def test_coordinate_height_needs_a_model_with_coordinates(capsys, model, height)
         assert out == "" and "needs a model with coordinates" in err
 
 
+@pytest.mark.parametrize("model,name", [("zd1", "zd1"), ("cylinder5", "cylinder_zd5"),
+                                        ("dihedral", "dihedral")])
+def test_height_y_needs_a_second_dimension(capsys, model, name):
+    for argv in (("bridges", "--n-max", "3"), ("verify",)):
+        code, out, err = run(capsys, *argv, "--model", model, "--height", "y")
+        assert code == EXIT_INPUT, (argv, model)
+        assert out == "" and f"{name} has dimension 1" in err
+
+
 def test_exit_budget(capsys):
     code, _, err = run(
         capsys, "count", "--model", "zd2", "--n-max", "10", "--budget", "200"
@@ -398,14 +407,14 @@ def test_verify_expands_each_vertex_once(capsys, monkeypatch):
     # The check reads one BFS: `neighbors` runs once per vertex it expands,
     # and no Ball is built. It expands the vertices within `top` of the
     # root: max(radius, 2) for a height read at vertices, whose rows the
-    # checks read, and radius + 1 for a GHF, checked for conflicts on the
-    # edges within radius + 1, and for a coordinate height, whose
-    # increments are sampled there.
+    # checks read, and radius + 1 for a word sum, checked for conflicts on
+    # the edges within radius + 1.
     cases = [
         ("grandparent", graphs.GrandparentOracle, "level", ((0, 2), (1, 2), (5, 5))),
         ("heisenberg", graphs.HeisenbergOracle, "ghf", ((3, 4),)),
-        # On zd2, "x" is the default (repaired) height and "y" a coordinate.
-        ("zd2", graphs.PGOracle, "y", ((0, 2), (2, 3))),
+        # On zd2, "x" is the default (repaired) height and "y" the periodic
+        # height of the second coordinate.
+        ("zd2", graphs.PGOracle, "y", ((0, 2), (2, 2))),
     ]
     sizes = {(model, top): graphs.ball(graphs.resolve_model(model), top).vertex_count()
              for model, _oracle, _height, radii in cases for _radius, top in radii}

@@ -21,7 +21,6 @@ from sawlab.graphs import (
 )
 from sawlab.heights import (
     AxiomReport,
-    CoordinateHeight,
     GammaHeight,
     HarmonicReport,
     HarmonicSolution,
@@ -186,6 +185,28 @@ def test_default_heights_of_the_periodic_catalog():
             assert h.at(v) == (old[0] if isinstance(old, tuple) else old), (model, v)
 
 
+# Every name that resolves to a coordinate of the catalog: x, y where the
+# dimension is >= 2, and identity on zd1. On zd<d> and cylinder<m> x is
+# the repaired default height, which is the coordinate.
+COORDINATE_HEIGHTS = [
+    ("zd1", "x"), ("zd1", "identity"), ("zd2", "x"), ("zd2", "y"), ("zd3", "y"),
+    ("dihedral", "x"), ("hexagonal", "x"), ("hexagonal", "y"),
+    ("square_octagon", "x"), ("square_octagon", "y"), ("cylinder5", "x"),
+    ("heisenberg", "x"), ("heisenberg", "y"),
+]
+
+
+@pytest.mark.parametrize("model,name", COORDINATE_HEIGHTS)
+def test_coordinate_heights_read_the_raw_coordinate(model, name):
+    g = resolve_model(model)
+    h = resolve_height(g, name)
+    assert h.name == name
+    got, _ = transported(g, h, 5)
+    assert set(got) == set(ball(g, 4).vertices)
+    i = int(name == "y")
+    assert got == {v: oracles.raw_coordinate(v, i) for v in got}
+
+
 def test_repair_document_fields():
     pg = resolve_model("square_octagon").pg
     h = increase_repair(pg)
@@ -309,10 +330,11 @@ class ShiftedHeight(HeightFunction):
 
 
 CANONICAL = [
-    ("zd1", CoordinateHeight(0, label="x")),
-    ("zd2", CoordinateHeight(0, label="x")),
-    ("zd3", CoordinateHeight(0, label="x")),
-    ("cylinder5", CoordinateHeight(0, label="x")),
+    # The x coordinate of each cover: the periodic height f = 0, lambda = e_1.
+    ("zd1", PeriodicHeight((0,), (1,), height_name="x")),
+    ("zd2", PeriodicHeight((0,), (1, 0), height_name="x")),
+    ("zd3", PeriodicHeight((0,), (1, 0, 0), height_name="x")),
+    ("cylinder5", PeriodicHeight((0,) * 5, (1,), height_name="x")),
     ("ladder_dihedral5", resolve_height(resolve_model("ladder_dihedral5"), "x")),
     ("dihedral_line", resolve_height(resolve_model("dihedral_line"), "identity")),
     ("grandparent", LevelHeight()),
@@ -355,12 +377,9 @@ def reference_verification(g, h, radius):
         at = oracles.word_sum_heights(g.neighbors, g.root, dict(h.gamma), radius + 2).get
     else:
         at = h.at
-    want = oracles.reference_verify(g.neighbors, g.root, at, radius, g.canonical_key,
-                                    coordinate=isinstance(h, CoordinateHeight))
+    want = oracles.reference_verify(g.neighbors, g.root, at, radius, g.canonical_key)
     if isinstance(h, PeriodicHeight):
         note = "exact (unit translations of each orbit)"
-    elif isinstance(h, CoordinateHeight):
-        note = "sampled edge increments on the ball"
     else:
         note = "structural (invariant by construction)"
     axioms = {k: want[k] for k in ("ok", "failures", "root_value", "increase_checked")}
@@ -381,27 +400,35 @@ class CubeHeight(HeightFunction):
 
 # Three orbits on Z. The edges within distance 1 of the root change x by
 # at most 1, but the orbit-3 loop joins (3, -1) and (3, 1), two vertices
-# at distance 2: x fails as a coordinate height from radius 1 on.
+# at distance 2: x is an exact periodic height with d = 2.
 COORDINATE_JUMP = {"orbits": 3, "dim": 1, "edges": [
     [1, 1, [1]], [1, 2, [0]], [2, 3, [-1]], [2, 3, [1]], [3, 3, [2]]]}
+JUMP = PGOracle(periodic_graph_from_document(COORDINATE_JUMP), "coordinate_jump")
 
 VERIFY_CASES = CANONICAL + [
     (name, resolve_height(resolve_model(name), "ghf"))
     for name in ("tree3", "heisenberg", "lamplighter")
 ] + [("zd1", AbsHeight()), ("zd1", ShiftedHeight()), ("zd1", CubeHeight()),
      ("hexagonal", resolve_height(resolve_model("hexagonal"))),
-     ("coordinate_jump", CoordinateHeight(0, label="x"))]
+     ("coordinate_jump", resolve_height(JUMP, "x"))]
 
 
 @pytest.mark.parametrize("model,h", VERIFY_CASES,
                          ids=[f"{model}-{h.name}" for model, h in VERIFY_CASES])
 def test_verify_equals_reference_verify(model, h):
-    if model == "coordinate_jump":
-        g = PGOracle(periodic_graph_from_document(COORDINATE_JUMP), model)
-    else:
-        g = resolve_model(model)
+    g = JUMP if model == "coordinate_jump" else resolve_model(model)
     for radius in range(5):
         assert verify(g, h, radius) == reference_verification(g, h, radius), radius
+
+
+def test_x_on_the_coordinate_jump_cover_is_an_exact_periodic_height():
+    h = resolve_height(JUMP, "x")
+    assert h == PeriodicHeight((0, 0, 0), (1,), height_name="x")
+    for radius in range(5):
+        axioms, _harmonic, d = verify(JUMP, h, radius)
+        assert axioms.ok and axioms.failures == [], radius
+        assert axioms.invariance_note == "exact (unit translations of each orbit)"
+        assert d == 2, radius
 
 
 @settings(max_examples=30, deadline=5000)
@@ -419,7 +446,7 @@ def test_verify_equals_reference_verify_on_repaired_covers(doc):
 
 def test_verification_rejects_negative_radius():
     with pytest.raises(HeightError):
-        verify(resolve_model("zd2"), CoordinateHeight(0, label="x"), -1)
+        verify(resolve_model("zd2"), PeriodicHeight((0,), (1, 0)), -1)
 
 
 class _BentPeriodicHeight(PeriodicHeight):
@@ -556,7 +583,8 @@ def test_d_values():
     def d(g, h):
         return verify(g, h, radius=2).d
 
-    assert d(resolve_model("zd2"), CoordinateHeight(0, label="x")) == 1
+    g2 = resolve_model("zd2")
+    assert d(g2, resolve_height(g2, "y")) == 1
     gd = resolve_model("dihedral_line")
     assert d(gd, resolve_height(gd, "identity")) == 1
     so = resolve_model("square_octagon")
@@ -568,7 +596,7 @@ def test_d_values():
 
 def test_compute_r_values():
     g2 = resolve_model("zd2")
-    assert compute_r(g2, CoordinateHeight(0, label="x")) == 0
+    assert compute_r(g2, resolve_height(g2, "y")) == 0
 
     gd = resolve_model("dihedral_line")
     assert (

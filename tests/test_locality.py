@@ -15,10 +15,11 @@ from sawlab.locality import (
     locality_scan,
 )
 from sawlab.saw import count_bridges, count_saws, render_json
-from sawlab.heights import CoordinateHeight
+from sawlab.heights import PeriodicHeight, resolve_height
 from test_saw import voltage_documents
 
-X = CoordinateHeight(0, label="x")
+# The x coordinate of zd2: the periodic height f = 0, lambda = e_1.
+X = PeriodicHeight((0,), (1, 0), height_name="x")
 
 # largest k with B(zd2, k) isomorphic to B(cylinder_m, k), by exhaustive check
 TRUE_K = {4: 1, 5: 1, 6: 2, 7: 2, 8: 3, 9: 3}
@@ -141,7 +142,7 @@ def test_count_agreement_windows():
     for m in (4, 5, 6, 7, 8):
         member = resolve_model(f"cylinder{m}")
         msig = count_saws(member, 8)
-        mbri = count_bridges(member, X, 8)
+        mbri = count_bridges(member, resolve_height(member, "x"), 8)
         agree, disc = count_agreement(sig, bri, msig, mbri, check_up_to=TRUE_K[m])
         # walks of length < m cannot wrap, so agreement reaches m - 1
         assert agree == min(m - 1, 8), m
@@ -153,7 +154,8 @@ def test_count_agreement_reports_discrepancies():
     sig = count_saws(g, 5)
     bri = count_bridges(g, X, 5)
     msig = count_saws(resolve_model("cylinder4"), 5)
-    mbri = count_bridges(resolve_model("cylinder4"), X, 5)
+    cyl = resolve_model("cylinder4")
+    mbri = count_bridges(cyl, resolve_height(cyl, "x"), 5)
     agree, disc = count_agreement(sig, bri, msig, mbri, check_up_to=5)
     assert agree == 3
     assert any(d["kind"] == "saw" and d["n"] == 4 for d in disc)

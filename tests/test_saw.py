@@ -26,7 +26,6 @@ from sawlab.graphs import (
     resolve_model,
 )
 from sawlab.heights import (
-    CoordinateHeight,
     GammaHeight,
     HeightConflict,
     HeightError,
@@ -48,7 +47,8 @@ from sawlab.saw import (
     render_json,
 )
 
-X = CoordinateHeight(0, label="x")
+# The x coordinate of zd2: the periodic height f = 0, lambda = e_1.
+X = PeriodicHeight((0,), (1, 0), height_name="x")
 
 BRUTE_MODELS = [
     "zd1",
@@ -77,6 +77,24 @@ def test_zd2_saw_series_frozen():
     assert not t.partial and t.high_water == 12
 
 
+# (counts, nodes_used) of the bridge tables to n = 8 under the coordinate
+# heights y of zd2 and x, y of heisenberg; high_water is 8, none partial.
+COORDINATE_BRIDGES = {
+    ("zd2", "y"): ([1, 1, 3, 7, 17, 41, 101, 251, 631], 2341),
+    ("heisenberg", "x"): ([1, 1, 5, 21, 89, 369, 1555, 6601, 28427], 63461),
+    ("heisenberg", "y"): ([1, 1, 5, 21, 89, 369, 1555, 6601, 28427], 63461),
+}
+
+
+@pytest.mark.parametrize("model,name", COORDINATE_BRIDGES)
+def test_coordinate_bridge_tables_frozen(model, name):
+    g = resolve_model(model)
+    t = count_bridges(g, resolve_height(g, name), 8, threads=1)
+    counts, nodes_used = COORDINATE_BRIDGES[model, name]
+    assert (t.series(), t.nodes_used, t.high_water, t.partial) == (counts, nodes_used, 8, False)
+    assert t.height_name == name
+
+
 def test_zd2_bridge_series_frozen():
     t = count_bridges(resolve_model("zd2"), X, 12)
     assert t.series() == oracles.ZD2_BRIDGES_X
@@ -98,7 +116,7 @@ def test_tree3_closed_form():
 def test_zd1_series():
     t = count_saws(resolve_model("zd1"), 12)
     assert t.series() == [1] + [2] * 12
-    b = count_bridges(resolve_model("zd1"), CoordinateHeight(0, label="identity"), 12)
+    b = count_bridges(resolve_model("zd1"), resolve_height(resolve_model("zd1"), "identity"), 12)
     assert b.series() == [1] * 13
 
 
@@ -227,7 +245,7 @@ def test_start_off_the_cover_is_named_before_any_ball(monkeypatch, start):
     g = resolve_model("hexagonal")
     monkeypatch.setattr(saw, "_compile_ball", mock.Mock(side_effect=AssertionError))
     for count in (lambda: count_saws(g, 3, start=start),
-                  lambda: count_bridges(g, X, 3, start=start)):
+                  lambda: count_bridges(g, resolve_height(g, "x"), 3, start=start)):
         with pytest.raises(GraphError, match=re.escape(repr(start))):
             count()
 
@@ -1213,7 +1231,7 @@ def test_mu_bounds_upper_only_tree3():
 def test_mu_bounds_zd1_degenerate():
     g = resolve_model("zd1")
     rep = mu_bounds(
-        count_saws(g, 8), count_bridges(g, CoordinateHeight(0, label="identity"), 8),
+        count_saws(g, 8), count_bridges(g, resolve_height(g, "identity"), 8),
         precision=10
     )
     assert Fraction(rep.best_lower) == 1
