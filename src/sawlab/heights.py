@@ -140,6 +140,12 @@ class PeriodicHeight(HeightFunction):
         return self.f[o - 1] + sum(map(mul, self.lam, x))
 
 
+def _carried(h: Optional[HeightFunction]) -> bool:
+    """Whether `h` is known only by transport: it overrides `across`, so
+    each edge may carry a vertex a height of its own."""
+    return h is not None and type(h).across is not HeightFunction.across
+
+
 def transport(
     g: GraphOracle,
     h: Optional[HeightFunction],
@@ -154,9 +160,10 @@ def transport(
 
     Fills the empty `ids` (vertex -> id, in BFS order, `start` = 0) and
     `heights` (per id: `h.origin` at the start, else `h.across` along the
-    first edge in; 0 if `h` is None). With `above`, only edges into
-    vertices above the start are followed, and distance is measured along
-    them. Yields (depth, ids its followed edges reach in neighbor order,
+    first edge in; 0 if `h` is None). A height read at vertices is read
+    once per kept vertex: an edge into a vertex with an id takes its
+    height from `heights`. With `above`, only edges into vertices above
+    the start are followed, and distance is measured along them. Yields (depth, ids its followed edges reach in neighbor order,
     the labels of those edges) for each vertex at distance depth <
     `radius`, in id order. `ids` keeps those vertices only, so their ids
     are 0..len(ids) - 1; each edge into a vertex at distance `radius`
@@ -168,6 +175,7 @@ def transport(
     within distance `radius` - 1.
     """
     across = None if h is None else h.across
+    known = not _carried(h)
     h0 = 0 if h is None else h.origin(start)
     floor = h0 if above else None
     ids[start] = 0
@@ -182,10 +190,13 @@ def transport(
             row = []
             labels = []
             for w, label in g.neighbors(vertices[i]):
-                hw = 0 if across is None else across(hv, w, label)
+                j = ids.get(w)
+                if j is not None and known:
+                    hw = heights[j]
+                else:
+                    hw = 0 if across is None else across(hv, w, label)
                 if floor is not None and hw <= floor:
                     continue
-                j = ids.get(w)
                 if j is None:
                     j = len(heights)
                     heights.append(hw)
@@ -497,7 +508,7 @@ def verify(
         raise HeightError("radius must be >= 0")
     d_radius = max(2, min(radius, 4))
     top_radius = max(radius + 1, d_radius)
-    reads_shell = type(h).across is not HeightFunction.across
+    reads_shell = _carried(h)
     last = top_radius if reads_shell else max(radius, d_radius)
     ids: Dict[object, int] = {}
     values: List[int] = []

@@ -9,6 +9,10 @@ edges joining two vertices at distance exactly k. The two radii satisfy
 K_induced <= K_walk <= K_induced + 1. Isomorphism testing is exact:
 joint color refinement on (distance from root, degree), then
 deterministic backtracking that preserves adjacency and non-adjacency.
+After its first round the refinement recomputes only the classes next
+to a class that split, and names the colors as a full recomputation of
+every class would (`_joint_refine`). The backtracking order sorts by
+color, so the witness is the same either way.
 
 A walk of length <= n from the root reaches distance n at its last step
 at the earliest, so it never uses an edge between two vertices at
@@ -41,25 +45,59 @@ def _joint_refine(
     init_a: List,
     init_b: List,
 ) -> Tuple[List[int], List[int]]:
-    """Color refinement run jointly so color names are comparable."""
+    """Color refinement run jointly so color names are comparable.
+
+    Each round renames every vertex by the rank of its signature (color,
+    sorted neighbor colors) among all signatures of both graphs, until a
+    round splits no class. Colors are contiguous and every signature
+    starts with the old color, so that rank is the number of parts of
+    the classes before the vertex's class plus the rank of its neighbor
+    colors within its class. A class with no neighbor in a class that
+    split last round keeps one part: its members had equal signatures,
+    and the colors of their neighbors were renamed one to one. Nor does
+    one whose only such neighbors lie in the largest part of a split:
+    its members have equally many neighbors in the whole class and none
+    in the other parts. So only the classes next to the smaller parts of
+    a split are recomputed, and the names are those of the full
+    recomputation.
+    """
+    n_a = len(adj_a)
+    adj = adj_a + [[n_a + j for j in row] for row in adj_b]
     palette = {s: c for c, s in enumerate(sorted(set(init_a) | set(init_b)))}
-    col_a = [palette[s] for s in init_a]
-    col_b = [palette[s] for s in init_b]
+    col = [palette[s] for s in init_a] + [palette[s] for s in init_b]
+    members: List[List[int]] = [[] for _ in palette]
+    for v, c in enumerate(col):
+        members[c].append(v)
+    stale = range(len(members))
     while True:
-        sig_a = [
-            (col_a[i], tuple(sorted(col_a[j] for j in adj_a[i])))
-            for i in range(len(adj_a))
-        ]
-        sig_b = [
-            (col_b[i], tuple(sorted(col_b[j] for j in adj_b[i])))
-            for i in range(len(adj_b))
-        ]
-        palette = {s: c for c, s in enumerate(sorted(set(sig_a) | set(sig_b)))}
-        new_a = [palette[s] for s in sig_a]
-        new_b = [palette[s] for s in sig_b]
-        if new_a == col_a and new_b == col_b:
-            return col_a, col_b
-        col_a, col_b = new_a, new_b
+        # Class -> its parts, ordered by neighbor colors, if it splits.
+        parts: Dict[int, List[List[int]]] = {}
+        for c in stale:
+            vs = members[c]
+            if len(vs) == 1:
+                continue
+            keys = [tuple(sorted([col[u] for u in adj[v]])) for v in vs]
+            if keys.count(keys[0]) == len(keys):
+                continue
+            groups: Dict[tuple, List[int]] = {}
+            for v, key in zip(vs, keys):
+                groups.setdefault(key, []).append(v)
+            parts[c] = [groups[key] for key in sorted(groups)]
+        if not parts:
+            return col[:n_a], col[n_a:]
+        first = min(parts)
+        renamed = members[:first]
+        for c in range(first, len(members)):
+            renamed += parts.get(c, (members[c],))
+        members = renamed
+        for c in range(first, len(members)):
+            for v in members[c]:
+                col[v] = c
+        stale = set()
+        for split in parts.values():
+            largest = max(split, key=len)
+            stale.update(col[u] for part in split if part is not largest
+                         for v in part for u in adj[v])
 
 
 def _histogram(colors: List[int]) -> Dict[int, int]:

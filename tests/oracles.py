@@ -761,6 +761,36 @@ def walk_filtered(ball, radius: int):
     return vertices, kept, distances
 
 
+def joint_refine_reference(
+    adj_a: List[List[int]],
+    adj_b: List[List[int]],
+    init_a: List,
+    init_b: List,
+) -> Tuple[List[int], List[int]]:
+    """Color refinement of two graphs at once, every round in full: each
+    vertex is renamed by the rank of (color, sorted neighbor colors)
+    among the signatures of both graphs, until the names stop changing.
+    The colors start as the ranks of the `init` values."""
+    palette = {s: c for c, s in enumerate(sorted(set(init_a) | set(init_b)))}
+    col_a = [palette[s] for s in init_a]
+    col_b = [palette[s] for s in init_b]
+    while True:
+        sig_a = [
+            (col_a[i], tuple(sorted(col_a[j] for j in adj_a[i])))
+            for i in range(len(adj_a))
+        ]
+        sig_b = [
+            (col_b[i], tuple(sorted(col_b[j] for j in adj_b[i])))
+            for i in range(len(adj_b))
+        ]
+        palette = {s: c for c, s in enumerate(sorted(set(sig_a) | set(sig_b)))}
+        new_a = [palette[s] for s in sig_a]
+        new_b = [palette[s] for s in sig_b]
+        if new_a == col_a and new_b == col_b:
+            return col_a, col_b
+        col_a, col_b = new_a, new_b
+
+
 def rooted_isomorphic(ball_a, ball_b) -> bool:
     """networkx-based rooted isomorphism check (test oracle only)."""
     import networkx as nx

@@ -518,6 +518,32 @@ def test_transport_equals_direct_evaluation(model, h):
         assert (kept, sorted(carried)) == (inner, into_shell), radius
 
 
+def test_transport_reads_a_vertex_height_once_per_kept_vertex(monkeypatch):
+    from sawlab import saw
+
+    reads = []
+    at = PeriodicHeight.at
+
+    def counting_at(self, v):
+        reads.append(v)
+        return at(self, v)
+
+    monkeypatch.setattr(PeriodicHeight, "at", counting_at)
+    # verify on zd3 at radius 9 expands the radius-9 ball and reads each
+    # of the 1561 vertices within distance 10 once; the invariance check
+    # reads the root and its three unit translates, 6 more.
+    g = resolve_model("zd3")
+    verify(g, resolve_height(g), 9)
+    assert len(reads) == 1567 and len(set(reads)) == 1561
+    # The bridge ball of zd2 under x at n = 8 reads each vertex it keeps
+    # once, and the vertices at distance 8 once per edge into them: 92
+    # reads of 78 vertices.
+    g = resolve_model("zd2")
+    reads.clear()
+    saw._compile_ball(g, resolve_height(g, "x"), g.root, 8)
+    assert len(reads) == 92 and len(set(reads)) == 78
+
+
 @pytest.mark.parametrize("model", ["zd2", "tree3", "heisenberg", "hexagonal", "lamplighter"])
 def test_transport_of_ghf_heights_equals_word_sums(model):
     g = resolve_model(model)

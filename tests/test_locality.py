@@ -1,14 +1,23 @@
 """Rooted ball isomorphism and quotient-family locality scans."""
 
+import itertools
 import json
 from unittest import mock
 
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, reject, settings, strategies as st
 
 import oracles
-from sawlab.graphs import PGOracle, ball, periodic_graph_from_document, resolve_model
+from sawlab.graphs import (
+    BudgetExceeded,
+    GraphError,
+    PGOracle,
+    ball,
+    periodic_graph_from_document,
+    resolve_model,
+)
 from sawlab.locality import (
+    _joint_refine,
     ball_iso,
     count_agreement,
     iso_radius,
@@ -373,3 +382,112 @@ def test_iso_radius_matches_ascending_loop_on_random_covers(doc_a, doc_b, bound,
     got = dict(k=res.k, at_least=res.at_least, verdicts=res.verdicts,
                witness=res.witness, budget_hit=res.budget_hit)
     assert got == want
+
+
+def _rewired(doc):
+    """The documents that one voltage sign flip, or one swap of the far
+    ends of two edges, makes from `doc`. A swap keeps every orbit's
+    degree, so the balls often keep equal sizes past the radius where
+    they stop being isomorphic."""
+    edges = doc["edges"]
+    for i, (_o1, _o2, t) in enumerate(edges):
+        for k, x in enumerate(t):
+            if x:
+                flipped = [[o1, o2, list(u)] for o1, o2, u in edges]
+                flipped[i][2][k] = -x
+                yield dict(doc, edges=flipped)
+    for i, j in itertools.combinations(range(len(edges)), 2):
+        swapped = [[o1, o2, list(u)] for o1, o2, u in edges]
+        swapped[i][1], swapped[j][1] = swapped[j][1], swapped[i][1]
+        yield dict(doc, edges=swapped)
+
+
+SAME_SIZE_BOUND = 5
+
+
+@st.composite
+def same_size_pairs(draw):
+    """(doc a, doc b, convention): b is one of `_rewired(a)`, the first
+    from a drawn place on whose balls are not isomorphic within
+    SAME_SIZE_BOUND and agree in vertex and edge counts one radius past
+    K. So `iso_radius` checks past K and must bisect back to it."""
+    doc_a = draw(voltage_documents(orbits=(3, 5), dims=(1, 1), extras=6))
+    convention = draw(st.sampled_from(["induced", "walk"]))
+    candidates = list(_rewired(doc_a))
+    start = draw(st.integers(0, len(candidates) - 1))
+    for doc_b in candidates[start:] + candidates[:start]:
+        try:
+            g_a, g_b = (PGOracle(periodic_graph_from_document(doc)) for doc in (doc_a, doc_b))
+        except GraphError:  # a swap made a loop of voltage 0
+            continue
+        want = oracles.iso_radius_reference(
+            ball, ball_iso, BudgetExceeded, g_a, g_b, SAME_SIZE_BOUND, convention=convention)
+        k = want["k"]
+        if not want["at_least"] and len({
+            ball(g, k + 1, convention=convention).sizes(convention)[k + 1] for g in (g_a, g_b)
+        }) == 1:
+            return doc_a, doc_b, convention
+    reject()
+
+
+def test_iso_radius_bisects_on_pairs_that_agree_in_size_past_k():
+    from sawlab import locality
+
+    bisected = []
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(same_size_pairs())
+    def check(pair):
+        doc_a, doc_b, convention = pair
+        g_a, g_b = (PGOracle(periodic_graph_from_document(doc)) for doc in (doc_a, doc_b))
+        want = oracles.iso_radius_reference(
+            ball, ball_iso, BudgetExceeded, g_a, g_b, SAME_SIZE_BOUND, convention=convention)
+        with mock.patch.object(locality, "ball_iso", wraps=locality.ball_iso) as checks:
+            res = iso_radius(g_a, g_b, SAME_SIZE_BOUND, convention=convention)
+        got = dict(k=res.k, at_least=res.at_least, verdicts=res.verdicts,
+                   witness=res.witness, budget_hit=res.budget_hit)
+        assert got == want
+        bisected.append(checks.call_count > 1)
+
+    check()
+    # A pair that agrees in size at K + 1 makes the candidate radius pass
+    # K, and bisects unless K = 0 and the candidate is 1.
+    assert sum(bisected) > 0, bisected
+
+
+# ---------------------------------------------------------------------------
+# Incremental refinement against the full recomputation
+# ---------------------------------------------------------------------------
+
+
+def _refine_inputs(ba, bb):
+    """`ball_iso`'s refinement inputs: adjacency and (distance, degree)."""
+    adj_a, adj_b = ba.adjacency(), bb.adjacency()
+    return (adj_a, adj_b,
+            [(ba.distances[i], len(row)) for i, row in enumerate(adj_a)],
+            [(bb.distances[i], len(row)) for i, row in enumerate(adj_b)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(voltage_documents(), voltage_documents(), st.booleans(), st.integers(0, 5),
+       st.sampled_from(["induced", "walk"]))
+def test_joint_refine_names_colors_as_the_full_recomputation(doc_a, doc_b, same, radius, convention):
+    g_a = PGOracle(periodic_graph_from_document(doc_a))
+    g_b = g_a if same else PGOracle(periodic_graph_from_document(doc_b))
+    inputs = _refine_inputs(*(ball(g, radius, convention=convention) for g in (g_a, g_b)))
+    assert _joint_refine(*inputs) == oracles.joint_refine_reference(*inputs)
+
+
+@pytest.mark.parametrize("convention", ["induced", "walk"])
+@pytest.mark.parametrize("pair,radius", [
+    (("hexagonal", "hexagonal"), 22),
+    (("square_octagon", "square_octagon"), 22),
+    (("lamplighter", "lamplighter"), 9),
+    (("tree3", "tree3"), 8),
+    (("cylinder7", "ladder_dihedral7"), 22),
+], ids=lambda p: "-".join(p) if isinstance(p, tuple) else str(p))
+def test_joint_refine_names_colors_as_the_full_recomputation_on_benchmark_balls(
+        pair, radius, convention):
+    inputs = _refine_inputs(*(ball(resolve_model(m), radius, convention=convention) for m in pair))
+    assert _joint_refine(*inputs) == oracles.joint_refine_reference(*inputs)

@@ -342,12 +342,13 @@ class _FirstCoordinate(HeightFunction):
 
 
 @st.composite
-def voltage_documents(draw):
+def voltage_documents(draw, orbits=(1, 3), dims=(1, 2), extras=3):
     """Small connected voltage graphs: a voltage-0 path through the orbits
     and a unit self-loop per lattice direction make every draw connected
-    with cycle voltages spanning Z^d; random edges come on top."""
-    orbits = draw(st.integers(1, 3))
-    dim = draw(st.integers(1, 2))
+    with cycle voltages spanning Z^d; up to `extras` random edges come on
+    top. `orbits` and `dims` bound the orbit count and dimension."""
+    orbits = draw(st.integers(*orbits))
+    dim = draw(st.integers(*dims))
     edges = [[o, o + 1, [0] * dim] for o in range(1, orbits)]
     edges += [[1, 1, [int(i == j) for j in range(dim)]] for i in range(dim)]
     extra = st.tuples(
@@ -355,7 +356,7 @@ def voltage_documents(draw):
         st.integers(1, orbits),
         st.lists(st.integers(-1, 1), min_size=dim, max_size=dim),
     )
-    for o1, o2, t in draw(st.lists(extra, max_size=3)):
+    for o1, o2, t in draw(st.lists(extra, max_size=extras)):
         if o1 != o2 or any(t):
             edges.append([o1, o2, t])
     return {"orbits": orbits, "dim": dim, "edges": edges}
