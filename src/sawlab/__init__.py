@@ -23,9 +23,7 @@ from .graphs import (
     resolve_model,
 )
 from .heights import (
-    AxiomReport,
     GammaHeight,
-    HarmonicReport,
     HarmonicSolution,
     HeightConflict,
     HeightError,

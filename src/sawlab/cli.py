@@ -227,41 +227,34 @@ def cmd_harmonic(args) -> int:
 def cmd_verify(args) -> int:
     g = graphs.resolve_model(args.model)
     h = resolve_height(g, args.height)
-    axioms, harmonic, d = heights.verify(g, h, args.radius, _ball_budget(args))
+    check = heights.verify(g, h, args.radius, _ball_budget(args))
+    uniform = check.uniform_defect
     print(f"model {args.model}, height {h.name}, radius {args.radius}")
     print(
-        f"axioms: {'pass' if axioms.ok else 'FAIL'} "
-        f"({axioms.increase_checked} vertices; invariance: {axioms.invariance_note})"
+        f"axioms: {'pass' if check.ok else 'FAIL'} "
+        f"({check.checked} vertices; invariance: {check.invariance_note})"
     )
-    for failure in axioms.failures[:10]:
+    for failure in check.failures[:10]:
         print(f"  {failure}")
-    if harmonic.uniform_defect is not None:
-        print(
-            f"harmonic defect: uniform {harmonic.uniform_defect} "
-            f"over {harmonic.vertices_checked} vertices"
-        )
+    if uniform is not None:
+        print(f"harmonic defect: uniform {uniform} over {check.checked} vertices")
     else:
-        print(
-            f"harmonic defects: {len(harmonic.defect_values)} distinct values, "
-            f"worst {harmonic.worst}"
-        )
-    print(f"d = {d}")
+        vertex, defect = check.worst
+        print(f"harmonic defects: {len(check.defect_values)} distinct values, "
+              f"worst {defect} at {vertex}")
+    print(f"d = {check.d}")
     doc = {
         "model": args.model,
         "height": h.name,
         "radius": args.radius,
-        "axioms_ok": axioms.ok,
-        "failures": axioms.failures,
-        "harmonic_all_zero": harmonic.all_zero,
-        "uniform_defect": (
-            str(harmonic.uniform_defect)
-            if harmonic.uniform_defect is not None
-            else None
-        ),
-        "d": d,
+        "axioms_ok": check.ok,
+        "failures": check.failures,
+        "harmonic_all_zero": check.all_zero,
+        "uniform_defect": None if uniform is None else str(uniform),
+        "d": check.d,
     }
     _save(args, doc, _timestamp(args))
-    return EXIT_OK if axioms.ok else EXIT_NEGATIVE
+    return EXIT_OK if check.ok else EXIT_NEGATIVE
 
 
 def cmd_ball_iso(args) -> int:

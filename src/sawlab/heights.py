@@ -23,9 +23,9 @@ degenerate document has none and raises `RepairExhausted`.
 `verify` checks a height on a ball around the root, from one BFS of
 `transport`: the axioms, the harmonic defects and the increment bound d.
 The BFS expands only the vertices whose neighbors a check reads: those
-within max(radius, 2), and also the radius + 1 shell for a height known
-only by transport (whose conflicts are checked on every edge of the
-ball).
+within max(radius, 2), and also the radius + 1 shell for the word sum
+(whose conflicts are checked on every edge of the ball). It returns one
+`Verification` record.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._linalg import integer_kernel, solve_unique
 from .graphs import (
@@ -68,9 +68,9 @@ class HeightConflict(HeightError):
 
 class HeightFunction:
     """A vertex height, read at a vertex (`at`) or carried across an edge
-    (`across`). A height with values at vertices implements `at`; one
-    known only by transport along edge labels, such as a word sum,
-    implements `across` and `origin` instead."""
+    (`across`). A height with values at vertices implements `at`; the
+    word sum `GammaHeight`, known only by transport along edge labels,
+    implements `across` instead and starts every transport at 0."""
 
     name: str = "height"
 
@@ -81,12 +81,6 @@ class HeightFunction:
         """The height of `w`, entered with height `hv` along an edge
         labelled `label`."""
         return self.at(w)
-
-    def origin(self, v) -> int:
-        """The height a transport from `v` starts at: `at(v)`. A height
-        known only by transport starts at 0, its value at the root; away
-        from the root only its differences are used."""
-        return self.at(v)
 
 
 @dataclass(frozen=True)
@@ -118,9 +112,6 @@ class GammaHeight(HeightFunction):
         except KeyError:
             raise HeightError(f"edge label {label!r} has no height increment") from None
 
-    def origin(self, v) -> int:
-        return 0
-
 
 @dataclass(frozen=True)
 class PeriodicHeight(HeightFunction):
@@ -129,21 +120,11 @@ class PeriodicHeight(HeightFunction):
     f: Tuple[int, ...]
     lam: Tuple[int, ...]
     scale: int = 1
-    height_name: str = "periodic"
-
-    @property
-    def name(self) -> str:
-        return self.height_name
+    name: str = "periodic"
 
     def at(self, v) -> int:
         o, x = v
         return self.f[o - 1] + sum(map(mul, self.lam, x))
-
-
-def _carried(h: Optional[HeightFunction]) -> bool:
-    """Whether `h` is known only by transport: it overrides `across`, so
-    each edge may carry a vertex a height of its own."""
-    return h is not None and type(h).across is not HeightFunction.across
 
 
 def transport(
@@ -159,24 +140,26 @@ def transport(
     """Carry `h` over a BFS of the radius-`radius` ball around `start`.
 
     Fills the empty `ids` (vertex -> id, in BFS order, `start` = 0) and
-    `heights` (per id: `h.origin` at the start, else `h.across` along the
-    first edge in; 0 if `h` is None). A height read at vertices is read
-    once per kept vertex: an edge into a vertex with an id takes its
-    height from `heights`. With `above`, only edges into vertices above
-    the start are followed, and distance is measured along them. Yields (depth, ids its followed edges reach in neighbor order,
-    the labels of those edges) for each vertex at distance depth <
-    `radius`, in id order. `ids` keeps those vertices only, so their ids
-    are 0..len(ids) - 1; each edge into a vertex at distance `radius`
-    gets a fresh id past them. An edge that gives a kept vertex a second
-    height raises HeightConflict.
+    `heights` (per id: 0 at the start for the word sum `GammaHeight` and
+    `h.at(start)` for any other height, else `h.across` along the first
+    edge in; 0 if `h` is None). A height read at vertices is read once
+    per kept vertex: an edge into a vertex with an id takes its height
+    from `heights`. With `above`, only edges into vertices above the
+    start are followed, and distance is measured along them. Yields
+    (depth, ids its followed edges reach in neighbor order, the labels
+    of those edges) for each vertex at distance depth < `radius`, in id
+    order. `ids` keeps those vertices only, so their ids are
+    0..len(ids) - 1; each edge into a vertex at distance `radius` gets a
+    fresh id past them. An edge of the word sum that gives a kept vertex
+    a second height raises HeightConflict.
 
     With `stop` <= `radius`, only the vertices at distance < `stop` are
     expanded and yielded; `ids` still keeps every vertex they reach
     within distance `radius` - 1.
     """
     across = None if h is None else h.across
-    known = not _carried(h)
-    h0 = 0 if h is None else h.origin(start)
+    carried = isinstance(h, GammaHeight)
+    h0 = 0 if h is None or carried else h.at(start)
     floor = h0 if above else None
     ids[start] = 0
     heights.append(h0)
@@ -191,7 +174,7 @@ def transport(
             labels = []
             for w, label in g.neighbors(vertices[i]):
                 j = ids.get(w)
-                if j is not None and known:
+                if j is not None and not carried:
                     hw = heights[j]
                 else:
                     hw = 0 if across is None else across(hv, w, label)
@@ -290,7 +273,7 @@ def solution_space(pg: PeriodicGraph) -> List[HarmonicSolution]:
     therefore exists and is unique, and no solution with lambda = 0 other
     than the constants exists.
     """
-    units = [tuple(Fraction(int(j == i)) for j in range(pg.dim)) for i in range(pg.dim)]
+    units = [tuple(int(j == i) for j in range(pg.dim)) for i in range(pg.dim)]
     fs = _orbit_system(pg, units)
     return [HarmonicSolution(pg=pg, lam=lam, f=f) for lam, f in zip(units, fs)]
 
@@ -362,7 +345,7 @@ def _repair(
             f=tuple(int(q * scale) for q in f),
             lam=tuple(int(q * scale) for q in lam),
             scale=scale,
-            height_name=name,
+            name=name,
         )
     raise AssertionError(
         "no candidate on the moment curve increases everywhere, against the "
@@ -425,7 +408,7 @@ def resolve_height(g: GraphOracle, name: Optional[str] = None) -> HeightFunction
             raise HeightError(f"height {name!r} needs a model of dimension >= {i + 1}, "
                               f"and {g.name} has dimension {dim}")
         return PeriodicHeight((0,) * g.pg.orbit_count, tuple(int(j == i) for j in range(dim)),
-                              height_name=name)
+                              name=name)
     if name == "level":
         return LevelHeight()
     if name == "ghf":
@@ -445,33 +428,31 @@ def resolve_height(g: GraphOracle, name: Optional[str] = None) -> HeightFunction
 
 
 @dataclass
-class AxiomReport:
-    ok: bool
+class Verification:
+    """What `verify` measured on the vertices within its radius, `checked`
+    of them: the axiom failures, h(root), how invariance was decided, the
+    distinct harmonic defects in increasing order, the worst defect as
+    (canonical key, defect), and the increment bound d."""
+
     failures: List[str]
     root_value: int
-    increase_checked: int
+    checked: int
     invariance_note: str
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass
-class HarmonicReport:
-    all_zero: bool
-    vertices_checked: int
     defect_values: List[Fraction]
-    uniform_defect: Optional[Fraction]
-    worst: Optional[Tuple[str, Fraction]]
-
-    def __bool__(self) -> bool:
-        return self.all_zero
-
-
-class Verification(NamedTuple):
-    axioms: AxiomReport
-    harmonic: HarmonicReport
+    worst: Tuple[str, Fraction]
     d: int
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    @property
+    def all_zero(self) -> bool:
+        return self.defect_values == [0]
+
+    @property
+    def uniform_defect(self) -> Optional[Fraction]:
+        return self.defect_values[0] if len(self.defect_values) == 1 else None
 
 
 def verify(
@@ -485,8 +466,8 @@ def verify(
 
     The BFS expands the vertices within max(radius, d's radius), whose
     rows the checks read. It expands the vertices at distance R as well
-    for a height that overrides `across`, so that an edge between two
-    vertices at distance R that gives one of them a second height raises
+    for the word sum `GammaHeight`, so that an edge between two vertices
+    at distance R that gives one of them a second height raises
     HeightConflict. A height read at vertices cannot conflict.
 
     - axioms: h(root) = 0, a strictly lower and a strictly higher
@@ -508,8 +489,7 @@ def verify(
         raise HeightError("radius must be >= 0")
     d_radius = max(2, min(radius, 4))
     top_radius = max(radius + 1, d_radius)
-    reads_shell = _carried(h)
-    last = top_radius if reads_shell else max(radius, d_radius)
+    last = top_radius if isinstance(h, GammaHeight) else max(radius, d_radius)
     ids: Dict[object, int] = {}
     values: List[int] = []
     depths: List[int] = []
@@ -554,7 +534,6 @@ def verify(
     top = [(i, q) for pair, q in defects.items() if abs(q) == size for i in first[pair]]
     least = min(depths[i] for i, _q in top)
     key, defect = min((g.canonical_key(vertices[i]), q) for i, q in top if depths[i] == least)
-    worst = (key.decode(), defect)
 
     # Difference-invariance. A periodic height is affine in the lattice
     # coordinate on each orbit, h(o, x) = c_o + <m_o, x>, so it is
@@ -577,24 +556,8 @@ def verify(
     else:
         note = "structural (invariant by construction)"
 
-    vals = sorted(set(defects.values()))
-    return Verification(
-        axioms=AxiomReport(
-            ok=not failures,
-            failures=failures,
-            root_value=root_value,
-            increase_checked=checked,
-            invariance_note=note,
-        ),
-        harmonic=HarmonicReport(
-            all_zero=vals == [Fraction(0)],
-            vertices_checked=checked,
-            defect_values=vals,
-            uniform_defect=vals[0] if len(vals) == 1 else None,
-            worst=worst,
-        ),
-        d=d,
-    )
+    return Verification(failures, root_value, checked, note, sorted(set(defects.values())),
+                        (key.decode(), defect), d)
 
 
 def compute_r(

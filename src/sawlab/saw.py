@@ -199,7 +199,8 @@ def _walk(
     feasible extension by exactly `remaining` steps is appended to it as
     (path, height of its end, running maximum before its last step),
     whether or not it ends at its maximum. Heights are carried across
-    each step by `h.across`, from `h.origin` at the start.
+    each step by `h.across`, from 0 at the start for the word sum
+    `GammaHeight` and from `h.at` of the start for any other height.
 
     Without `out`, the DFS never enters depth `remaining`: the loop over
     the children of a node at depth `remaining` - 2 also scans each
@@ -215,7 +216,7 @@ def _walk(
     h0 = 0
     if bridge:
         across = h.across
-        h0 = h.origin(path[0])
+        h0 = 0 if isinstance(h, GammaHeight) else h.at(path[0])
     hits = [0] * (remaining + 1)
     nodes = [0] * (remaining + 1)
     # The depth counted in the loop of its grandparent: none with `out`.

@@ -446,7 +446,7 @@ def reference_walk(g, h, path: Sequence, remaining: int, hv: int = 0, hmax: int 
     h0 = 0
     if bridge:
         across = h.across
-        h0 = h.origin(path[0])
+        h0 = h.at(path[0]) or 0  # the word sum reads None: it starts at 0
     hits = [0] * (remaining + 1)
     nodes = [0] * (remaining + 1)
 
@@ -638,9 +638,11 @@ def reference_verify(
     `radius`: each needs a strictly lower and a strictly higher neighbor,
     and its defect is h(v) minus the mean of its neighbors' heights. d is
     the largest |h(v) - h(w)| over the edges within distance d_radius =
-    max(2, min(radius, 4)). Returns the fields of the `AxiomReport`, of
-    the `HarmonicReport` and d; the invariance note, and the exact
-    invariance check of a periodic height, are left out.
+    max(2, min(radius, 4)). Returns the fields and properties of the
+    `heights.Verification` record, each by its definition: `ok`,
+    `all_zero` and `uniform_defect` from the failures and defects found
+    here; the invariance note, and the exact invariance check of a
+    periodic height, are left out.
     """
     d_radius = max(2, min(radius, 4))
     dist = {root: 0}
@@ -676,8 +678,8 @@ def reference_verify(
             for w in near[v] if dist[w] <= d_radius)
     values = sorted(set(defects))
     return dict(
-        ok=not failures, failures=failures, root_value=h[root], increase_checked=len(checked),
-        all_zero=values == [0], vertices_checked=len(checked), defect_values=values,
+        ok=not failures, failures=failures, root_value=h[root], checked=len(checked),
+        all_zero=values == [0], defect_values=values,
         uniform_defect=values[0] if len(values) == 1 else None, worst=worst, d=d,
     )
 

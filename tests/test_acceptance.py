@@ -32,7 +32,7 @@ from sawlab.saw import (
 
 F = Fraction
 # The x coordinate of zd2: the periodic height f = 0, lambda = e_1.
-X = PeriodicHeight((0,), (1, 0), height_name="x")
+X = PeriodicHeight((0,), (1, 0), name="x")
 
 GHF_PRESETS = ["zd2", "zd3", "tree3", "heisenberg", "hexagonal", "lamplighter"]
 
@@ -84,9 +84,9 @@ def test_criterion_2_emitted_ghfs_well_defined_and_harmonic():
         assert gamma is not None, name
         # verify raises HeightConflict if a vertex of its ball gets two heights.
         h = GammaHeight(tuple(zip(p.generators, gamma)))
-        hr = verify(resolve_model(name), h, radius=4).harmonic
-        assert hr.all_zero and hr.uniform_defect == 0, name
-        assert hr.vertices_checked > 0
+        check = verify(resolve_model(name), h, radius=4)
+        assert check.all_zero and check.uniform_defect == 0, name
+        assert check.checked > 0
     assert time.monotonic() - t0 < 5.0
 
 
@@ -152,14 +152,14 @@ def test_criterion_6_harmonic_extension_and_integer_repair():
     for k in range(-50, 51):
         assert h_line.at((1, (k,))) == 2 * k
         assert h_line.at((2, (k,))) == 2 * k + 1
-    assert verify(PGOracle(line_pg, "dihedral_line"), h_line, radius=4).axioms.ok
+    assert verify(PGOracle(line_pg, "dihedral_line"), h_line, radius=4).ok
 
     so = resolve_model("square_octagon")
     h_so = increase_repair(so.pg)
     assert all(isinstance(x, int) for x in h_so.f + h_so.lam)
-    ax, hr, _ = verify(so, h_so, radius=4)
-    assert ax.ok, ax.failures
-    assert hr.all_zero and hr.uniform_defect == 0
+    check = verify(so, h_so, radius=4)
+    assert check.ok, check.failures
+    assert check.all_zero and check.uniform_defect == 0
     assert time.monotonic() - t0 < 5.0
 
 
@@ -167,11 +167,11 @@ def test_criterion_7_grandparent_defect_seven_eighths():
     t0 = time.monotonic()
     g = resolve_model("grandparent")
     h = LevelHeight()
-    ax, hr, _ = verify(g, h, radius=4)
-    assert ax.ok, ax.failures
-    assert hr.uniform_defect == F(7, 8)
-    assert set(hr.defect_values) == {F(7, 8)}
-    assert hr.vertices_checked > 500
+    check = verify(g, h, radius=4)
+    assert check.ok, check.failures
+    assert check.uniform_defect == F(7, 8)
+    assert set(check.defect_values) == {F(7, 8)}
+    assert check.checked > 500
     assert verify(g, h, radius=2).d == 2
     assert time.monotonic() - t0 < 5.0
 

@@ -382,6 +382,53 @@ def test_verify_exit_negative_on_failing_height(capsys):
     assert code == EXIT_INPUT and "level height" in err
 
 
+STRUCTURAL = "invariance: structural (invariant by construction)"
+EXACT = "invariance: exact (unit translations of each orbit)"
+VERIFY_REPORTS = {
+    # A height read at vertices.
+    ("zd2", "3"): (EXIT_OK, f"""model zd2, height x, radius 3
+axioms: pass (25 vertices; {EXACT})
+harmonic defect: uniform 0 over 25 vertices
+d = 1
+"""),
+    # A word sum.
+    ("heisenberg", "3"): (EXIT_OK, f"""model heisenberg, height ghf, radius 3
+axioms: pass (83 vertices; {STRUCTURAL})
+harmonic defect: uniform 0 over 83 vertices
+d = 1
+"""),
+    ("grandparent", "4"): (EXIT_OK, f"""model grandparent, height level, radius 4
+axioms: pass (681 vertices; {STRUCTURAL})
+harmonic defect: uniform 7/8 over 681 vertices
+d = 2
+"""),
+    # Failing axioms, and defects that are not uniform: the first ten
+    # failures and the worst defect are printed.
+    ("hexagonal", "2", "--height", "x"): (EXIT_NEGATIVE, f"""model hexagonal, height x, radius 2
+axioms: FAIL (10 vertices; {EXACT})
+  no strictly higher neighbor at (1, (0, 0)) (h = 0)
+  no strictly lower neighbor at (2, (-1, 0)) (h = -1)
+  no strictly lower neighbor at (2, (0, -1)) (h = 0)
+  no strictly lower neighbor at (2, (0, 0)) (h = 0)
+  no strictly higher neighbor at (1, (-1, 0)) (h = -1)
+  no strictly higher neighbor at (1, (-1, 1)) (h = -1)
+  no strictly higher neighbor at (1, (0, -1)) (h = 0)
+  no strictly higher neighbor at (1, (0, 1)) (h = 0)
+  no strictly higher neighbor at (1, (1, -1)) (h = 1)
+  no strictly higher neighbor at (1, (1, 0)) (h = 1)
+harmonic defects: 2 distinct values, worst 1/3 at (1, (0, 0))
+d = 1
+"""),
+}
+
+
+@pytest.mark.parametrize("args", VERIFY_REPORTS, ids=lambda args: args[0])
+def test_verify_report_is_frozen(capsys, args):
+    model, radius, *height = args
+    got = run(capsys, "verify", "--model", model, "--radius", radius, *height)
+    assert got == (*VERIFY_REPORTS[args], "")
+
+
 def test_verify_rejects_negative_radius_before_any_work(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before --radius was checked")

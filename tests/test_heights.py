@@ -20,9 +20,7 @@ from sawlab.graphs import (
     resolve_model,
 )
 from sawlab.heights import (
-    AxiomReport,
     GammaHeight,
-    HarmonicReport,
     HarmonicSolution,
     HeightConflict,
     HeightError,
@@ -30,7 +28,6 @@ from sawlab.heights import (
     LevelHeight,
     PeriodicHeight,
     RepairExhausted,
-    Verification,
     compute_r,
     harmonic_residuals,
     increase_repair,
@@ -155,9 +152,9 @@ def test_repair_is_integer_increasing_harmonic():
         h = increase_repair(pg)
         g = PGOracle(pg, name)
         assert all(isinstance(x, int) for x in h.f + h.lam)
-        ax, hr, _ = verify(g, h, radius=4)
-        assert ax.ok, (name, ax.failures)
-        assert hr.all_zero, name
+        check = verify(g, h, radius=4)
+        assert check.ok, (name, check.failures)
+        assert check.all_zero, name
 
 
 def test_default_heights_of_the_periodic_catalog():
@@ -271,8 +268,8 @@ def test_repair_of_the_pairs_document_is_fast_and_verified():
     assert time.monotonic() - t0 < 1.0
     assert h.lam == (2, 4, 8, 16, 32) and h.scale == 2
     check = verify(PGOracle(pg), h, radius=2)
-    assert check.axioms.ok, check.axioms.failures
-    assert check.harmonic.all_zero
+    assert check.ok, check.failures
+    assert check.all_zero
 
 
 @settings(max_examples=60, deadline=5000)
@@ -287,8 +284,8 @@ def test_repair_is_verified_or_names_an_orbit_without_increments(doc):
             assert all(s.value(o2, t) == s.f[o - 1] for o2, t, _ in pg.out_edges(o))
         return
     check = verify(PGOracle(pg), h, radius=2)
-    assert check.axioms.ok, check.axioms.failures
-    assert check.harmonic.all_zero
+    assert check.ok, check.failures
+    assert check.all_zero
 
 
 @settings(max_examples=60, deadline=None)
@@ -331,10 +328,10 @@ class ShiftedHeight(HeightFunction):
 
 CANONICAL = [
     # The x coordinate of each cover: the periodic height f = 0, lambda = e_1.
-    ("zd1", PeriodicHeight((0,), (1,), height_name="x")),
-    ("zd2", PeriodicHeight((0,), (1, 0), height_name="x")),
-    ("zd3", PeriodicHeight((0,), (1, 0, 0), height_name="x")),
-    ("cylinder5", PeriodicHeight((0,) * 5, (1,), height_name="x")),
+    ("zd1", PeriodicHeight((0,), (1,), name="x")),
+    ("zd2", PeriodicHeight((0,), (1, 0), name="x")),
+    ("zd3", PeriodicHeight((0,), (1, 0, 0), name="x")),
+    ("cylinder5", PeriodicHeight((0,) * 5, (1,), name="x")),
     ("ladder_dihedral5", resolve_height(resolve_model("ladder_dihedral5"), "x")),
     ("dihedral_line", resolve_height(resolve_model("dihedral_line"), "identity")),
     ("grandparent", LevelHeight()),
@@ -344,7 +341,7 @@ CANONICAL = [
 def test_axioms_pass_for_canonical_heights():
     for model, h in CANONICAL:
         g = resolve_model(model)
-        report = verify(g, h, radius=3).axioms
+        report = verify(g, h, radius=3)
         assert report.ok, (model, report.failures)
         assert report.root_value == 0
 
@@ -352,27 +349,28 @@ def test_axioms_pass_for_canonical_heights():
 def test_axioms_pass_for_ghf_heights():
     for name in ("zd2", "tree3", "heisenberg", "hexagonal", "lamplighter"):
         g = resolve_model(name)
-        report, hr, _ = verify(g, resolve_height(g, "ghf"), radius=3)
+        report = verify(g, resolve_height(g, "ghf"), radius=3)
         assert report.ok, (name, report.failures)
-        assert hr.all_zero and hr.uniform_defect == 0, name
+        assert report.all_zero and report.uniform_defect == 0, name
 
 
 def test_axioms_fail_without_lower_neighbor():
-    report = verify(resolve_model("zd1"), AbsHeight(), radius=2).axioms
+    report = verify(resolve_model("zd1"), AbsHeight(), radius=2)
     assert not report.ok
     assert any("lower" in f for f in report.failures)
 
 
 def test_axioms_fail_for_shifted_root():
-    report = verify(resolve_model("zd1"), ShiftedHeight(), radius=2).axioms
+    report = verify(resolve_model("zd1"), ShiftedHeight(), radius=2)
     assert not report.ok
     assert any("h(root) = 3" in f for f in report.failures)
 
 
-def reference_verification(g, h, radius):
-    """`oracles.reference_verify` on `g` as a `Verification`. The cases
-    given to it have affine periodic heights, so the exact invariance
-    check adds no failure; the note is the one of the height's kind."""
+def assert_verify_equals_reference(g, h, radius):
+    """Every field and property of `verify`'s record equals
+    `oracles.reference_verify` on `g`, or the note of the height's kind.
+    The cases given to it have affine periodic heights, so the exact
+    invariance check adds no failure."""
     if isinstance(h, GammaHeight):
         at = oracles.word_sum_heights(g.neighbors, g.root, dict(h.gamma), radius + 2).get
     else:
@@ -382,11 +380,9 @@ def reference_verification(g, h, radius):
         note = "exact (unit translations of each orbit)"
     else:
         note = "structural (invariant by construction)"
-    axioms = {k: want[k] for k in ("ok", "failures", "root_value", "increase_checked")}
-    harmonic = {k: want[k] for k in ("all_zero", "vertices_checked", "defect_values",
-                                     "uniform_defect", "worst")}
-    return Verification(AxiomReport(**axioms, invariance_note=note),
-                        HarmonicReport(**harmonic), want["d"])
+    want["invariance_note"] = note
+    got = verify(g, h, radius)
+    assert {k: getattr(got, k) for k in want} == want, radius
 
 
 class CubeHeight(HeightFunction):
@@ -418,17 +414,17 @@ VERIFY_CASES = CANONICAL + [
 def test_verify_equals_reference_verify(model, h):
     g = JUMP if model == "coordinate_jump" else resolve_model(model)
     for radius in range(5):
-        assert verify(g, h, radius) == reference_verification(g, h, radius), radius
+        assert_verify_equals_reference(g, h, radius)
 
 
 def test_x_on_the_coordinate_jump_cover_is_an_exact_periodic_height():
     h = resolve_height(JUMP, "x")
-    assert h == PeriodicHeight((0, 0, 0), (1,), height_name="x")
+    assert h == PeriodicHeight((0, 0, 0), (1,), name="x")
     for radius in range(5):
-        axioms, _harmonic, d = verify(JUMP, h, radius)
-        assert axioms.ok and axioms.failures == [], radius
-        assert axioms.invariance_note == "exact (unit translations of each orbit)"
-        assert d == 2, radius
+        check = verify(JUMP, h, radius)
+        assert check.ok and check.failures == [], radius
+        assert check.invariance_note == "exact (unit translations of each orbit)"
+        assert check.d == 2, radius
 
 
 @settings(max_examples=30, deadline=5000)
@@ -441,7 +437,7 @@ def test_verify_equals_reference_verify_on_repaired_covers(doc):
         return
     g = PGOracle(pg)
     for radius in range(5):
-        assert verify(g, h, radius) == reference_verification(g, h, radius), radius
+        assert_verify_equals_reference(g, h, radius)
 
 
 def test_verification_rejects_negative_radius():
@@ -459,10 +455,10 @@ class _BentPeriodicHeight(PeriodicHeight):
 
 def test_axioms_fail_for_non_affine_periodic_height():
     g = resolve_model("zd2")
-    report = verify(g, _BentPeriodicHeight(f=(0,), lam=(3, 0)), radius=2).axioms
+    report = verify(g, _BentPeriodicHeight(f=(0,), lam=(3, 0)), radius=2)
     assert report.failures == ["difference-invariance violated at 1 translates"]
     assert report.invariance_note == "exact (unit translations of each orbit)"
-    affine = verify(g, PeriodicHeight(f=(0,), lam=(3, 0)), radius=2).axioms
+    affine = verify(g, PeriodicHeight(f=(0,), lam=(3, 0)), radius=2)
     assert affine.ok and affine.invariance_note == report.invariance_note
 
 
@@ -590,18 +586,18 @@ def test_walk_carries_repaired_heights_as_transport_does(doc, n):
 def test_grandparent_level():
     g = resolve_model("grandparent")
     h = LevelHeight()
-    report, hr, _ = verify(g, h, radius=4)
+    report = verify(g, h, radius=4)
     assert report.ok
-    assert not hr.all_zero
-    assert hr.uniform_defect == F(7, 8)
-    assert hr.vertices_checked > 500
+    assert not report.all_zero
+    assert report.uniform_defect == F(7, 8)
+    assert report.checked > 500
     assert verify(g, h, radius=2).d == 2
 
 
 def test_verify_harmonic_flags_defects():
-    hr = verify(resolve_model("zd1"), AbsHeight(), radius=2).harmonic
-    assert not hr.all_zero
-    assert F(0) in hr.defect_values and F(-1) in hr.defect_values
+    check = verify(resolve_model("zd1"), AbsHeight(), radius=2)
+    assert not check.all_zero
+    assert F(0) in check.defect_values and F(-1) in check.defect_values
 
 
 def test_d_values():

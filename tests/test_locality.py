@@ -28,7 +28,7 @@ from sawlab.heights import PeriodicHeight, resolve_height
 from test_saw import voltage_documents
 
 # The x coordinate of zd2: the periodic height f = 0, lambda = e_1.
-X = PeriodicHeight((0,), (1, 0), height_name="x")
+X = PeriodicHeight((0,), (1, 0), name="x")
 
 # largest k with B(zd2, k) isomorphic to B(cylinder_m, k), by exhaustive check
 TRUE_K = {4: 1, 5: 1, 6: 2, 7: 2, 8: 3, 9: 3}

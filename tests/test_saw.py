@@ -48,7 +48,7 @@ from sawlab.saw import (
 )
 
 # The x coordinate of zd2: the periodic height f = 0, lambda = e_1.
-X = PeriodicHeight((0,), (1, 0), height_name="x")
+X = PeriodicHeight((0,), (1, 0), name="x")
 
 BRUTE_MODELS = [
     "zd1",
@@ -235,6 +235,45 @@ def test_start_vertex_translation_invariance():
     hexagonal = resolve_model("hexagonal")
     assert count_saws(hexagonal, 8, start=(2, (1, -1))).series() == \
         count_saws(hexagonal, 8).series()
+
+
+@pytest.mark.parametrize("model,height,start,n", [
+    ("tree3", "ghf", 55, 10),  # the word b a b
+    ("heisenberg", "ghf", (2, -1, 3), 6),
+    ("lamplighter", "ghf", (5, 1), 8),
+    ("grandparent", "level", (3, "10"), 5),
+], ids=["tree3", "heisenberg", "lamplighter", "grandparent"])
+def test_bridges_from_another_start_equal_the_roots(monkeypatch, model, height, start, n):
+    # A word sum starts every walk at 0, any other height at h.at(start).
+    # Each route carries the height from there: the compiled ball, the
+    # words of a Cayley model, and the oracle walk.
+    g = resolve_model(model)
+    h = resolve_height(g, height)
+
+    def series():
+        return count_bridges(g, h, n, start=start).series()
+
+    want = count_bridges(g, h, n).series()
+    assert saw._compile_ball(g, h, start, n) is not None
+    assert series() == want
+    if g.cayley:
+        # No bridge ball of its own: the count reads words.
+        compile_ball, word_tallies = saw._compile_ball, saw._word_tallies
+        words = []
+
+        def recording(*args):
+            words.append(word_tallies(*args))
+            return words[-1]
+
+        monkeypatch.setattr(saw, "_compile_ball", lambda g, h, start, n: (
+            None if h is not None else compile_ball(g, h, start, n)))
+        monkeypatch.setattr(saw, "_word_tallies", recording)
+        assert series() == want
+        assert len(words) == 1 and words[0] is not None
+        monkeypatch.undo()
+    monkeypatch.setattr(saw, "MAX_BALL_VERTICES", 0)
+    monkeypatch.setattr(saw, "_word_tallies", lambda *args: None)
+    assert series() == want
 
 
 @pytest.mark.parametrize("start", [(3, (0, 0)), (0, (0, 0)), (-1, (0, 0)), (1, (0,)),
