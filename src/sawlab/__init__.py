@@ -32,7 +32,6 @@ from .heights import (
     PeriodicHeight,
     RepairExhausted,
     Verification,
-    compute_r,
     harmonic_residuals,
     increase_repair,
     repair_document,
@@ -44,7 +43,6 @@ from .saw import (
     BoundsReport,
     BoundsRow,
     CountTable,
-    MultiplicativityReport,
     check_multiplicativity,
     count_bridges,
     count_saws,

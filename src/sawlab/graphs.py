@@ -1,7 +1,7 @@
 """Infinite vertex-transitive graphs behind a uniform oracle interface.
 
 Each oracle exposes a root, deterministic labelled neighbor expansion,
-orbit labels, an injective canonical key per vertex and the name of its
+orbit representatives, injective canonical keys and the name of its
 default height. The catalog is one table, MODELS: each family's oracle
 constructor and the parameter it takes, with its other spellings in
 MODEL_ALIASES; `resolve_model` reads a model string through it for
@@ -67,9 +67,6 @@ class GraphOracle:
 
     def neighbors(self, v) -> Tuple[Tuple[object, str], ...]:
         raise NotImplementedError
-
-    def orbit_label(self, v) -> int:
-        return 0
 
     def orbit_reps(self) -> List[object]:
         return [self.root]
@@ -565,9 +562,6 @@ class PGOracle(GraphOracle):
         ok = isinstance(v, tuple) and len(v) == 2 and v[0] in range(1, m + 1) and _ints(v[1], d)
         _require_vertex(self, v, ok, f"(o, x), o in 1..{m} and x with {d} integer coordinates")
 
-    def orbit_label(self, v) -> int:
-        return v[0] - 1
-
     def orbit_reps(self):
         zero = (0,) * self.pg.dim
         return [(o, zero) for o in range(1, self.pg.orbit_count + 1)]
@@ -697,7 +691,6 @@ class Ball:
       use such an edge, so this is the part of the graph those walks see.
     """
 
-    center_key: bytes
     radius: int
     vertices: List[object]
     keys: List[bytes]
@@ -744,7 +737,6 @@ class Ball:
             if j < n and dist[i] != shell
         ]
         return Ball(
-            center_key=self.center_key,
             radius=r,
             vertices=self.vertices[:n],
             keys=self.keys[:n],
@@ -827,7 +819,6 @@ class BallGrowth:
                 if j is not None and j != i:
                     edges.add((i, j) if i < j else (j, i))
         return Ball(
-            center_key=key_of[g.root],
             radius=self.radius,
             vertices=verts,
             keys=[key_of[v] for v in verts],

@@ -559,47 +559,3 @@ def verify(
     return Verification(failures, root_value, checked, note, sorted(set(defects.values())),
                         (key.decode(), defect), d)
 
-
-def compute_r(
-    g: GraphOracle,
-    h: HeightFunction,
-    orbit_reps: Optional[Sequence[object]] = None,
-    bound: int = 8,
-) -> Optional[int]:
-    """Least r <= bound such that from each orbit representative u, every
-    other orbit contains a vertex v' with h(u) < h(v') reachable by a
-    self-avoiding walk of length <= r whose interior heights lie strictly
-    between h(u) and h(v'). Returns 0 when a single orbit (transitive
-    action), None when some pair needs more than `bound`.
-
-    The walks are the bridge walker's (`saw._walk`): every vertex after u
-    lies above h(u). Heights are carried from u, so any representative
-    works for a height known only by transport.
-    """
-    from .saw import _walk
-
-    if orbit_reps is None:
-        orbit_reps = g.orbit_reps()
-    if len(orbit_reps) <= 1:
-        return 0
-    if bound < 1:
-        raise HeightError("bound must be >= 1")
-
-    orbits = [g.orbit_label(u) for u in orbit_reps]
-    best: Dict[Tuple[int, int], int] = {}
-    for u, ou in zip(orbit_reps, orbits):
-        missing = set(orbits) - {ou}
-        for r in range(1, bound + 1):
-            if not missing:
-                break
-            ends: list = []
-            _walk(g, h, (u,), r, out=ends)
-            for path, hw, top in ends:
-                ow = g.orbit_label(path[-1])
-                # `top` is the running maximum before the last step.
-                if ow in missing and hw > top:
-                    missing.discard(ow)
-                    best[ou, ow] = min(best.get((ou, ow), r), r)
-        if missing:
-            return None
-    return max(best.values(), default=0)

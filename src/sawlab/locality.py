@@ -24,7 +24,8 @@ convention; the scan verifies this and reports bound gaps for the family.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graphs import DEFAULT_BALL_BUDGET, Ball, BallGrowth, GraphOracle, resolve_model
@@ -100,13 +101,6 @@ def _joint_refine(
                          for v in part for u in adj[v])
 
 
-def _histogram(colors: List[int]) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    for c in colors:
-        out[c] = out.get(c, 0) + 1
-    return out
-
-
 def ball_iso(ba: Ball, bb: Ball) -> Tuple[bool, Optional[List[Tuple[str, str]]]]:
     """Rooted-graph isomorphism of two built balls (see `graphs.ball`).
 
@@ -123,7 +117,7 @@ def ball_iso(ba: Ball, bb: Ball) -> Tuple[bool, Optional[List[Tuple[str, str]]]]
     init_a = [(ba.distances[i], len(adj_a[i])) for i in range(len(adj_a))]
     init_b = [(bb.distances[i], len(adj_b[i])) for i in range(len(adj_b))]
     col_a, col_b = _joint_refine(adj_a, adj_b, init_a, init_b)
-    if _histogram(col_a) != _histogram(col_b):
+    if Counter(col_a) != Counter(col_b):
         return False, None
 
     # Backtracking in BFS order: every vertex after the root has a
@@ -180,15 +174,22 @@ def ball_iso(ba: Ball, bb: Ball) -> Tuple[bool, Optional[List[Tuple[str, str]]]]
 @dataclass
 class IsoRadiusResult:
     """K and the per-radius evidence. `at_least` means the true K may be
-    larger: every radius up to `bound` matched (or the budget stopped the
-    search), so only K >= k is known."""
+    larger: every radius up to the bound matched (or the budget stopped
+    the search), so only K >= k is known."""
 
     k: int
     at_least: bool
-    bound: int
-    verdicts: Dict[int, bool]
     witness: Optional[List[Tuple[str, str]]]
     budget_hit: bool = False
+
+    @property
+    def verdicts(self) -> Dict[int, bool]:
+        """Radius -> isomorphic: True up to K, False at K + 1 unless
+        `at_least`."""
+        out = dict.fromkeys(range(self.k + 1), True)
+        if not self.at_least:
+            out[self.k + 1] = False
+        return out
 
     def display(self) -> str:
         return f">= {self.k}" if self.at_least else str(self.k)
@@ -243,7 +244,8 @@ def iso_radius(
     def check(r: int) -> Tuple[bool, Optional[List[Tuple[str, str]]]]:
         return ball_iso(ba.restrict(r, convention), bb.restrict(r, convention))
 
-    witness = [(ba.center_key.decode(), bb.center_key.decode())]
+    # The root is vertex 0 of a ball: the one vertex at distance 0.
+    witness = [(ba.keys[0].decode(), bb.keys[0].decode())]
     # Radius k is isomorphic; radius hi is not, or lies past the candidate.
     k, hi = 0, candidate + 1
     r = candidate
@@ -254,20 +256,8 @@ def iso_radius(
         else:
             hi = r
         r = (k + hi) // 2
-    verdicts = {r: True for r in range(k + 1)}
-    if k < top:
-        verdicts[k + 1] = False
-        return IsoRadiusResult(
-            k=k, at_least=False, bound=bound, verdicts=verdicts, witness=witness
-        )
-    return IsoRadiusResult(
-        k=k,
-        at_least=True,
-        bound=bound,
-        verdicts=verdicts,
-        witness=witness,
-        budget_hit=budget_hit,
-    )
+    at_least = k >= top
+    return IsoRadiusResult(k, at_least, witness, budget_hit and at_least)
 
 
 # ---------------------------------------------------------------------------
@@ -349,43 +339,20 @@ def count_agreement(
     member_bridge: CountTable,
     check_up_to: int,
 ) -> Tuple[int, List[dict]]:
-    """(largest n with full agreement so far, discrepancies for n <= check_up_to)."""
-    agree_up_to = 0
-    top = min(
-        base_sigma.high_water,
-        base_bridge.high_water,
-        member_sigma.high_water,
-        member_bridge.high_water,
-    )
-    still_agreeing = True
-    discrepancies: List[dict] = []
-    for n in range(1, top + 1):
-        s_ok = base_sigma.counts[n] == member_sigma.counts[n]
-        b_ok = base_bridge.counts[n] == member_bridge.counts[n]
-        if still_agreeing and s_ok and b_ok:
-            agree_up_to = n
-        elif not (s_ok and b_ok):
-            still_agreeing = False
-        if n <= check_up_to:
-            if not s_ok:
-                discrepancies.append(
-                    {
-                        "n": n,
-                        "kind": "saw",
-                        "base": base_sigma.counts[n],
-                        "member": member_sigma.counts[n],
-                    }
-                )
-            if not b_ok:
-                discrepancies.append(
-                    {
-                        "n": n,
-                        "kind": "bridge",
-                        "base": base_bridge.counts[n],
-                        "member": member_bridge.counts[n],
-                    }
-                )
-    return agree_up_to, discrepancies
+    """(agree_up_to, discrepancies): the counts agree for every n <=
+    agree_up_to, which is the first n where they differ less one, or the
+    top of the tables if they never differ; the discrepancies are the
+    differences with n <= check_up_to."""
+    top = min(t.high_water for t in (base_sigma, base_bridge, member_sigma, member_bridge))
+    pairs = (("saw", base_sigma, member_sigma), ("bridge", base_bridge, member_bridge))
+    differ = [
+        {"n": n, "kind": kind, "base": base.counts[n], "member": member.counts[n]}
+        for n in range(1, top + 1)
+        for kind, base, member in pairs
+        if base.counts[n] != member.counts[n]
+    ]
+    agree_up_to = differ[0]["n"] - 1 if differ else top
+    return agree_up_to, [d for d in differ if d["n"] <= check_up_to]
 
 
 def locality_scan(

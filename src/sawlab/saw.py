@@ -105,6 +105,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -1046,36 +1047,17 @@ def count_bridges(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MultiplicativityReport:
-    kind: str
-    pairs_checked: int
-    violations: List[Tuple[int, int]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_multiplicativity(table: CountTable) -> MultiplicativityReport:
-    """sigma_{m+n} <= sigma_m sigma_n for SAW tables, b_{m+n} >= b_m b_n
-    for bridge tables, over all m, n >= 1 with m + n <= high_water."""
-    kind = table.kind
-    violations: List[Tuple[int, int]] = []
-    checked = 0
-    top = table.high_water
-    for m in range(1, top):
-        for n in range(m, top - m + 1):
-            checked += 1
-            lhs = table.counts[m + n]
-            rhs = table.counts[m] * table.counts[n]
-            bad = lhs > rhs if kind == "saw" else lhs < rhs
-            if bad:
-                violations.append((m, n))
-    return MultiplicativityReport(kind=kind, pairs_checked=checked, violations=violations)
+def check_multiplicativity(table: CountTable) -> List[Tuple[int, int]]:
+    """The pairs (m, n), m <= n, m + n <= high_water, that break
+    sigma_{m+n} <= sigma_m sigma_n in a SAW table or b_{m+n} >= b_m b_n
+    in a bridge table."""
+    c, top, sign = table.counts, table.high_water, 1 if table.kind == "saw" else -1
+    return [
+        (m, n)
+        for m in range(1, top)
+        for n in range(m, top - m + 1)
+        if sign * (c[m + n] - c[m] * c[n]) > 0
+    ]
 
 
 @dataclass
@@ -1147,6 +1129,13 @@ def doubling_indices(n_max: int) -> List[int]:
     return out
 
 
+def _best_root(table: CountTable, indices: Sequence[int], sign: int) -> int:
+    """The first of `indices` whose n-th root of the count is the largest
+    (sign 1) or the smallest (sign -1), compared exactly."""
+    c = table.counts
+    return max(indices, key=cmp_to_key(lambda m, n: sign * root_compare(c[m], m, c[n], n)))
+
+
 def mu_bounds(
     sigma_table: Optional[CountTable],
     bridge_table: Optional[CountTable],
@@ -1194,41 +1183,16 @@ def mu_bounds(
             )
         )
 
-    best_upper = best_upper_n = None
-    if sigma_table and s_top >= 1:
-        arg = 1
-        for n in range(2, s_top + 1):
-            if root_compare(
-                sigma_table.counts[n], n, sigma_table.counts[arg], arg
-            ) < 0:
-                arg = n
-        best_upper_n = arg
-        best_upper = nth_root_decimal(
-            sigma_table.counts[arg], arg, precision, round_up=True
-        )
-
-    best_lower = best_lower_n = None
-    if bridge_table and b_top >= 1:
-        candidates = [n for n in doubling_indices(b_top)]
-        arg = candidates[0]
-        for n in candidates[1:]:
-            if root_compare(
-                bridge_table.counts[n], n, bridge_table.counts[arg], arg
-            ) > 0:
-                arg = n
-        best_lower_n = arg
-        best_lower = nth_root_decimal(
-            bridge_table.counts[arg], arg, precision, round_up=False
-        )
-
+    best_upper_n = _best_root(sigma_table, range(1, s_top + 1), -1) if s_top else None
+    best_lower_n = _best_root(bridge_table, doubling_indices(b_top), 1) if b_top else None
     return BoundsReport(
         model=(sigma_table or bridge_table).model,
         height_name=bridge_table.height_name if bridge_table else None,
         precision=precision,
         rows=rows,
-        best_lower=best_lower,
+        best_lower=rows[best_lower_n - 1].lower_root if best_lower_n else None,
         best_lower_n=best_lower_n,
-        best_upper=best_upper,
+        best_upper=rows[best_upper_n - 1].upper_root if best_upper_n else None,
         best_upper_n=best_upper_n,
     )
 

@@ -550,51 +550,6 @@ def closure_orbits(paths: Sequence[tuple], maps: Sequence[Sequence[int]]) -> Lis
     return [tuple(orbit) for orbit in orbits]
 
 
-def brute_compute_r(
-    neighbors: Callable[[object], Iterable[Tuple[object, str]]],
-    reps: Sequence,
-    orbit_of: Callable[[object], int],
-    bound: int,
-    start_height: Callable[[object], int],
-    carry: Callable[[int, object, str], int],
-) -> Optional[int]:
-    """The r of a height function by listing every self-avoiding walk.
-
-    `neighbors(v)` lists (w, label); a walk from u starts at height
-    start_height(u), and a step to w along `label` from height h reaches
-    height carry(h, w, label). A walk u = p_0, ..., p_k = v with k >= 1
-    joins u to the orbit of v when that orbit is not u's and
-    h(u) < h(p_i) < h(v) for 0 < i < k and h(u) < h(v). Returns the
-    largest, over ordered pairs of distinct representative orbits, of
-    the shortest joining walk of length <= bound; 0 for one orbit; None
-    if some pair has no such walk.
-    """
-    if len(reps) <= 1:
-        return 0
-    orbits = [orbit_of(u) for u in reps]
-    shortest: Dict[Tuple[int, int], int] = {}
-
-    def extend(path: List, heights: List[int], ou: int):
-        k = len(path) - 1
-        if k >= 1:
-            hv, ov = heights[-1], orbit_of(path[-1])
-            if (ov != ou and heights[0] < hv
-                    and all(heights[0] < x < hv for x in heights[1:-1])):
-                shortest[ou, ov] = min(shortest.get((ou, ov), k), k)
-        if k == bound:
-            return
-        for w, label in neighbors(path[-1]):
-            if w not in path:
-                extend(path + [w], heights + [carry(heights[-1], w, label)], ou)
-
-    for u, ou in zip(reps, orbits):
-        extend([u], [start_height(u)], ou)
-    pairs = [(a, b) for a in orbits for b in orbits if a != b]
-    if any(p not in shortest for p in pairs):
-        return None
-    return max((shortest[p] for p in pairs), default=0)
-
-
 def word_sum_heights(
     neighbors: Callable[[object], Iterable[Tuple[object, str]]],
     root,
@@ -845,6 +800,71 @@ def iso_radius_reference(
                         budget_hit=False)
         k, witness = radius, wit
     return dict(k=k, at_least=True, verdicts=verdicts, witness=witness, budget_hit=False)
+
+
+# ---------------------------------------------------------------------------
+# Best roots and count agreement, as loops over every index
+# ---------------------------------------------------------------------------
+
+
+def _cross_power_compare(a_base: int, a_n: int, b_base: int, b_n: int) -> int:
+    lhs, rhs = a_base ** b_n, b_base ** a_n
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def reference_best_upper_n(sigma) -> Optional[int]:
+    """The n in 1..high_water of the smallest sigma_n^(1/n), the first on
+    ties; None for an empty table. `sigma` has `counts` and `high_water`."""
+    if sigma.high_water < 1:
+        return None
+    arg = 1
+    for n in range(2, sigma.high_water + 1):
+        if _cross_power_compare(sigma.counts[n], n, sigma.counts[arg], arg) < 0:
+            arg = n
+    return arg
+
+
+def reference_best_lower_n(bridge) -> Optional[int]:
+    """The n in 1, 2, 4, ... <= high_water of the largest b_n^(1/n), the
+    first on ties; None for an empty table."""
+    if bridge.high_water < 1:
+        return None
+    candidates = []
+    n = 1
+    while n <= bridge.high_water:
+        candidates.append(n)
+        n *= 2
+    arg = candidates[0]
+    for n in candidates[1:]:
+        if _cross_power_compare(bridge.counts[n], n, bridge.counts[arg], arg) > 0:
+            arg = n
+    return arg
+
+
+def reference_count_agreement(base_sigma, base_bridge, member_sigma, member_bridge,
+                              check_up_to: int) -> Tuple[int, List[dict]]:
+    """(largest n with full agreement so far, discrepancies for n <=
+    check_up_to), one n at a time over the tables' common range."""
+    agree_up_to = 0
+    top = min(base_sigma.high_water, base_bridge.high_water,
+              member_sigma.high_water, member_bridge.high_water)
+    still_agreeing = True
+    discrepancies: List[dict] = []
+    for n in range(1, top + 1):
+        s_ok = base_sigma.counts[n] == member_sigma.counts[n]
+        b_ok = base_bridge.counts[n] == member_bridge.counts[n]
+        if still_agreeing and s_ok and b_ok:
+            agree_up_to = n
+        elif not (s_ok and b_ok):
+            still_agreeing = False
+        if n <= check_up_to:
+            if not s_ok:
+                discrepancies.append({"n": n, "kind": "saw", "base": base_sigma.counts[n],
+                                      "member": member_sigma.counts[n]})
+            if not b_ok:
+                discrepancies.append({"n": n, "kind": "bridge", "base": base_bridge.counts[n],
+                                      "member": member_bridge.counts[n]})
+    return agree_up_to, discrepancies
 
 
 # ---------------------------------------------------------------------------

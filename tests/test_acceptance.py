@@ -106,7 +106,7 @@ def test_criterion_3_saw_counts_and_submultiplicativity():
 
     for table in (line, tree, square):
         rep = check_multiplicativity(table)
-        assert rep.ok and rep.pairs_checked > 0, table.model
+        assert rep == [] and table.high_water >= 2, table.model
     assert time.monotonic() - t0 < 60.0
 
 
@@ -119,7 +119,7 @@ def test_criterion_4_bridge_counts_and_supermultiplicativity():
 
     # m = n gives b_2n >= b_n^2: the roots grow along the doubling subsequence.
     rep = check_multiplicativity(bridge)
-    assert rep.ok and rep.pairs_checked > 0
+    assert rep == [] and bridge.high_water >= 2
 
     zd1 = resolve_model("zd1")
     line = count_bridges(zd1, resolve_height(zd1, "identity"), 10)

@@ -491,7 +491,7 @@ CATALOG_MODELS = ("zd1", "zd2", "zd3", "tree3", "heisenberg", "lamplighter",
 
 
 def _fields(b):
-    return (b.center_key, b.radius, b.vertices, b.keys, b.distances, b.edges,
+    return (b.radius, b.vertices, b.keys, b.distances, b.edges,
             b.convention)
 
 

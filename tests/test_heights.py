@@ -28,7 +28,6 @@ from sawlab.heights import (
     LevelHeight,
     PeriodicHeight,
     RepairExhausted,
-    compute_r,
     harmonic_residuals,
     increase_repair,
     repair_document,
@@ -614,56 +613,6 @@ def test_d_values():
     hx = resolve_model("hexagonal")
     assert d(hx, resolve_height(hx, "ghf")) == 1
     assert d(hx, increase_repair(hx.pg)) == 2
-
-
-def test_compute_r_values():
-    g2 = resolve_model("zd2")
-    assert compute_r(g2, resolve_height(g2, "y")) == 0
-
-    gd = resolve_model("dihedral_line")
-    assert (
-        compute_r(
-            gd,
-            resolve_height(gd, "identity"),
-            orbit_reps=[(1, (0,)), (2, (0,))],
-        )
-        == 1
-    )
-
-    so = resolve_model("square_octagon")
-    h = increase_repair(so.pg)
-    assert compute_r(so, h, bound=8) == 3
-    assert compute_r(so, h, bound=2) is None
-
-    hx = resolve_model("hexagonal")
-    assert compute_r(hx, increase_repair(hx.pg), bound=8) == 1
-
-
-def test_compute_r_matches_brute_force_at_any_representative():
-    hx = resolve_model("hexagonal")
-    ghf = resolve_height(hx, "ghf")
-    gamma = dict(ghf.gamma)
-
-    def word_sum_r(reps, bound):
-        return oracles.brute_compute_r(hx.neighbors, reps, hx.orbit_label, bound,
-                                       lambda u: 0, lambda hv, w, label: hv + gamma[label])
-
-    # The second default representative is not the root; the word-sum
-    # height is carried from each representative.
-    assert hx.orbit_reps()[1] != hx.root
-    assert compute_r(hx, ghf) == word_sum_r(hx.orbit_reps(), 8) == 1
-    away = [(2, (1, -1)), (1, (0, 3))]
-    for bound in (1, 2, 3):
-        assert compute_r(hx, ghf, orbit_reps=away, bound=bound) == word_sum_r(away, bound)
-    # On a cylinder the last step must raise x: r is 4, not the 3 of a
-    # walk whose end only ties its interior.
-    for name in ("hexagonal", "square_octagon", "cylinder4", "ladder_dihedral4"):
-        g = resolve_model(name)
-        h = resolve_height(g)
-        for bound in (2, 3, 4, 6):
-            assert compute_r(g, h, bound=bound) == oracles.brute_compute_r(
-                g.neighbors, g.orbit_reps(), g.orbit_label, bound,
-                h.at, lambda hv, w, label: h.at(w)), (name, bound)
 
 
 def _delta_sum(s, walk):

@@ -23,7 +23,7 @@ from sawlab.locality import (
     iso_radius,
     locality_scan,
 )
-from sawlab.saw import count_bridges, count_saws, render_json
+from sawlab.saw import CountTable, count_bridges, count_saws, render_json
 from sawlab.heights import PeriodicHeight, resolve_height
 from test_saw import voltage_documents
 
@@ -170,6 +170,53 @@ def test_count_agreement_reports_discrepancies():
     assert any(d["kind"] == "saw" and d["n"] == 4 for d in disc)
     for d in disc:
         assert d["base"] != d["member"] and d["n"] > 3
+
+
+def _agreement_tables(base_sigma, base_bridge, member_sigma, member_bridge, tops):
+    """Base and member sigma and bridge tables, in `count_agreement`'s
+    order, each cut at its own high_water."""
+    series = (("saw", base_sigma), ("bridge", base_bridge),
+              ("saw", member_sigma), ("bridge", member_bridge))
+    return [CountTable(kind=kind, model="synthetic", n_max=len(counts) - 1,
+                       counts=dict(enumerate(counts)), high_water=top)
+            for (kind, counts), top in zip(series, tops)]
+
+
+@st.composite
+def agreement_tables(draw, length=10):
+    """Four tables over one random base series pair, the member's with
+    random counts changed, each with its own high_water."""
+    base = [[1] + draw(st.lists(st.integers(1, 50), min_size=length, max_size=length))
+            for _ in range(2)]
+    member = [list(counts) for counts in base]
+    for counts in member:
+        for n in draw(st.lists(st.integers(1, length), max_size=3)):
+            counts[n] += draw(st.integers(1, 3))
+    tops = draw(st.lists(st.integers(0, length), min_size=4, max_size=4))
+    return _agreement_tables(*base, *member, tops)
+
+
+# Mismatches at n = 2 (saw), 4 (bridge) and 5 (saw), four unequal tops.
+UNEQUAL_TOPS = _agreement_tables([1, 4, 12, 36, 100, 284], [1, 1, 3, 7, 17, 41],
+                                 [1, 4, 13, 36, 100, 285], [1, 1, 3, 7, 18, 41],
+                                 (5, 4, 5, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(agreement_tables(), st.integers(0, 10))
+@example(UNEQUAL_TOPS, 3)
+def test_count_agreement_equals_the_loop_over_every_n(tables, check_up_to):
+    assert (count_agreement(*tables, check_up_to=check_up_to)
+            == oracles.reference_count_agreement(*tables, check_up_to))
+
+
+def test_count_agreement_reads_the_common_range_and_the_window():
+    # The common top is 4, so n = 5 is not compared; n = 4 lies past the
+    # window of 3, so only n = 2 is reported.
+    assert count_agreement(*UNEQUAL_TOPS, check_up_to=3) == (
+        1, [{"n": 2, "kind": "saw", "base": 12, "member": 13}])
+    assert count_agreement(*UNEQUAL_TOPS, check_up_to=9)[1][1] == {
+        "n": 4, "kind": "bridge", "base": 17, "member": 18}
 
 
 def test_locality_scan_structure():

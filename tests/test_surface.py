@@ -12,12 +12,13 @@ SRC = ROOT / "src" / "sawlab"
 
 # Public names that nothing in the package uses yet, each with its reason.
 UNUSED_BY_THE_PACKAGE = {
-    "compute_r": "r is the constant of the graph height function definition on "
-                 "quasi-transitive graphs; `verify` is to print it next to d "
-                 "(ROADMAP item 5)",
     "check_multiplicativity": "`bounds` is to call it once it takes the best lower bound "
                               "over every n (ROADMAP item 1)",
 }
+
+# The package's modules in import order: each imports only modules
+# before it. `__init__` re-exports them all.
+LAYERS = ("_linalg", "graphs", "presentations", "heights", "saw", "locality", "cli")
 
 
 def _references(node: ast.AST) -> set:
@@ -46,6 +47,36 @@ def test_every_public_name_is_used_by_the_package():
         and not any(node.name in names for other, names in statements if other is not node)
     }
     assert unused == set(UNUSED_BY_THE_PACKAGE)
+
+
+def _own_imports(node: ast.AST) -> set:
+    """The package modules an import statement names, relatively or by
+    the absolute name `sawlab.<module>`."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level and node.module:  # from .graphs import ball
+            return {node.module}
+        if node.level or node.module == "sawlab":  # from . import graphs
+            return {alias.name for alias in node.names}
+        names = [node.module or ""]
+    else:
+        names = [alias.name for alias in node.names]
+    return {name.split(".")[1] for name in names if name.startswith("sawlab.")}
+
+
+def test_imports_are_at_module_level_and_follow_the_layers():
+    paths = sorted(SRC.glob("*.py"))
+    assert {p.stem for p in paths} == {"__init__", *LAYERS}
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        nested = [node.lineno for node in imports if node not in tree.body]
+        assert nested == [], f"{path.name}: imports below module level at lines {nested}"
+        if path.stem == "__init__":
+            continue
+        earlier = set(LAYERS[:LAYERS.index(path.stem)])
+        later = set().union(*map(_own_imports, imports)) - earlier
+        assert later == set(), f"{path.name} imports {sorted(later)}, not before it in {LAYERS}"
 
 
 def test_readme_library_example_prints_its_comment():
