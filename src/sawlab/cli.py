@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import tempfile
-from datetime import datetime, timezone
+import time
 from typing import Optional
 
 from . import graphs, heights, locality, presentations, saw
@@ -43,7 +43,7 @@ EXIT_BUDGET = 4
 def _timestamp(args) -> Optional[str]:
     if args.no_timestamp:
         return None
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def _atomic_write(path: str, text: str) -> None:

@@ -38,7 +38,9 @@ thread, or with candidate symmetries (below), a real pass lists the
 feasible prefixes of length SPLIT_DEPTH and extends them, in a process
 pool if the pass is big enough to pay for starting one (POOL_MIN_NODES,
 decided from exact node bounds, never from a clock) and otherwise in
-this process. The pool has one worker per thread, at most one per CPU:
+this process. The pool class, and with it `multiprocessing`, is loaded
+at the first pass that fans out, so a run that starts no pool never
+imports them. The pool has one worker per thread, at most one per CPU:
 the tables are the same at any thread count. Its initializer gives each
 worker the walker state once (the compiled ball, or the oracle and
 height), so a task is only a prefix, the steps left and the prefix's
@@ -99,10 +101,10 @@ vertices above the start. Both walkers carry heights across edges with
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -481,6 +483,10 @@ def _extend(
     return _walk(g, h, path, remaining, hv, hmax, out)
 
 
+# The process pool class, None for the standard library's, which is
+# resolved at the first pool start. Tests and benchmarks bind a subclass.
+ProcessPoolExecutor: Optional[type] = None
+
 # Set once in each pool worker by `_init_worker`, the pool's initializer,
 # so that tasks carry only (prefix, rest, hv, hmax).
 _worker_state: Optional[_WalkerState] = None
@@ -844,7 +850,17 @@ def _word_tallies(g: GraphOracle, h: Optional[HeightFunction], start, ball: _Com
 # count words now; the oracle passes that fan out are those of longer
 # counts, such as heisenberg SAWs past n = 9). The threshold lies
 # between. Both numbers are exact integers, so the choice is the same on
-# every run.
+# every run. Since a pass's first pool also imports `multiprocessing`
+# (about 22 ms of CPU), the counts were timed again: wall time of a
+# fresh `sawlab count` process, --threads 1 -> 2, medians of 7
+# interleaved runs in three sets on 2 vCPUs. grandparent n = 6, which
+# starts no pool at either count, read 0.258 -> 0.261, 0.204 -> 0.231
+# and 0.280 -> 0.269 s, so differences under about 30 ms are noise.
+# hexagonal n = 18 read 0.331 -> 0.354, 0.328 -> 0.343 and 0.389 ->
+# 0.401 s, and zd2 n = 13 (bound 295,245) 0.213 -> 0.288, 0.259 -> 0.289
+# and 0.297 -> 0.350 s. Two threads no longer gain at 196,608, so the
+# threshold may now lie above it; a rule that fits every model is
+# ROADMAP item 7.
 POOL_MIN_NODES = 150_000
 ORACLE_NODE_COST = 4
 
@@ -920,7 +936,7 @@ def _real_pass(state: _WalkerState, root: tuple, target: int, threads: int, degr
         # CPUs would only cost processes.
         workers = min(threads, os.cpu_count() or 1)
         if not pools:
-            pools.append(ProcessPoolExecutor(
+            pools.append((ProcessPoolExecutor or concurrent.futures.ProcessPoolExecutor)(
                 max_workers=workers, initializer=_init_worker, initargs=(state,)))
         # About four chunks per worker: orbits differ in size, so a few
         # big chunks can leave a worker idle, while one message per task

@@ -2,6 +2,11 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -303,6 +308,20 @@ def test_json_artifact_timestamp_control(capsys, tmp_path):
         "--format", "json", "--output", str(stamped),
     )
     assert "generated_at" in json.loads(stamped.read_text())
+
+
+def test_generated_at_is_now_in_utc_to_the_second(capsys, tmp_path):
+    stamped = tmp_path / "stamped.json"
+    before = datetime.now(timezone.utc)
+    code, _, _ = run(capsys, "count", "--model", "zd2", "--n-max", "4",
+                     "--format", "json", "--output", str(stamped))
+    after = datetime.now(timezone.utc)
+    assert code == EXIT_OK
+    stamp = json.loads(stamped.read_text())["generated_at"]
+    when = datetime.fromisoformat(stamp)
+    assert when.utcoffset() == timedelta(0)
+    assert when.isoformat(timespec="seconds") == stamp
+    assert before - timedelta(seconds=5) <= when <= after + timedelta(seconds=5)
 
 
 # One small job per subcommand, and whether its JSON artifact is stamped
@@ -749,3 +768,47 @@ def test_negative_bound_is_a_usage_error_before_any_work(capsys, monkeypatch, ar
     monkeypatch.setattr(locality, "count_saws", refuse)
     assert _exit_code(argv) == 2
     assert "--bound" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Start-up
+# ---------------------------------------------------------------------------
+
+# Run in a fresh interpreter: the modules a run loads must not depend on
+# what the test session imported before.
+STARTUP = """
+import resource, sys
+from sawlab import cli, graphs, saw
+
+LAZY = {"multiprocessing", "concurrent.futures.process", "datetime"}
+
+def children_started():
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0
+
+assert not LAZY & set(sys.modules), sorted(LAZY & set(sys.modules))
+argv = ["bounds", "--model", "zd2", "--n-max", "8", "--threads", "2",
+        "--format", "json", "--output", sys.argv[1]]
+assert cli.main(argv) == 0
+assert not LAZY & set(sys.modules), sorted(LAZY & set(sys.modules))
+assert not children_started()
+
+# A pass that fans out loads the standard library's pool at its start.
+saw.POOL_MIN_NODES = 0
+assert saw.ProcessPoolExecutor is None
+g = graphs.resolve_model("zd2")
+serial = saw.count_saws(g, 10, threads=1)
+pooled = saw.count_saws(g, 10, threads=2)
+assert children_started()
+assert "concurrent.futures.process" in sys.modules
+fields = lambda t: (t.counts, t.nodes_used, t.high_water, t.partial)
+assert fields(pooled) == fields(serial), (fields(pooled), fields(serial))
+"""
+
+
+def test_multiprocessing_loads_only_at_the_first_pool_start(tmp_path):
+    env = {key: value for key, value in os.environ.items() if key != "SAWLAB_BUDGET"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", STARTUP, str(tmp_path / "bounds.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "generated_at" in json.loads((tmp_path / "bounds.json").read_text())
